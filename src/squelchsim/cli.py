@@ -24,6 +24,7 @@ from .config import (
     build_scenario,
     build_topology,
     config_hash,
+    decode_config_text,
     validate_config,
 )
 from .engine import RelayPolicy, ScenarioSetupError, run_scenario
@@ -132,9 +133,7 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_effective_config(args) -> dict:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    raw = decode_config_text(Path(args.config).read_text(encoding="utf-8"))
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"scenario.seed={args.seed}")

@@ -83,13 +83,19 @@ _METRICS_DEFAULTS = {"include_control_in_total": True}
 
 
 def parse_config_text(text: str) -> dict:
+    return validate_config(decode_config_text(text))
+
+
+def decode_config_text(text: str) -> dict:
+    """Decode a config document without validating its sections, so that
+    overrides can land first."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    return validate_config(doc)
+    return doc
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -160,6 +166,8 @@ def validate_config(doc: dict) -> dict:
     protocol = out["protocol"]
     for key, value in _PROTOCOL_DEFAULTS.items():
         protocol.setdefault(key, value)
+    if not isinstance(protocol["squelch_kinds"], list):
+        raise ConfigError("protocol.squelch_kinds must be a list of message kinds")
     for kind_name in protocol["squelch_kinds"]:
         _kind_from_name(kind_name, "protocol.squelch_kinds")
 

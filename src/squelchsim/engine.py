@@ -1,8 +1,8 @@
 """Deterministic discrete-event execution of one dissemination scenario.
 
 Validators emit proposals and validations on a fixed cadence, trackers
-submit transaction bursts per plan, and every delivery is a timed event on
-a single priority queue ordered by (time, insertion sequence). Nodes relay
+submit transaction bursts per plan, and deliveries are timed events on a
+single priority queue ordered by (time, insertion sequence). Nodes relay
 only the first copy of each message; later copies are counted as duplicates
 and dropped. Under the squelch policy the per-validator slot machinery from
 `squelch` governs which peers keep relaying, and its control messages
@@ -11,16 +11,38 @@ travel the same links (one hop, never relayed).
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
 only randomness is the seeded topology generation upstream.
+
+Messages that always flood (every kind under the flood policy, and the kinds
+outside `protocol.squelch_kinds` under the squelch policy) never touch slot
+or link state, so they do not interact with each other or with anything
+else on the heap, and leaving their events out keeps the relative insertion
+order of the rest. Their counts are computed off the heap instead: each
+origin lazily gets a template, the first-receipt order and first sender
+(parent) of every node for one message flooded alone at t=0. An emission at
+`t0` is replayed from it in two passes. The first recomputes each node's
+first receipt as its parent's plus the link latency, the same float
+additions in the same order as the event loop, so every per-second bucket
+comes out identical. The second walks every other send and counts it unless
+it arrives at or after `duration_ms`. The replay is exact when every
+non-tree arrival comes strictly after its receiver's first receipt: then
+each node's earliest copy is the tree copy, whatever the insertion sequence.
+When that check fails (a tie, or float rounding that reorders near-ties at
+`t0`), or when a counted arrival reaches the first disconnect, the emission
+goes through the event loop unchanged. An origin whose template run itself
+sees an exact tie (typical of equal-latency graphs) always uses the event
+loop. A round's proposals and validation share one replay, counted with a
+per-kind multiplicity.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 
-from .messages import DEFAULT_MESSAGE_SIZES, MessageKind, SimMessage
+from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind, SimMessage
 from .metrics import MetricsLog
 from .squelch import (
     ControlKind,
@@ -145,6 +167,40 @@ def relay_decision_squelch(node: NodeState, message: SimMessage,
     ]
 
 
+def _build_template(nodes: dict[int, NodeState],
+                    origin: int) -> tuple[list[int], dict[int, int | None]] | None:
+    """First-receipt order (origin first) and first sender of every node for
+    one message flooded alone from `origin` at t=0, in the event loop's
+    (time, insertion sequence) order. None when an exact arrival tie makes
+    that order depend on the insertion sequence.
+
+    Sends to nodes that already hold the message are never pushed: they are
+    duplicates, and leaving them out keeps the relative sequence of the rest.
+    """
+    first = {origin: 0.0}
+    parent: dict[int, int | None] = {origin: None}
+    order = [origin]
+    heap: list[tuple[float, int, int, int]] = []
+    seq = 0
+    for p, lat in nodes[origin].latency.items():
+        heappush(heap, (lat, seq, origin, p))
+        seq += 1
+    while heap:
+        at, _, src, dst = heappop(heap)
+        if dst in first:
+            if at == first[dst]:
+                return None
+            continue
+        first[dst] = at
+        parent[dst] = src
+        order.append(dst)
+        for p, lat in nodes[dst].latency.items():
+            if p not in first:
+                heappush(heap, (at + lat, seq, dst, p))
+                seq += 1
+    return order, parent
+
+
 def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     """Execute the event loop until duration_ms and return the metrics log."""
     graph = cfg.topology
@@ -204,6 +260,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         if disc.node not in nodes:
             raise ScenarioSetupError(f"disconnect names unknown node {disc.node}")
         push(disc.at_ms, _DISCONNECT, disc.node)
+    first_disconnect = min((d.at_ms for d in cfg.disconnects), default=float("inf"))
+    # Replayed arrivals must land before this; from the first disconnect on,
+    # live sets change and only the event loop knows them.
+    horizon = min(duration, first_disconnect)
+    always_flood = APPLICATION_KINDS - squelch_kinds if squelching else APPLICATION_KINDS
+    templates: dict[int, tuple[list[int], dict[int, int | None]] | None] = {}
 
     sequence_counters: dict[tuple[int, MessageKind], int] = {}
 
@@ -233,6 +295,87 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 if t < duration:
                     heappush(heap, (t, seq, _DELIVER_APP, (msg, src, p)))
                     seq += 1
+
+    def replay(origin: int, t0: float, batch: list[tuple[MessageKind, int]]) -> bool:
+        """Count `batch`, (kind, copies) pairs of always-flood messages that
+        `origin` emits at t0, from the origin's template. Returns False, having
+        counted nothing, when the template tree is not provably the event
+        loop's first-receipt tree at t0 or the flood meets a disconnect."""
+        if t0 >= first_disconnect:
+            return False
+        if origin not in templates:
+            templates[origin] = _build_template(nodes, origin)
+        template = templates[origin]
+        if template is None:
+            return False
+        order, parent = template
+        first = {origin: t0}
+        out_c: dict[tuple[int, int], int] = defaultdict(int)
+        dup_c: dict[tuple[int, int], int] = defaultdict(int)
+        tree_in: list[tuple[int, int]] = []
+        # Pass 1: first receipts along the tree, and the tree sends.
+        for v in order[1:]:
+            p = parent[v]
+            t = first[p] + nodes[p].latency[v]
+            first[v] = t
+            if t >= horizon:
+                if t >= duration:
+                    continue
+                return False
+            s = int(t // 1000)
+            out_c[(p, s)] += 1
+            tree_in.append((v, s))
+        # Pass 2: every other send is a duplicate, and must arrive strictly
+        # after the receiver's tree copy for the tree to be the event loop's.
+        for u in order:
+            fu = first[u]
+            if fu >= duration:
+                continue
+            pu = parent[u]
+            su = int(fu // 1000)
+            sent_in_su = 0
+            for w, lat in nodes[u].latency.items():
+                if w == pu or parent[w] == u:
+                    continue
+                t = fu + lat
+                if t >= horizon:
+                    if t >= duration:
+                        continue
+                    return False
+                if t <= first[w]:
+                    return False
+                s = int(t // 1000)
+                if s == su:
+                    sent_in_su += 1
+                else:
+                    out_c[(u, s)] += 1
+                dup_c[(w, s)] += 1
+            if sent_in_su:
+                out_c[(u, su)] += sent_in_su
+        for kind, copies in batch:
+            for (u, s), n in out_c.items():
+                counts[(u, s, kind, "out")] += n * copies
+            for (w, s) in tree_in:
+                counts[(w, s, kind, "in")] += copies
+            for (w, s), n in dup_c.items():
+                counts[(w, s, kind, "in")] += n * copies
+                dups[(w, s, kind)] += n * copies
+        return True
+
+    def emit(node: NodeState, at: float, batch: list[tuple[MessageKind, int]]) -> None:
+        """Emit `copies` messages of each kind of `batch` from node at `at`,
+        replaying the always-flood kinds when their template allows it."""
+        nonlocal emitted_app_msgs
+        flooded = [(kind, copies) for kind, copies in batch
+                   if copies and kind in always_flood]
+        if flooded and replay(node.node_id, at, flooded):
+            emitted_app_msgs += sum(copies for _, copies in flooded)
+            batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
+        origin = node.node_id
+        for kind, copies in batch:
+            for _ in range(copies):
+                msg = SimMessage(kind, origin, next_sequence(origin, kind), sizes[kind])
+                broadcast_from_origin(node, msg, at)
 
     def feed_slot(node: NodeState, origin: int, from_peer: int, at: float) -> None:
         slot = node.slots.get(origin)
@@ -310,15 +453,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             node = nodes[v]
             if not node.live:
                 continue
-            for _ in range(cfg.proposals_per_round):
-                msg = SimMessage(MessageKind.PROPOSAL, v,
-                                 next_sequence(v, MessageKind.PROPOSAL),
-                                 sizes[MessageKind.PROPOSAL])
-                broadcast_from_origin(node, msg, at)
-            msg = SimMessage(MessageKind.VALIDATION, v,
-                             next_sequence(v, MessageKind.VALIDATION),
-                             sizes[MessageKind.VALIDATION])
-            broadcast_from_origin(node, msg, at)
+            emit(node, at, [(MessageKind.PROPOSAL, cfg.proposals_per_round),
+                            (MessageKind.VALIDATION, 1)])
             push(at + cfg.ledger_round_ms, _EMIT_ROUND, v)
 
         elif code == _SUBMIT_TX:
@@ -326,10 +462,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             node = nodes[origin]
             if not node.live:
                 continue
-            msg = SimMessage(MessageKind.TRANSACTION, origin,
-                             next_sequence(origin, MessageKind.TRANSACTION),
-                             sizes[MessageKind.TRANSACTION])
-            broadcast_from_origin(node, msg, at)
+            emit(node, at, [(MessageKind.TRANSACTION, 1)])
 
         elif code == _SQUELCH_EXPIRY:
             owner, validator, peer, expiry = data

@@ -71,6 +71,21 @@ def test_simulate_missing_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_malformed_json_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"scenario": {duration_ms: 100}}')
+    code, _, err = run_cli(capsys, "simulate", "--config", str(bad), "--out", str(tmp_path))
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--config", str(small_config),
+                           "--out", str(tmp_path), "--set", "protocol.squelch_kinds=proposal")
+    assert code == 2
+    assert "protocol.squelch_kinds must be a list" in err
+
+
 def test_simulate_deterministic_reruns(tmp_path, small_config, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run_cli(capsys, "simulate", "--config", str(small_config), "--out", str(out_a))[0] == 0

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
+from squelchsim import engine
+from squelchsim.config import apply_overrides, build_scenario, validate_config
 from squelchsim.engine import (
     Disconnect,
     NodeState,
@@ -19,7 +24,7 @@ from squelchsim.engine import (
 from squelchsim.messages import APPLICATION_KINDS, CONTROL_KINDS, MessageKind, SimMessage
 from squelchsim.metrics import EmptyWindowError, export_csv, summarize
 from squelchsim.squelch import ProtocolConfig
-from squelchsim.topology import TopologyGraph, generate_topology
+from squelchsim.topology import TopologyGraph, generate_topology, load_topology
 
 
 def graph_from_edges(edge_list, validators=frozenset(), latency=10.0):
@@ -325,3 +330,153 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
                        warmup_ms=0, ledger_round_ms=0)
+
+
+# --- always-flood replay from per-origin templates ---------------------------------
+
+def node_states(g):
+    return {
+        n: NodeState(n, g.neighbors(n), {p: g.edge_latency(n, p) for p in g.neighbors(n)},
+                     ProtocolConfig())
+        for n in g.nodes
+    }
+
+
+def test_template_is_first_receipt_tree():
+    order, parent = engine._build_template(node_states(graph_from_edges(PATH3)), 0)
+    assert order == [0, 1, 2]
+    assert parent == {0: None, 1: 0, 2: 1}
+    # Equal latencies on K4: duplicates arrive later than first receipts, no tie.
+    order, parent = engine._build_template(node_states(graph_from_edges(K4)), 0)
+    assert order == [0, 1, 2, 3]
+    assert parent == {0: None, 1: 0, 2: 0, 3: 0}
+
+
+def test_template_declines_exact_tie():
+    # Node 2 of the 4-cycle gets both copies at 20 ms: order is up to the sequence.
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    assert engine._build_template(node_states(graph_from_edges(cycle)), 0) is None
+
+
+def test_replay_falls_back_when_rounding_ties_at_emission_time(monkeypatch):
+    # At t=0 node 3's copy via node 2 (0.3 + 0.6) beats the one via node 1
+    # (0.1 + 0.8) by one ulp; at t=1000 both land on 1000.9 and the event loop
+    # takes node 1's, sent first. The round at 1000 must not use the template.
+    g = load_topology("0 1 0.1\n1 3 0.8\n0 2 0.3\n2 3 0.6\n", {0})
+    assert engine._build_template(node_states(g), 0)[1][3] == 2
+    cfg = ScenarioConfig(topology=g, duration_ms=2000, relay_policy=RelayPolicy.FLOOD,
+                         ledger_round_ms=1000, warmup_ms=0)
+    replayed = export_csv(run_scenario(cfg))
+    monkeypatch.setattr(engine, "_build_template", lambda nodes, origin: None)
+    assert replayed == export_csv(run_scenario(cfg))
+
+
+@pytest.mark.parametrize("edges,expected_in", [
+    (PATH3, {1: 1}),  # the leaf's tree copy lands at 20 ms, after it left at 15
+    ([(0, 1), (0, 2), (1, 2)], {1: 2, 2: 1}),  # only the duplicate 1 -> 2 is late
+])
+def test_replay_hands_flood_that_meets_disconnect_to_event_loop(edges, expected_in):
+    g = graph_from_edges(edges, validators={0})
+    cfg = ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
+                         ledger_round_ms=1000, warmup_ms=0,
+                         disconnects=(Disconnect(at_ms=15.0, node=2),))
+    assert in_by_node(run_scenario(cfg), MessageKind.VALIDATION) == expected_in
+
+
+def draw_replay_scenario(data, st):
+    """A small scenario mixing everything the replay must reproduce or hand
+    back to the event loop: ties, disconnects, squelched kinds, bursts."""
+    draw = data.draw
+    n = draw(st.integers(3, 12))
+    seed = draw(st.integers(0, 2**16))
+    g = generate_topology(n, float(draw(st.integers(2, min(5, n - 1)))), 0.3,
+                          draw(st.sampled_from([(20.0, 20.0), (5.0, 50.0), (10.0, 12.0)])),
+                          seed=seed)
+    # Edge lists: no latencies (all on the default), small integers (ties at
+    # any t0), or tenths (sums that tie or not depending on t0's magnitude).
+    latencies = draw(st.sampled_from(["generated", "default", "integer", "tenths"]))
+    if latencies != "generated":
+        rng = random.Random(seed)
+        text = "".join(
+            f"{u} {v}" + {"default": "", "integer": f" {rng.randint(1, 4)}",
+                          "tenths": f" {rng.randint(1, 30) / 10}"}[latencies] + "\n"
+            for u, v in sorted(g.edges)
+        )
+        g = load_topology(text, set(g.validator_set))
+    duration = draw(st.integers(1000, 3000))
+    bursts = tuple(
+        TxBurst(start_ms=float(draw(st.integers(0, duration))),
+                trackers=tuple(draw(st.lists(st.sampled_from(g.nodes), max_size=3))),
+                count=draw(st.integers(0, 12)),
+                rate_per_s=draw(st.sampled_from([0.0, 10.0, 100.0, 333.0])))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    disconnects = tuple(
+        Disconnect(at_ms=float(draw(st.integers(0, duration))),
+                   node=draw(st.sampled_from(g.nodes)))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    kinds = draw(st.sampled_from([
+        frozenset({MessageKind.PROPOSAL}),
+        frozenset({MessageKind.PROPOSAL, MessageKind.VALIDATION}),
+    ]))
+    protocol = ProtocolConfig(count_threshold=draw(st.integers(1, 3)),
+                              max_selected=draw(st.integers(1, 3)),
+                              squelch_base_ms=draw(st.integers(200, 2000)),
+                              squelch_jitter_ms=draw(st.integers(0, 500)),
+                              squelch_kinds=kinds)
+    return ScenarioConfig(
+        topology=g, duration_ms=duration,
+        relay_policy=draw(st.sampled_from([RelayPolicy.FLOOD, RelayPolicy.SQUELCH])),
+        ledger_round_ms=draw(st.integers(250, 1500)),
+        proposals_per_round=draw(st.integers(0, 3)),
+        tx_plan=bursts, protocol=protocol, seed=seed,
+        warmup_ms=draw(st.integers(0, 500)), disconnects=disconnects,
+    )
+
+
+def test_replay_matches_event_loop(monkeypatch):
+    """Counting always-flood messages from templates yields the same bytes as
+    simulating every copy on the event heap."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        cfg = draw_replay_scenario(data, st)
+        replayed = export_csv(run_scenario(cfg))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_build_template", lambda nodes, origin: None)
+            simulated = export_csv(run_scenario(cfg))
+        assert replayed == simulated
+
+    check()
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference_testbed.json"
+
+# sha256 of export_csv for the reference testbed cut to 32 simulated seconds
+# (rounds, and the first 200 transactions of the first burst). Any change is
+# a change of the engine's or the metrics layer's output bytes.
+PINNED_EXPORT_SHA256 = {
+    (1, "flood"): "e83de0ffb234fd8aba8099299959853aa9d8454ffc0dca4ae2116bc1f9cd4710",
+    (1, "squelch"): "6f1beac47127d3ae8cad8e8be8a6679c222d27ec952fea14c46f384c5b2b0cdd",
+    (2, "flood"): "d9ad921083155b3e209f27fbc412e14ed9087c76ed449b6673782b9392c41398",
+    (2, "squelch"): "9cbf0be242cfb30db0b11dbe6b454def57e934001211aad2ee1762d4fcf6b1da",
+    (3, "flood"): "5aed6ab0dac765f3bf9901ab54ddbdc1a590d96171177b2f6bc1ec351f356c5c",
+    (3, "squelch"): "601f101cfdbbc2a14fd120f779f392c59198b3496913dbf9d9b0a1e7c0ece00f",
+}
+
+
+@pytest.mark.parametrize("seed,policy", sorted(PINNED_EXPORT_SHA256))
+def test_reference_export_csv_bytes_pinned(seed, policy):
+    doc = validate_config(apply_overrides(
+        json.loads(REFERENCE_CONFIG.read_text(encoding="utf-8")),
+        ["scenario.duration_ms=32000", f"scenario.seed={seed}"],
+    ))
+    log = run_scenario(build_scenario(doc, relay_policy=RelayPolicy(policy)))
+    digest = hashlib.sha256(export_csv(log).encode("utf-8")).hexdigest()
+    assert digest == PINNED_EXPORT_SHA256[(seed, policy)]
