@@ -124,6 +124,10 @@ class ScenarioConfig:
             raise ValueError("ledger_round_ms must be positive")
         if self.proposals_per_round < 0:
             raise ValueError("proposals_per_round must be non-negative")
+        # Checked here, not per message: replayed kinds build no SimMessage.
+        if any(size <= 0 for kind, size in self.message_sizes.items()
+               if kind in APPLICATION_KINDS):
+            raise ValueError("application message sizes must be positive")
 
 
 class NodeState:

@@ -330,6 +330,9 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
                        warmup_ms=0, ledger_round_ms=0)
+    with pytest.raises(ValueError):
+        ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
+                       warmup_ms=0, message_sizes={MessageKind.TRANSACTION: 0})
 
 
 # --- always-flood replay from per-origin templates ---------------------------------
