@@ -264,7 +264,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         if disc.node not in nodes:
             raise ScenarioSetupError(f"disconnect names unknown node {disc.node}")
         push(disc.at_ms, _DISCONNECT, disc.node)
-    first_disconnect = min((d.at_ms for d in cfg.disconnects), default=float("inf"))
+    # Only disconnects that made it onto the heap (push drops the rest).
+    first_disconnect = min((d.at_ms for d in cfg.disconnects if d.at_ms < duration),
+                           default=float("inf"))
     # Replayed arrivals must land before this; from the first disconnect on,
     # live sets change and only the event loop knows them.
     horizon = min(duration, first_disconnect)

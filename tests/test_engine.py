@@ -374,15 +374,22 @@ def test_replay_falls_back_when_rounding_ties_at_emission_time(monkeypatch):
     assert replayed == export_csv(run_scenario(cfg))
 
 
-@pytest.mark.parametrize("edges,expected_in", [
-    (PATH3, {1: 1}),  # the leaf's tree copy lands at 20 ms, after it left at 15
-    ([(0, 1), (0, 2), (1, 2)], {1: 2, 2: 1}),  # only the duplicate 1 -> 2 is late
+LEAF_LEAVES = (Disconnect(at_ms=15.0, node=2),)
+
+
+@pytest.mark.parametrize("edges,disconnects,expected_in", [
+    # the leaf's tree copy lands at 20 ms, after it left at 15
+    (PATH3, LEAF_LEAVES, {1: 1}),
+    # a disconnect that never happens must not hide the one that does
+    (PATH3, (Disconnect(at_ms=float("nan"), node=1),) + LEAF_LEAVES, {1: 1}),
+    # only the duplicate 1 -> 2 is late
+    ([(0, 1), (0, 2), (1, 2)], LEAF_LEAVES, {1: 2, 2: 1}),
 ])
-def test_replay_hands_flood_that_meets_disconnect_to_event_loop(edges, expected_in):
+def test_replay_hands_flood_that_meets_disconnect_to_event_loop(edges, disconnects,
+                                                                  expected_in):
     g = graph_from_edges(edges, validators={0})
     cfg = ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
-                         ledger_round_ms=1000, warmup_ms=0,
-                         disconnects=(Disconnect(at_ms=15.0, node=2),))
+                         ledger_round_ms=1000, warmup_ms=0, disconnects=disconnects)
     assert in_by_node(run_scenario(cfg), MessageKind.VALIDATION) == expected_in
 
 
