@@ -30,7 +30,7 @@ from .regression import (
     invert,
     predict,
 )
-from .squelch import ControlKind, ControlMessage, PeerLinkState, ProtocolConfig, Slot
+from .squelch import ControlMessage, PeerLinkState, ProtocolConfig, Slot
 from .topology import (
     GraphStats,
     TopologyGraph,
@@ -41,7 +41,6 @@ from .topology import (
 
 __all__ = [
     "__version__",
-    "ControlKind",
     "ControlMessage",
     "Disconnect",
     "GainReport",

@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -174,7 +175,7 @@ def cmd_simulate(args) -> int:
         "seed": cfg.seed,
         "tool_version": __version__,
         "policy": cfg.relay_policy.value,
-        "summary": summary.to_json_dict(),
+        "summary": asdict(summary),
     }
     (out_dir / "summary.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -202,9 +203,9 @@ def cmd_compare(args) -> int:
         "config_hash": config_hash(doc),
         "seed": doc["scenario"]["seed"],
         "tool_version": __version__,
-        "flood": summaries["flood"].to_json_dict(),
-        "squelch": summaries["squelch"].to_json_dict(),
-        "savings": report.to_json_dict(),
+        "flood": asdict(summaries["flood"]),
+        "squelch": asdict(summaries["squelch"]),
+        "savings": asdict(report),
     }
     (out_dir / "compare.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -248,9 +249,9 @@ def _cumulative_series(flood: MetricsLog, squelch: MetricsLog) -> str:
 def cmd_fit(args) -> int:
     points = read_points_csv(Path(args.points_csv).read_text(encoding="utf-8"))
     model = fit_linear(points, x_name=args.x_name, y_name=args.y_name)
-    payload: dict = {"model": model.to_json_dict()}
+    payload: dict = {"model": asdict(model)}
     if args.invert:
-        payload["inverse"] = invert(model).to_json_dict()
+        payload["inverse"] = asdict(invert(model))
     if args.predict is not None:
         payload["prediction"] = {"x": args.predict, "y": predict(model, args.predict)}
     if args.gain is not None:
@@ -262,8 +263,8 @@ def cmd_fit(args) -> int:
         cpu_model = fit_linear(cpu_points, x_name="peers", y_name="cpu_percent")
         msgs_model = fit_linear(points, x_name="peers", y_name="messages_per_s")
         gain = compute_gain(cpu_model, msgs_model, baseline_peers, saved_fraction)
-        payload["gain"] = gain.to_json_dict()
-        payload["cpu_model"] = cpu_model.to_json_dict()
+        payload["gain"] = asdict(gain)
+        payload["cpu_model"] = asdict(cpu_model)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -272,7 +273,7 @@ def cmd_topo_stats(args) -> int:
     text = Path(args.edge_list).read_text(encoding="utf-8")
     graph = load_topology(text, set())
     stats = graph_stats(graph)
-    print(json.dumps(stats.to_json_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(stats), indent=2, sort_keys=True))
     return 0
 
 

@@ -45,7 +45,6 @@ from heapq import heappop, heappush
 from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind, SimMessage
 from .metrics import MetricsLog
 from .squelch import (
-    ControlKind,
     PeerLinkState,
     ProtocolConfig,
     Slot,
@@ -133,40 +132,38 @@ class ScenarioConfig:
 class NodeState:
     """Mutable per-node simulation state."""
 
-    __slots__ = ("node_id", "neighbors", "latency", "links", "slots", "seen",
-                 "protocol", "live", "unknown_peer_msgs")
+    __slots__ = ("node_id", "latency", "links", "slots", "seen", "live",
+                 "unknown_peer_msgs")
 
-    def __init__(self, node_id: int, neighbors: tuple[int, ...],
-                 latency: dict[int, float], protocol: ProtocolConfig):
+    def __init__(self, node_id: int, latency: dict[int, float]):
         self.node_id = node_id
-        self.neighbors = neighbors
+        # Live neighbours, in ascending id order, and the latency to each.
         self.latency = latency
-        self.links = {p: PeerLinkState(p) for p in neighbors}
+        self.links = {p: PeerLinkState(p) for p in latency}
         self.slots: dict[int, Slot] = {}
         self.seen: set[tuple[MessageKind, int, int]] = set()
-        self.protocol = protocol
         self.live = True
         self.unknown_peer_msgs = 0
 
 
-def relay_decision_flood(node: NodeState, message: SimMessage,
-                         arrived_from: int | None) -> list[int]:
+def relay_decision_flood(node: NodeState, arrived_from: int | None) -> list[int]:
     """All live neighbors except the sender; the origin passes None and
     forwards to everyone."""
-    return [p for p in node.neighbors if p != arrived_from]
+    return [p for p in node.latency if p != arrived_from]
 
 
 def relay_decision_squelch(node: NodeState, message: SimMessage,
-                           arrived_from: int | None, now: float) -> list[int]:
+                           arrived_from: int | None, now: float,
+                           squelch_kinds: frozenset[MessageKind]) -> list[int]:
     """Flood set minus peers that squelched us for this origin. Kinds outside
-    the configured squelch set (transactions by default) always flood."""
-    if message.kind not in node.protocol.squelch_kinds:
-        return relay_decision_flood(node, message, arrived_from)
+    `squelch_kinds` (transactions by default) always flood."""
+    if message.kind not in squelch_kinds:
+        return relay_decision_flood(node, arrived_from)
     links = node.links
     origin = message.origin
     return [
         p
-        for p in node.neighbors
+        for p in node.latency
         if p != arrived_from and should_relay(links[p], origin, now)
     ]
 
@@ -218,11 +215,11 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     sizes = dict(DEFAULT_MESSAGE_SIZES)
     sizes.update(cfg.message_sizes)
 
-    nodes: dict[int, NodeState] = {}
-    for node_id in graph.nodes:
-        nbrs = graph.neighbors(node_id)
-        lat = {p: graph.edge_latency(node_id, p) for p in nbrs}
-        nodes[node_id] = NodeState(node_id, nbrs, lat, protocol)
+    nodes = {
+        node_id: NodeState(node_id, {p: graph.edge_latency(node_id, p)
+                                     for p in graph.neighbors(node_id)})
+        for node_id in graph.nodes
+    }
 
     log = MetricsLog(
         policy=cfg.relay_policy.value,
@@ -290,9 +287,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         emitted_app_msgs += 1
         origin_node.seen.add(msg.dedup_key)
         if squelching:
-            targets = relay_decision_squelch(origin_node, msg, None, at)
+            targets = relay_decision_squelch(origin_node, msg, None, at, squelch_kinds)
         else:
-            targets = relay_decision_flood(origin_node, msg, None)
+            targets = relay_decision_flood(origin_node, None)
         src = origin_node.node_id
         lat = origin_node.latency
         for p in targets:
@@ -380,7 +377,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         origin = node.node_id
         for kind, copies in batch:
             for _ in range(copies):
-                msg = SimMessage(kind, origin, next_sequence(origin, kind), sizes[kind])
+                msg = SimMessage(kind, origin, next_sequence(origin, kind))
                 broadcast_from_origin(node, msg, at)
 
     def feed_slot(node: NodeState, origin: int, from_peer: int, at: float) -> None:
@@ -388,14 +385,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         if slot is None:
             slot = Slot(owner=node.node_id, origin_validator=origin)
             node.slots[origin] = slot
-        _, actions = on_validator_message(slot, from_peer, at, protocol)
+        actions = on_validator_message(slot, from_peer, at, protocol)
         src = node.node_id
         lat = node.latency
         for peer, ctrl in actions:
             if not nodes[peer].live:
                 continue
             push(at + lat[peer], _DELIVER_CTRL, (ctrl, src, peer))
-            if ctrl.kind is ControlKind.SQUELCH:
+            if ctrl.kind is MessageKind.SQUELCH:
                 push(slot.squelched[peer], _SQUELCH_EXPIRY,
                      (src, origin, peer, slot.squelched[peer]))
 
@@ -424,9 +421,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if squelching:
                 if kind in squelch_kinds and from_live_neighbor:
                     feed_slot(node, msg.origin, src, at)
-                targets = relay_decision_squelch(node, msg, src, at)
+                targets = relay_decision_squelch(node, msg, src, at, squelch_kinds)
             else:
-                targets = relay_decision_flood(node, msg, src)
+                targets = relay_decision_flood(node, src)
             lat = node.latency
             for p in targets:
                 if nodes[p].live:
@@ -441,15 +438,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if not node.live:
                 continue
             second = int(at // 1000)
-            kind = (MessageKind.SQUELCH if ctrl.kind is ControlKind.SQUELCH
-                    else MessageKind.UNSQUELCH)
+            kind = ctrl.kind
             counts[(src, second, kind, "out")] += 1
             counts[(dst, second, kind, "in")] += 1
             link = node.links.get(src)
             if link is None:
                 node.unknown_peer_msgs += 1
                 continue
-            if ctrl.kind is ControlKind.SQUELCH:
+            if kind is MessageKind.SQUELCH:
                 on_squelch_received(link, ctrl, at)
             else:
                 on_unsquelch_received(link, ctrl)
@@ -486,13 +482,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if not node.live:
                 continue
             node.live = False
-            for nb_id in node.neighbors:
+            for nb_id in node.latency:
                 nb = nodes[nb_id]
                 if not nb.live:
                     continue
-                nb.neighbors = tuple(p for p in nb.neighbors if p != gone)
                 nb.latency.pop(gone, None)
-                _, actions = on_uplink_lost(nb.slots, gone, at)
+                actions = on_uplink_lost(nb.slots, gone, at)
                 for peer, ctrl in actions:
                     if peer != gone and nodes[peer].live:
                         push(at + nb.latency[peer], _DELIVER_CTRL, (ctrl, nb_id, peer))

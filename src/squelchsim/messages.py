@@ -42,14 +42,11 @@ class SimMessage:
     kind: MessageKind
     origin: int
     sequence: int
-    size_bytes: int
     dedup_key: tuple[MessageKind, int, int] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
         if self.sequence < 0:
             raise ValueError("sequence must be non-negative")
         object.__setattr__(self, "dedup_key", (self.kind, self.origin, self.sequence))

@@ -67,12 +67,6 @@ class MetricsLog:
         # (node, second, kind) -> duplicate receipts
         self.duplicates: dict[tuple[int, int, MessageKind], int] = defaultdict(int)
 
-    def record(self, node: int, second: int, kind: MessageKind, direction: str) -> None:
-        self.counts[(node, second, kind, direction)] += 1
-
-    def record_duplicate(self, node: int, second: int, kind: MessageKind) -> None:
-        self.duplicates[(node, second, kind)] += 1
-
     def excluded(self, second: int) -> bool:
         """A bucket is excluded if any part of it precedes the warmup boundary."""
         return second * 1000 < self.warmup_ms
@@ -95,27 +89,11 @@ class RunSummary:
     seconds_observed: int
     include_control: bool = True
 
-    def to_json_dict(self) -> dict:
-        return {
-            "avg_total_msgs_per_sec": self.avg_total_msgs_per_sec,
-            "avg_application_msgs_per_sec": self.avg_application_msgs_per_sec,
-            "avg_control_msgs_per_sec": self.avg_control_msgs_per_sec,
-            "avg_per_kind": self.avg_per_kind,
-            "per_kind_totals": self.per_kind_totals,
-            "total_duplicates": self.total_duplicates,
-            "control_overhead_msgs": self.control_overhead_msgs,
-            "seconds_observed": self.seconds_observed,
-            "include_control": self.include_control,
-        }
-
 
 @dataclass(frozen=True)
 class SavingsReport:
     ratio_percent: float
     saved_percent: float
-
-    def to_json_dict(self) -> dict:
-        return {"ratio_percent": self.ratio_percent, "saved_percent": self.saved_percent}
 
 
 class ZeroFloodAverageError(ZeroDivisionError):

@@ -41,31 +41,12 @@ class LinearModel:
     x_min: float = float("-inf")
     x_max: float = float("inf")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "x_name": self.x_name,
-            "y_name": self.y_name,
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-        }
-
 
 @dataclass(frozen=True)
 class OperatingPoint:
     peers: float
     messages_per_s: float
     cpu_percent: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "peers": self.peers,
-            "messages_per_s": self.messages_per_s,
-            "cpu_percent": self.cpu_percent,
-        }
 
 
 @dataclass(frozen=True)
@@ -75,15 +56,6 @@ class GainReport:
     cpu_saved_percent: float
     freed_slots: int
     connectivity_gain_percent: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "baseline": self.baseline.to_json_dict(),
-            "squelched": self.squelched.to_json_dict(),
-            "cpu_saved_percent": self.cpu_saved_percent,
-            "freed_slots": self.freed_slots,
-            "connectivity_gain_percent": self.connectivity_gain_percent,
-        }
 
 
 def fit_linear(

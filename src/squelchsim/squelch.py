@@ -8,7 +8,8 @@ selected uplink, returns the slot to a fresh counting round.
 
 This module is a pure state-transition library: it performs no I/O and owns
 no timers. Callers inject the current simulated time. State objects are
-mutated in place and owned by exactly one simulated node.
+mutated in place and owned by exactly one simulated node; a transition
+returns only what is new, the control actions to send, or nothing.
 """
 
 from __future__ import annotations
@@ -18,17 +19,12 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .messages import MessageKind
+from .messages import CONTROL_KINDS, MessageKind
 
 
 class SlotState(Enum):
     COUNTING = "counting"
     SELECTED = "selected"
-
-
-class ControlKind(Enum):
-    SQUELCH = "squelch"
-    UNSQUELCH = "unsquelch"
 
 
 class ContractViolationError(RuntimeError):
@@ -40,14 +36,16 @@ class ControlMessage:
     """Peer-to-peer request to stop (squelch) or resume (unsquelch) relaying
     one validator's messages. Never itself relayed."""
 
-    kind: ControlKind
+    kind: MessageKind
     origin_validator: int
     duration_ms: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind is ControlKind.SQUELCH and self.duration_ms <= 0:
+        if self.kind not in CONTROL_KINDS:
+            raise ValueError(f"{self.kind} is not a control kind")
+        if self.kind is MessageKind.SQUELCH and self.duration_ms <= 0:
             raise ValueError("squelch duration must be positive")
-        if self.kind is ControlKind.UNSQUELCH and self.duration_ms != 0:
+        if self.kind is MessageKind.UNSQUELCH and self.duration_ms != 0:
             raise ValueError("unsquelch carries no duration")
 
 
@@ -108,7 +106,7 @@ def on_validator_message(
     from_peer: int,
     now: float,
     config: ProtocolConfig,
-) -> tuple[Slot, list[tuple[int, ControlMessage]]]:
+) -> list[tuple[int, ControlMessage]]:
     """Count one delivered copy and drive the selection automaton.
 
     While counting, a peer that reaches the copy threshold joins the selected
@@ -117,8 +115,8 @@ def on_validator_message(
     squelched as they show up; copies from already-squelched peers are late
     in-flight traffic and trigger nothing.
 
-    Returns the (mutated) slot and the control messages to send, ordered by
-    peer id for determinism.
+    Returns the control messages to send, ordered by peer id for
+    determinism.
     """
     actions: list[tuple[int, ControlMessage]] = []
     count = slot.per_peer_count.get(from_peer, 0) + 1
@@ -142,7 +140,7 @@ def on_validator_message(
             expiry = slot.squelched.get(from_peer)
             if expiry is None or expiry <= now:
                 actions.append(_squelch_peer(slot, from_peer, now, config))
-    return slot, actions
+    return actions
 
 
 def _squelch_peer(
@@ -152,11 +150,11 @@ def _squelch_peer(
     slot.squelched[peer] = now + duration
     return (
         peer,
-        ControlMessage(ControlKind.SQUELCH, slot.origin_validator, duration),
+        ControlMessage(MessageKind.SQUELCH, slot.origin_validator, duration),
     )
 
 
-def on_squelch_expired(slot: Slot, peer: int, now: float) -> Slot:
+def on_squelch_expired(slot: Slot, peer: int, now: float) -> None:
     """Drop an elapsed squelch and open a fresh counting round.
 
     The whole slot resets: counts zeroed, selection cleared, so a previously
@@ -174,31 +172,28 @@ def on_squelch_expired(slot: Slot, peer: int, now: float) -> Slot:
         )
     del slot.squelched[peer]
     _reset_to_counting(slot)
-    return slot
 
 
-def on_squelch_received(link: PeerLinkState, msg: ControlMessage, now: float) -> PeerLinkState:
+def on_squelch_received(link: PeerLinkState, msg: ControlMessage, now: float) -> None:
     """Record that this peer must not receive the validator's messages until
     now + duration. A repeat squelch overwrites the previous expiry."""
-    if msg.kind is not ControlKind.SQUELCH:
+    if msg.kind is not MessageKind.SQUELCH:
         raise ContractViolationError("on_squelch_received requires a squelch message")
     link.downlink_squelches[msg.origin_validator] = now + msg.duration_ms
-    return link
 
 
-def on_unsquelch_received(link: PeerLinkState, msg: ControlMessage) -> PeerLinkState:
+def on_unsquelch_received(link: PeerLinkState, msg: ControlMessage) -> None:
     """Resume relaying the validator's messages to this peer. Idempotent."""
-    if msg.kind is not ControlKind.UNSQUELCH:
+    if msg.kind is not MessageKind.UNSQUELCH:
         raise ContractViolationError("on_unsquelch_received requires an unsquelch message")
     link.downlink_squelches.pop(msg.origin_validator, None)
-    return link
 
 
 def on_uplink_lost(
     slots: dict[int, Slot],
     lost_peer: int,
     now: float,
-) -> tuple[dict[int, Slot], list[tuple[int, ControlMessage]]]:
+) -> list[tuple[int, ControlMessage]]:
     """React to a disconnected peer across all of a node's slots.
 
     Slots that had the peer selected unsquelch everyone and restart counting
@@ -211,13 +206,13 @@ def on_uplink_lost(
         if lost_peer in slot.selected:
             for peer in sorted(slot.squelched):
                 actions.append(
-                    (peer, ControlMessage(ControlKind.UNSQUELCH, validator, 0))
+                    (peer, ControlMessage(MessageKind.UNSQUELCH, validator, 0))
                 )
             slot.squelched.clear()
             _reset_to_counting(slot)
         else:
             slot.per_peer_count.pop(lost_peer, None)
-    return slots, actions
+    return actions
 
 
 def should_relay(link: PeerLinkState, origin_validator: int, now: float) -> bool:

@@ -118,18 +118,6 @@ class GraphStats:
     connected: bool
     giant_component_size: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "diameter": self.diameter,
-            "radius": self.radius,
-            "avg_distance": self.avg_distance,
-            "median_distance": self.median_distance,
-            "avg_degree": self.avg_degree,
-            "max_degree": self.max_degree,
-            "connected": self.connected,
-            "giant_component_size": self.giant_component_size,
-        }
-
 
 def load_topology(
     edge_list_text: str,
@@ -258,7 +246,7 @@ def generate_topology(
         edges.add(edge)
 
     # Bridge components so the graph is connected.
-    components = _components(n, edges)
+    components = _components(_adjacency_lists(n, edges))
     reached = sorted(components[0])
     for comp in components[1:]:
         u = rng.choice(reached)
@@ -305,14 +293,21 @@ def generate_topology(
     return graph
 
 
-def _components(n: int, edges: set[tuple[int, int]]) -> list[set[int]]:
-    adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in edges:
+def _adjacency_lists(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
+    """Peers of nodes 0..n-1, each list in ascending order."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(edges):
         adjacency[u].append(v)
         adjacency[v].append(u)
+    return adjacency
+
+
+def _components(adjacency: list[list[int]]) -> list[set[int]]:
+    """Connected components of nodes 0..len(adjacency)-1, largest first,
+    ties broken by smallest member id."""
     seen: set[int] = set()
     comps: list[set[int]] = []
-    for start in range(n):
+    for start in range(len(adjacency)):
         if start in seen:
             continue
         comp = {start}
@@ -329,10 +324,7 @@ def _components(n: int, edges: set[tuple[int, int]]) -> list[set[int]]:
 
 
 def _spanning_tree_edges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in sorted(edges):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    adjacency = _adjacency_lists(n, edges)
     tree: set[tuple[int, int]] = set()
     seen = {0}
     queue = deque([0])
@@ -359,16 +351,13 @@ def graph_stats(graph: TopologyGraph) -> GraphStats:
         return GraphStats(0, 0, 0.0, 0.0, 0.0, 0, False, 0)
 
     index = {node: i for i, node in enumerate(graph.nodes)}
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        adjacency[index[u]].append(index[v])
-        adjacency[index[v]].append(index[u])
+    adjacency = [[index[p] for p in graph.neighbors(node)] for node in graph.nodes]
 
     degrees = [len(peers) for peers in adjacency]
     avg_degree = 2 * len(graph.edges) / n
     max_degree = max(degrees)
 
-    comps = _components_indexed(n, adjacency)
+    comps = _components(adjacency)
     giant = comps[0]
     connected = len(giant) == n
 
@@ -405,25 +394,6 @@ def graph_stats(graph: TopologyGraph) -> GraphStats:
         connected=connected,
         giant_component_size=k,
     )
-
-
-def _components_indexed(n: int, adjacency: list[list[int]]) -> list[set[int]]:
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            for peer in adjacency[queue.popleft()]:
-                if peer not in comp:
-                    comp.add(peer)
-                    queue.append(peer)
-        seen |= comp
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
 
 
 def _bfs_distances(src: int, adjacency: list[list[int]], expect: int) -> dict[int, int]:

@@ -193,7 +193,7 @@ def test_criterion_7_protocol_state_machine():
         slot.selected = {2, 3, 4}
         slot.squelched = {1: 1e12, 5: 1e12}
         slot.state = SlotState.SELECTED
-        _, actions = on_uplink_lost({100: slot}, 3, 0.0)
+        actions = on_uplink_lost({100: slot}, 3, 0.0)
         assert sorted(peer for peer, _ in actions) == [1, 5]
         assert slot.squelched == {}
         assert slot.state is SlotState.COUNTING

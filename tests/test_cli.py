@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +238,48 @@ def test_topo_stats_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "topo-stats", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+# --- pinned output bytes -------------------------------------------------------------
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference_testbed.json"
+# Disconnected, with integer, fractional and default latencies.
+PINNED_EDGES = "0 1 5\n1 2 7.5\n2 3\n3 0 9\n2 4 1\n5 6 3\n6 7 2\n"
+
+# sha256 of CLI outputs: `compare` on the reference testbed cut to 32
+# simulated seconds (seed 1), `topo-stats` on PINNED_EDGES, and
+# `fit --gain 200 0.28905` on the shipped data. Any change is a change of the
+# JSON or CSV bytes the CLI writes.
+PINNED_CLI_SHA256 = {
+    "compare.json": "8ccbef8532d728c96849e7b9895d8c11e709fafc6488f8858e01c4a0c0dee256",
+    "cumulative.csv": "544c7fd558602fd6af82e3e35db0be6fafb530a62d5e557089e54f868d09c018",
+    "topo-stats": "9db5283a726a8bf95f5d7db071b49114ba2c22cf57b61225e786799886da158d",
+    "fit --gain": "d674e3f01a04e3f9b9ddb52c17ad77c01d9e708ffde51f6ddf731c3aa5d18cda",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_compare_artifact_bytes_pinned(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "compare", "--config", str(REFERENCE_CONFIG), "--seed", "1",
+                         "--set", "scenario.duration_ms=32000", "--out", str(tmp_path))
+    assert code == 0
+    for name in ("compare.json", "cumulative.csv"):
+        assert _sha256((tmp_path / name).read_bytes()) == PINNED_CLI_SHA256[name], name
+
+
+def test_topo_stats_stdout_pinned(tmp_path, capsys):
+    path = tmp_path / "pinned.edges"
+    path.write_text(PINNED_EDGES)
+    code, out, _ = run_cli(capsys, "topo-stats", str(path))
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == PINNED_CLI_SHA256["topo-stats"]
+
+
+def test_fit_gain_stdout_pinned(cpu_csv_path, msgs_csv_path, capsys):
+    code, out, _ = run_cli(capsys, "fit", str(msgs_csv_path), "--gain", "200", "0.28905",
+                           "--cpu-csv", str(cpu_csv_path))
+    assert code == 0
+    assert _sha256(out.encode("utf-8")) == PINNED_CLI_SHA256["fit --gain"]

@@ -74,41 +74,43 @@ def dup_by_node(log, kind):
 
 # --- relay decisions -----------------------------------------------------------
 
+SQUELCH_KINDS = ProtocolConfig().squelch_kinds
+
+
 def make_node(node_id=0, neighbors=(1, 2, 3)):
-    return NodeState(node_id, tuple(neighbors), {p: 10.0 for p in neighbors},
-                     ProtocolConfig())
+    return NodeState(node_id, {p: 10.0 for p in neighbors})
 
 
 def test_flood_excludes_sender():
     node = make_node()
-    msg = SimMessage(MessageKind.PROPOSAL, 9, 0, 200)
-    assert relay_decision_flood(node, msg, 1) == [2, 3]
+    msg = SimMessage(MessageKind.PROPOSAL, 9, 0)
+    assert relay_decision_flood(node, 1) == [2, 3]
 
 
 def test_flood_origin_sends_everywhere():
     node = make_node()
-    msg = SimMessage(MessageKind.PROPOSAL, 0, 0, 200)
-    assert relay_decision_flood(node, msg, None) == [1, 2, 3]
+    msg = SimMessage(MessageKind.PROPOSAL, 0, 0)
+    assert relay_decision_flood(node, None) == [1, 2, 3]
 
 
 def test_squelch_decision_without_squelches_equals_flood():
     node = make_node()
-    msg = SimMessage(MessageKind.VALIDATION, 9, 0, 150)
-    assert relay_decision_squelch(node, msg, 1, 0.0) == relay_decision_flood(node, msg, 1)
+    msg = SimMessage(MessageKind.VALIDATION, 9, 0)
+    assert relay_decision_squelch(node, msg, 1, 0.0, SQUELCH_KINDS) == relay_decision_flood(node, 1)
 
 
 def test_squelch_decision_filters_squelched_peer():
     node = make_node()
     node.links[2].downlink_squelches[9] = 10_000.0
-    msg = SimMessage(MessageKind.VALIDATION, 9, 0, 150)
-    assert relay_decision_squelch(node, msg, 1, 0.0) == [3]
+    msg = SimMessage(MessageKind.VALIDATION, 9, 0)
+    assert relay_decision_squelch(node, msg, 1, 0.0, SQUELCH_KINDS) == [3]
 
 
 def test_squelch_decision_transactions_always_flood():
     node = make_node()
     node.links[2].downlink_squelches[9] = 10_000.0
-    msg = SimMessage(MessageKind.TRANSACTION, 9, 0, 600)
-    assert relay_decision_squelch(node, msg, 1, 0.0) == [2, 3]
+    msg = SimMessage(MessageKind.TRANSACTION, 9, 0)
+    assert relay_decision_squelch(node, msg, 1, 0.0, SQUELCH_KINDS) == [2, 3]
 
 
 # --- flood baselines ------------------------------------------------------------
@@ -339,8 +341,7 @@ def test_config_invariants():
 
 def node_states(g):
     return {
-        n: NodeState(n, g.neighbors(n), {p: g.edge_latency(n, p) for p in g.neighbors(n)},
-                     ProtocolConfig())
+        n: NodeState(n, {p: g.edge_latency(n, p) for p in g.neighbors(n)})
         for n in g.nodes
     }
 

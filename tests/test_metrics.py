@@ -32,9 +32,9 @@ def fill_random(log, seed, nodes=4, seconds=12):
         kind = rng.choice(kinds)
         direction = rng.choice(["in", "out"])
         for _ in range(rng.randint(1, 5)):
-            log.record(node, second, kind, direction)
+            log.counts[(node, second, kind, direction)] += 1
     for _ in range(40):
-        log.record_duplicate(rng.randrange(nodes), rng.randrange(seconds), rng.choice(kinds))
+        log.duplicates[(rng.randrange(nodes), rng.randrange(seconds), rng.choice(kinds))] += 1
     return log
 
 
@@ -43,18 +43,18 @@ def fill_random(log, seed, nodes=4, seconds=12):
 def test_single_bucket_average():
     log = make_log()
     for _ in range(10):
-        log.record(0, 3, MessageKind.PROPOSAL, "in")
+        log.counts[(0, 3, MessageKind.PROPOSAL, "in")] += 1
     for _ in range(5):
-        log.record(0, 3, MessageKind.PROPOSAL, "out")
+        log.counts[(0, 3, MessageKind.PROPOSAL, "out")] += 1
     assert summarize(log).avg_total_msgs_per_sec == 15.0
 
 
 def test_two_bucket_mean():
     log = make_log()
     for _ in range(10):
-        log.record(1, 2, MessageKind.VALIDATION, "in")
+        log.counts[(1, 2, MessageKind.VALIDATION, "in")] += 1
     for _ in range(20):
-        log.record(1, 7, MessageKind.VALIDATION, "in")
+        log.counts[(1, 7, MessageKind.VALIDATION, "in")] += 1
     assert summarize(log).avg_total_msgs_per_sec == 15.0
 
 
@@ -87,19 +87,19 @@ def test_per_kind_averages_sum_exactly():
 
 def test_warmup_exclusion_and_empty_window():
     log = make_log(warmup_ms=10_000)
-    log.record(0, 4, MessageKind.PROPOSAL, "in")
+    log.counts[(0, 4, MessageKind.PROPOSAL, "in")] += 1
     with pytest.raises(EmptyWindowError):
         summarize(log)
-    log.record(0, 10, MessageKind.PROPOSAL, "in")
+    log.counts[(0, 10, MessageKind.PROPOSAL, "in")] += 1
     assert summarize(log).avg_total_msgs_per_sec == 1.0
 
 
 def test_control_split_and_flag():
     log = make_log()
     for _ in range(6):
-        log.record(0, 1, MessageKind.PROPOSAL, "in")
+        log.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
     for _ in range(2):
-        log.record(0, 1, MessageKind.SQUELCH, "out")
+        log.counts[(0, 1, MessageKind.SQUELCH, "out")] += 1
     with_control = summarize(log, include_control=True)
     without = summarize(log, include_control=False)
     assert with_control.avg_total_msgs_per_sec == 8.0
@@ -139,9 +139,9 @@ def test_savings_accepts_run_summaries():
     log_a = make_log()
     log_b = make_log()
     for _ in range(20):
-        log_a.record(0, 1, MessageKind.PROPOSAL, "in")
+        log_a.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
     for _ in range(10):
-        log_b.record(0, 1, MessageKind.PROPOSAL, "in")
+        log_b.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
     report = savings(summarize(log_a), summarize(log_b))
     assert report.saved_percent == 50.0
 
@@ -154,8 +154,8 @@ def test_export_empty_log():
 
 def test_export_one_bucket_rows():
     log = make_log()
-    log.record(2, 5, MessageKind.VALIDATION, "in")
-    log.record(2, 5, MessageKind.VALIDATION, "out")
+    log.counts[(2, 5, MessageKind.VALIDATION, "in")] += 1
+    log.counts[(2, 5, MessageKind.VALIDATION, "out")] += 1
     text = export_csv(log)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -166,9 +166,9 @@ def test_export_one_bucket_rows():
 
 def test_export_sorted_and_flags():
     log = make_log(warmup_ms=6000)
-    log.record(1, 9, MessageKind.PROPOSAL, "out")
-    log.record(0, 2, MessageKind.TRANSACTION, "in")
-    log.record_duplicate(0, 2, MessageKind.TRANSACTION)
+    log.counts[(1, 9, MessageKind.PROPOSAL, "out")] += 1
+    log.counts[(0, 2, MessageKind.TRANSACTION, "in")] += 1
+    log.duplicates[(0, 2, MessageKind.TRANSACTION)] += 1
     lines = export_csv(log).strip().split("\n")[1:]
     assert lines == [
         "0,2,transaction,dup,1,600,true",
@@ -191,7 +191,7 @@ def test_round_trip_summary_identical():
 
 def test_import_skips_comment_lines():
     log = make_log()
-    log.record(0, 1, MessageKind.PROPOSAL, "in")
+    log.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
     annotated = "# config_hash=deadbeef\n# seed=5\n" + export_csv(log)
     assert export_csv(import_csv(annotated)) == export_csv(log)
 
@@ -209,7 +209,7 @@ def test_bytes_match_message_sizes():
     log = make_log()
     sizes = log.message_sizes
     for _ in range(7):
-        log.record(3, 2, MessageKind.TRANSACTION, "out")
+        log.counts[(3, 2, MessageKind.TRANSACTION, "out")] += 1
     for line in export_csv(log).strip().split("\n")[1:]:
         node, second, kind, direction, msgs, bytes_, excluded = line.split(",")
         assert int(bytes_) == int(msgs) * sizes[MessageKind(kind)]

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from squelchsim.messages import MessageKind
 from squelchsim.squelch import (
     ContractViolationError,
-    ControlKind,
     ControlMessage,
     PeerLinkState,
     ProtocolConfig,
@@ -36,7 +36,7 @@ def config(threshold=10, max_selected=3, jitter=0):
 def deliver_n(slot, peer, n, cfg, start=0.0):
     actions = []
     for i in range(n):
-        _, acts = on_validator_message(slot, peer, start + i, cfg)
+        acts = on_validator_message(slot, peer, start + i, cfg)
         actions.extend(acts)
     return actions
 
@@ -45,11 +45,11 @@ def deliver_n(slot, peer, n, cfg, start=0.0):
 
 def test_control_message_invariants():
     with pytest.raises(ValueError):
-        ControlMessage(ControlKind.SQUELCH, 3, 0)
+        ControlMessage(MessageKind.SQUELCH, 3, 0)
     with pytest.raises(ValueError):
-        ControlMessage(ControlKind.UNSQUELCH, 3, 10)
-    ControlMessage(ControlKind.SQUELCH, 3, 1)
-    ControlMessage(ControlKind.UNSQUELCH, 3, 0)
+        ControlMessage(MessageKind.UNSQUELCH, 3, 10)
+    ControlMessage(MessageKind.SQUELCH, 3, 1)
+    ControlMessage(MessageKind.UNSQUELCH, 3, 0)
 
 
 # --- selection rounds ---------------------------------------------------------
@@ -62,23 +62,23 @@ def test_five_peer_selection_matches_workflow():
     actions = []
     for _ in range(9):
         for peer in (1, 2, 3, 4, 5):
-            _, acts = on_validator_message(slot, peer, 0.0, cfg)
+            acts = on_validator_message(slot, peer, 0.0, cfg)
             actions.extend(acts)
     assert slot.state is SlotState.COUNTING and not actions
     for peer in (2, 3, 4):
-        _, acts = on_validator_message(slot, peer, 9.0, cfg)
+        acts = on_validator_message(slot, peer, 9.0, cfg)
         actions.extend(acts)
     assert slot.state is SlotState.SELECTED
     assert slot.selected == {2, 3, 4}
     assert sorted(p for p, _ in actions) == [1, 5]
-    assert all(m.kind is ControlKind.SQUELCH for _, m in actions)
+    assert all(m.kind is MessageKind.SQUELCH for _, m in actions)
     assert set(slot.squelched) == {1, 5}
 
 
 def test_single_peer_no_one_to_squelch():
     cfg = config(threshold=1, max_selected=1)
     slot = make_slot()
-    _, actions = on_validator_message(slot, 1, 0.0, cfg)
+    actions = on_validator_message(slot, 1, 0.0, cfg)
     assert slot.selected == {1}
     assert slot.state is SlotState.SELECTED
     assert actions == []
@@ -91,11 +91,11 @@ def test_hand_traced_order_threshold_two():
     slot = make_slot()
     actions = []
     for peer in (1, 1, 2, 3, 3):
-        _, acts = on_validator_message(slot, peer, 0.0, cfg)
+        acts = on_validator_message(slot, peer, 0.0, cfg)
         actions.extend(acts)
     assert slot.selected == {1, 3}
     assert [p for p, _ in actions] == [2]
-    assert actions[0][1].kind is ControlKind.SQUELCH
+    assert actions[0][1].kind is MessageKind.SQUELCH
 
 
 def test_selected_state_squelches_late_relayer():
@@ -103,10 +103,10 @@ def test_selected_state_squelches_late_relayer():
     slot = make_slot()
     on_validator_message(slot, 1, 0.0, cfg)
     assert slot.state is SlotState.SELECTED
-    _, acts = on_validator_message(slot, 9, 1.0, cfg)
+    acts = on_validator_message(slot, 9, 1.0, cfg)
     assert [p for p, _ in acts] == [9]
     # late in-flight copy from the now-squelched peer triggers nothing
-    _, acts = on_validator_message(slot, 9, 2.0, cfg)
+    acts = on_validator_message(slot, 9, 2.0, cfg)
     assert acts == []
 
 
@@ -114,7 +114,7 @@ def test_selected_peer_messages_no_action():
     cfg = config(threshold=1, max_selected=1)
     slot = make_slot()
     on_validator_message(slot, 1, 0.0, cfg)
-    _, acts = on_validator_message(slot, 1, 5.0, cfg)
+    acts = on_validator_message(slot, 1, 5.0, cfg)
     assert acts == []
     assert slot.per_peer_count[1] == 2
 
@@ -151,9 +151,9 @@ def enumerate_all_orders(k, threshold, max_selected):
                 if len(selected) >= max_selected
                 else SlotState.COUNTING
             )
-            _, actions = on_validator_message(slot, peer, 0.0, cfg)
+            actions = on_validator_message(slot, peer, 0.0, cfg)
             for target, msg in actions:
-                assert msg.kind is ControlKind.SQUELCH
+                assert msg.kind is MessageKind.SQUELCH
                 assert target not in squelched, "peer squelched twice"
                 assert target not in slot.selected
             assert slot.selected.isdisjoint(slot.squelched)
@@ -238,8 +238,8 @@ def test_reselection_after_expiry():
     assert actions == []
     assert 3 in slot.selected
     on_validator_message(slot, 2, 1001.0, cfg)  # 2 relays once, too slow
-    _, acts = on_validator_message(slot, 1, 1002.0, cfg)
-    _, acts = on_validator_message(slot, 1, 1003.0, cfg)
+    acts = on_validator_message(slot, 1, 1002.0, cfg)
+    acts = on_validator_message(slot, 1, 1003.0, cfg)
     assert slot.state is SlotState.SELECTED
     assert slot.selected == {1, 3}
     assert set(slot.squelched) == {2}
@@ -250,23 +250,23 @@ def test_reselection_after_expiry():
 
 def test_squelch_received_records_expiry():
     link = PeerLinkState(peer=5)
-    on_squelch_received(link, ControlMessage(ControlKind.SQUELCH, 7, 300_000), 0.0)
+    on_squelch_received(link, ControlMessage(MessageKind.SQUELCH, 7, 300_000), 0.0)
     assert link.downlink_squelches[7] == 300_000.0
 
 
 def test_squelch_received_overwrites():
     link = PeerLinkState(peer=5)
     link.downlink_squelches[7] = 100_000.0
-    on_squelch_received(link, ControlMessage(ControlKind.SQUELCH, 7, 50_000), 90_000.0)
+    on_squelch_received(link, ControlMessage(MessageKind.SQUELCH, 7, 50_000), 90_000.0)
     assert link.downlink_squelches[7] == 140_000.0
 
 
 def test_unsquelch_removes_and_is_idempotent():
     link = PeerLinkState(peer=5)
     link.downlink_squelches[7] = 100.0
-    on_unsquelch_received(link, ControlMessage(ControlKind.UNSQUELCH, 7, 0))
+    on_unsquelch_received(link, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
     assert 7 not in link.downlink_squelches
-    on_unsquelch_received(link, ControlMessage(ControlKind.UNSQUELCH, 9, 0))
+    on_unsquelch_received(link, ControlMessage(MessageKind.UNSQUELCH, 9, 0))
     assert link.downlink_squelches == {}
 
 
@@ -281,9 +281,9 @@ def test_should_relay_boundary_and_isolation():
 
 def test_squelch_then_unsquelch_then_relay():
     link = PeerLinkState(peer=5)
-    on_squelch_received(link, ControlMessage(ControlKind.SQUELCH, 7, 1_000_000), 0.0)
+    on_squelch_received(link, ControlMessage(MessageKind.SQUELCH, 7, 1_000_000), 0.0)
     assert not should_relay(link, 7, 10.0)
-    on_unsquelch_received(link, ControlMessage(ControlKind.UNSQUELCH, 7, 0))
+    on_unsquelch_received(link, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
     assert should_relay(link, 7, 10.0)
 
 
@@ -301,9 +301,9 @@ def build_selected_slot(validator, selected_peers, squelched_peers, owner=0):
 def test_uplink_lost_unsquelches_affected_slot():
     slot = build_selected_slot(100, {2, 3, 4}, {1, 5})
     slots = {100: slot}
-    _, actions = on_uplink_lost(slots, 3, 1000.0)
+    actions = on_uplink_lost(slots, 3, 1000.0)
     assert sorted(p for p, _ in actions) == [1, 5]
-    assert all(m.kind is ControlKind.UNSQUELCH for _, m in actions)
+    assert all(m.kind is MessageKind.UNSQUELCH for _, m in actions)
     assert slot.state is SlotState.COUNTING
     assert slot.squelched == {}
     assert slot.selected == set()
@@ -313,7 +313,7 @@ def test_uplink_lost_untouched_slot():
     slot = build_selected_slot(100, {2, 3}, {1})
     slot.per_peer_count[9] = 4
     slots = {100: slot}
-    _, actions = on_uplink_lost(slots, 9, 1000.0)
+    actions = on_uplink_lost(slots, 9, 1000.0)
     assert actions == []
     assert 9 not in slot.per_peer_count
     assert slot.state is SlotState.SELECTED
@@ -323,7 +323,7 @@ def test_uplink_lost_two_slots_independent():
     a = build_selected_slot(100, {2, 3}, {1})
     b = build_selected_slot(200, {2, 5}, {1, 6})
     slots = {100: a, 200: b}
-    _, actions = on_uplink_lost(slots, 2, 1000.0)
+    actions = on_uplink_lost(slots, 2, 1000.0)
     per_validator = {}
     for peer, msg in actions:
         per_validator.setdefault(msg.origin_validator, []).append(peer)
