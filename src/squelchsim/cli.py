@@ -257,8 +257,10 @@ def cmd_fit(args) -> int:
     if args.gain is not None:
         if not args.cpu_csv:
             raise ConfigError("--gain requires --cpu-csv with CPU-vs-peers points")
-        baseline_peers = int(args.gain[0])
-        saved_fraction = float(args.gain[1])
+        try:
+            baseline_peers, saved_fraction = int(args.gain[0]), float(args.gain[1])
+        except ValueError as exc:
+            raise ConfigError(f"--gain BASELINE_PEERS SAVED_FRACTION: {exc}") from None
         cpu_points = read_points_csv(Path(args.cpu_csv).read_text(encoding="utf-8"))
         cpu_model = fit_linear(cpu_points, x_name="peers", y_name="cpu_percent")
         msgs_model = fit_linear(points, x_name="peers", y_name="messages_per_s")

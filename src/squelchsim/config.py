@@ -10,6 +10,7 @@ is embedded in every output artifact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -232,25 +233,56 @@ def config_hash(doc: dict) -> str:
     return digest[:16]
 
 
+def _config_errors(build):
+    """A plain TypeError or ValueError raised while `build` runs (a value that
+    fails a check of the dataclass or generator it feeds) becomes a
+    ConfigError, so a malformed value is a config error. Typed errors such
+    as TopologyParameterError pass through unchanged."""
+
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except (TypeError, ValueError) as exc:
+            if type(exc) not in (TypeError, ValueError):
+                raise
+            raise ConfigError(str(exc)) from None
+
+    return wrapper
+
+
+def _read(section: dict, where: str, **converters) -> dict:
+    """The named values of a config section, each through its converter. A
+    value that does not convert is a ConfigError naming its key."""
+    values = {}
+    for key, convert in converters.items():
+        try:
+            values[key] = convert(section[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
+    return values
+
+
+def _float_pair(value: Any) -> tuple[float, float]:
+    low, high = value
+    return float(low), float(high)
+
+
+@_config_errors
 def build_topology(doc: dict) -> TopologyGraph:
     topo = doc["topology"]
     if "file" in topo:
         text = Path(topo["file"]).read_text(encoding="utf-8")
-        return load_topology(
-            text,
-            set(topo["validators"]),
-            default_latency_ms=float(topo["default_latency_ms"]),
-        )
-    low, high = topo["latency_range_ms"]
+        values = _read(topo, "topology", validators=set, default_latency_ms=float)
+        return load_topology(text, values["validators"], values["default_latency_ms"])
     return generate_topology(
-        node_count=int(topo["node_count"]),
-        target_avg_degree=float(topo["target_avg_degree"]),
-        validator_fraction=float(topo["validator_fraction"]),
-        latency_range_ms=(float(low), float(high)),
-        seed=int(doc["scenario"]["seed"]),
+        **_read(topo, "topology", node_count=int, target_avg_degree=float,
+                validator_fraction=float, latency_range_ms=_float_pair),
+        **_read(doc["scenario"], "scenario", seed=int),
     )
 
 
+@_config_errors
 def build_scenario(
     doc: dict,
     topology: TopologyGraph | None = None,
@@ -266,31 +298,23 @@ def build_scenario(
     all_trackers = tuple(sorted(graph.tracker_set))
 
     bursts = []
-    for burst in scenario["tx_plan"]:
+    for i, burst in enumerate(scenario["tx_plan"]):
         trackers = burst["trackers"]
         if trackers == "all":
             resolved = all_trackers
         else:
             resolved = tuple(int(t) for t in trackers)
-        bursts.append(
-            TxBurst(
-                start_ms=float(burst["start_ms"]),
-                trackers=resolved,
-                count=int(burst["count"]),
-                rate_per_s=float(burst["rate_per_s"]),
-            )
-        )
+        bursts.append(TxBurst(
+            trackers=resolved,
+            **_read(burst, f"scenario.tx_plan[{i}]", start_ms=float, count=int, rate_per_s=float),
+        ))
 
-    sizes = {
-        _kind_from_name(name, "scenario.message_sizes"): int(size)
-        for name, size in scenario["message_sizes"].items()
-    }
+    sizes = _read(scenario["message_sizes"], "scenario.message_sizes",
+                  **dict.fromkeys(scenario["message_sizes"], int))
     protocol_doc = doc["protocol"]
     protocol = ProtocolConfig(
-        count_threshold=int(protocol_doc["count_threshold"]),
-        max_selected=int(protocol_doc["max_selected"]),
-        squelch_base_ms=int(protocol_doc["squelch_base_ms"]),
-        squelch_jitter_ms=int(protocol_doc["squelch_jitter_ms"]),
+        **_read(protocol_doc, "protocol", count_threshold=int, max_selected=int,
+                squelch_base_ms=int, squelch_jitter_ms=int),
         squelch_kinds=frozenset(
             _kind_from_name(k, "protocol.squelch_kinds")
             for k in protocol_doc["squelch_kinds"]
@@ -299,18 +323,18 @@ def build_scenario(
     policy = relay_policy or RelayPolicy(scenario["relay_policy"])
     return ScenarioConfig(
         topology=graph,
-        duration_ms=int(scenario["duration_ms"]),
         relay_policy=policy,
-        ledger_round_ms=int(scenario["ledger_round_ms"]),
-        proposals_per_round=int(scenario["proposals_per_round"]),
         tx_plan=tuple(bursts),
         protocol=protocol,
-        seed=int(scenario["seed"]),
-        warmup_ms=int(scenario["warmup_ms"]),
-        message_sizes=sizes,
+        message_sizes={
+            _kind_from_name(name, "scenario.message_sizes"): size
+            for name, size in sizes.items()
+        },
         disconnects=tuple(
-            Disconnect(at_ms=float(d["at_ms"]), node=int(d["node"]))
-            for d in scenario["disconnects"]
+            Disconnect(**_read(d, f"scenario.disconnects[{i}]", at_ms=float, node=int))
+            for i, d in enumerate(scenario["disconnects"])
         ),
         config_hash=config_hash(doc),
+        **_read(scenario, "scenario", duration_ms=int, ledger_round_ms=int,
+                proposals_per_round=int, seed=int, warmup_ms=int),
     )

@@ -197,8 +197,9 @@ def on_uplink_lost(
     """React to a disconnected peer across all of a node's slots.
 
     Slots that had the peer selected unsquelch everyone and restart counting
-    so replacement uplinks can be chosen; other slots merely forget the
-    peer's counter. Actions are emitted per slot in validator order.
+    so replacement uplinks can be chosen; other slots forget the peer's
+    counter and its squelch, whose expiry must not reset a live slot later.
+    Actions are emitted per slot in validator order.
     """
     actions: list[tuple[int, ControlMessage]] = []
     for validator in sorted(slots):
@@ -212,6 +213,7 @@ def on_uplink_lost(
             _reset_to_counting(slot)
         else:
             slot.per_peer_count.pop(lost_peer, None)
+            slot.squelched.pop(lost_peer, None)
     return actions
 
 

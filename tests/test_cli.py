@@ -88,6 +88,28 @@ def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
     assert "protocol.squelch_kinds must be a list" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--set", 'scenario.duration_ms="abc"'], "scenario.duration_ms"),
+    (["--set", "scenario.duration_ms=2000"], "need duration_ms > warmup_ms"),
+    (["--set", "protocol.count_threshold=0"], "count_threshold must be at least 1"),
+    (["--set", 'scenario.tx_plan=[{"start_ms":-5,"count":1}]'], "burst fields"),
+    (["--set", 'scenario.disconnects=[{"at_ms":"x","node":1}]'],
+     "scenario.disconnects[0].at_ms"),
+    (["--set", "topology.latency_range_ms=5"], "topology.latency_range_ms"),
+    (["--set", 'scenario.message_sizes={"transaction":0}'], "message sizes must be positive"),
+    (["fit", "--gain", "200", "abc"], "--gain"),
+])
+def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_path,
+                                msgs_csv_path, capsys):
+    if argv[0] == "fit":
+        argv = ["fit", str(msgs_csv_path), *argv[1:], "--cpu-csv", str(cpu_csv_path)]
+    else:
+        argv = ["simulate", "--config", str(small_config), "--out", str(tmp_path), *argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_simulate_deterministic_reruns(tmp_path, small_config, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run_cli(capsys, "simulate", "--config", str(small_config), "--out", str(out_a))[0] == 0

@@ -294,6 +294,29 @@ def test_disconnect_triggers_unsquelch_and_stops_node():
     assert late_in == 0
 
 
+def test_squelch_of_disconnected_peer_expires_without_reset(monkeypatch):
+    # Every node keeps validator 0 as its one relayer and squelches the other
+    # two peers at t=20. Node 2 leaves at 1.5 s, before the squelches on it
+    # expire at 3.02 s: they must go with it and never reset a slot.
+    expired = []
+    real = engine.on_squelch_expired
+
+    def record(slot, peer, now):
+        expired.append((slot.owner, peer))
+        real(slot, peer, now)
+
+    monkeypatch.setattr(engine, "on_squelch_expired", record)
+    protocol = ProtocolConfig(count_threshold=1, max_selected=1,
+                              squelch_base_ms=3000, squelch_jitter_ms=0)
+    run_scenario(ScenarioConfig(
+        topology=graph_from_edges(K4, validators={0}), duration_ms=6000,
+        relay_policy=RelayPolicy.SQUELCH, warmup_ms=0, protocol=protocol,
+        disconnects=(Disconnect(at_ms=1500.0, node=2),),
+    ))
+    assert (1, 3) in expired and (3, 1) in expired
+    assert all(peer != 2 for _, peer in expired)
+
+
 # --- setup errors and degenerate runs ------------------------------------------------
 
 def test_disconnected_topology_rejected():

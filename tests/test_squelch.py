@@ -319,6 +319,15 @@ def test_uplink_lost_untouched_slot():
     assert slot.state is SlotState.SELECTED
 
 
+def test_uplink_lost_forgets_squelch_of_unselected_peer():
+    slot = build_selected_slot(100, {2, 3}, {1, 4})
+    actions = on_uplink_lost({100: slot}, 1, 1000.0)
+    assert actions == []
+    assert slot.squelched == {4: 1e12}
+    assert slot.selected == {2, 3}
+    assert slot.state is SlotState.SELECTED
+
+
 def test_uplink_lost_two_slots_independent():
     a = build_selected_slot(100, {2, 3}, {1})
     b = build_selected_slot(200, {2, 5}, {1, 6})

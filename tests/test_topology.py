@@ -287,3 +287,69 @@ def test_edge_list_round_trip():
     assert g2.edges == g.edges
     assert g2.latency_ms == g.latency_ms
     assert g2.validator_set == g.validator_set
+
+
+# --- cross-check against networkx ---------------------------------------------
+
+def networkx_stats(graph: TopologyGraph) -> dict:
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_nodes_from(graph.nodes)
+    g.add_edges_from(graph.edges)
+    # Largest component, ties broken by smallest member id (graph_stats' rule).
+    giant = g.subgraph(max(nx.connected_components(g), key=lambda c: (len(c), -min(c))))
+    members = sorted(giant)
+    dist = dict(nx.all_pairs_shortest_path_length(giant))
+    pairs = [dist[u][v] for i, u in enumerate(members) for v in members[i + 1:]]
+    degrees = [d for _, d in g.degree()]
+    return {
+        "diameter": nx.diameter(giant),
+        "radius": nx.radius(giant),
+        "avg_distance": nx.average_shortest_path_length(giant),
+        "median_distance": float(statistics.median(pairs)),
+        "avg_degree": sum(degrees) / len(degrees),
+        "max_degree": max(degrees),
+        "connected": nx.is_connected(g),
+        "giant_component_size": len(members),
+    }
+
+
+def assert_matches_networkx(graph: TopologyGraph):
+    stats = graph_stats(graph)
+    expect = networkx_stats(graph)
+    for name, value in expect.items():
+        assert getattr(stats, name) == pytest.approx(value, abs=1e-12), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stats_match_networkx_random_connected(seed):
+    # A random recursive tree plus random extra edges, on sparse shuffled ids.
+    rng = random.Random(seed)
+    n = rng.randint(3, 80)
+    ids = rng.sample(range(3 * n), n)
+    edges = {tuple(sorted((ids[i], ids[rng.randrange(i)]))) for i in range(1, n)}
+    for _ in range(rng.randrange(2 * n)):
+        edges.add(tuple(sorted(rng.sample(ids, 2))))
+    text = "".join(f"{u} {v}\n" for u, v in sorted(edges))
+    assert_matches_networkx(load_topology(text, set()))
+
+
+def test_stats_match_networkx_generated():
+    assert_matches_networkx(generate_topology(60, 6.0, 0.2, (5, 20), seed=11))
+
+
+# Two 4-node components: a path (diameter 3) and a star (diameter 2).
+PATH_ON = "{0} {1}\n{1} {2}\n{2} {3}\n"
+STAR_ON = "{0} {1}\n{0} {2}\n{0} {3}\n"
+
+
+@pytest.mark.parametrize("text,diameter", [
+    (PATH_ON.format(1, 8, 3, 9) + STAR_ON.format(2, 4, 5, 6), 3),
+    (PATH_ON.format(2, 8, 3, 9) + STAR_ON.format(4, 1, 5, 6), 2),
+], ids=["path-holds-smallest-id", "star-holds-smallest-id"])
+def test_stats_match_networkx_equal_size_components(text, diameter):
+    graph = load_topology(text, set())
+    stats = graph_stats(graph)
+    assert not stats.connected and stats.giant_component_size == 4
+    assert stats.diameter == diameter
+    assert_matches_networkx(graph)
