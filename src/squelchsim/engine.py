@@ -215,11 +215,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     sizes = dict(DEFAULT_MESSAGE_SIZES)
     sizes.update(cfg.message_sizes)
 
-    nodes = {
-        node_id: NodeState(node_id, {p: graph.edge_latency(node_id, p)
-                                     for p in graph.neighbors(node_id)})
-        for node_id in graph.nodes
-    }
+    nodes: dict[int, NodeState] = {}
+    for node_id in graph.nodes:
+        lat = {p: graph.edge_latency(node_id, p) for p in graph.neighbors(node_id)}
+        nodes[node_id] = NodeState(node_id, lat)
 
     log = MetricsLog(
         policy=cfg.relay_policy.value,

@@ -48,6 +48,8 @@ def test_control_message_invariants():
         ControlMessage(MessageKind.SQUELCH, 3, 0)
     with pytest.raises(ValueError):
         ControlMessage(MessageKind.UNSQUELCH, 3, 10)
+    with pytest.raises(ValueError, match="not a control kind"):
+        ControlMessage(MessageKind.PROPOSAL, 3, 0)
     ControlMessage(MessageKind.SQUELCH, 3, 1)
     ControlMessage(MessageKind.UNSQUELCH, 3, 0)
 
