@@ -273,7 +273,7 @@ def cmd_fit(args) -> int:
 
 def cmd_topo_stats(args) -> int:
     text = Path(args.edge_list).read_text(encoding="utf-8")
-    graph = load_topology(text, set())
+    graph = load_topology(text)
     stats = graph_stats(graph)
     print(json.dumps(asdict(stats), indent=2, sort_keys=True))
     return 0

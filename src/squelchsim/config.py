@@ -1,86 +1,208 @@
-"""Scenario config files: JSON sections, strict keys, canonical hashing.
+"""Scenario config files: JSON sections, strict typed keys, canonical hashing.
 
 A config is a JSON document with the flat sections `topology`, `scenario`,
-`protocol`, `metrics`, and `output`. Unknown sections or keys are rejected
-by name. Defaults are filled in before hashing, so two files describing the
-same effective run share one hash. The hash (sha256 over the canonical
-form: sorted keys, integral floats normalized to ints, compact separators)
-is embedded in every output artifact.
+`protocol`, `metrics`, and `output`. The keys of each section, their types
+and their defaults are read at import from what the section feeds: the
+parameters of `generate_topology` (or, with `file`, of `load_topology`), the
+fields of `ScenarioConfig` (`tx_plan` entries are `TxBurst`s, `disconnects`
+entries `Disconnect`s) and `ProtocolConfig`, and the parameters of
+`summarize`. Only `topology.file`, `output.dir` and a burst's default
+`trackers: "all"` are config-only. Unknown sections or keys are rejected by
+name and every value is checked against its type. Defaults are filled in
+before hashing, so two files describing the same effective run share one
+hash. The hash (sha256 over the canonical form: sorted keys, integral floats
+normalized to ints, compact separators) is embedded in every output artifact.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import functools
 import hashlib
+import inspect
 import json
+import sys
+import typing
+from collections.abc import Callable
+from enum import Enum
 from pathlib import Path
 from typing import Any
 
 from .engine import Disconnect, RelayPolicy, ScenarioConfig, TxBurst
-from .messages import DEFAULT_MESSAGE_SIZES, MessageKind
+from .metrics import summarize
 from .squelch import ProtocolConfig
-from .topology import (
-    DEFAULT_EDGE_LATENCY_MS,
-    TopologyGraph,
-    generate_topology,
-    load_topology,
-)
+from .topology import TopologyGraph, generate_topology, load_topology
 
 
 class ConfigError(ValueError):
     """A config document is structurally invalid; the message names the key."""
 
 
-_TOPOLOGY_FILE_KEYS = {"file", "validators", "default_latency_ms"}
-_TOPOLOGY_GEN_KEYS = {
-    "node_count",
-    "target_avg_degree",
-    "validator_fraction",
-    "latency_range_ms",
-}
-_SECTION_KEYS = {
-    "topology": _TOPOLOGY_FILE_KEYS | _TOPOLOGY_GEN_KEYS,
-    "scenario": {
-        "duration_ms",
-        "warmup_ms",
-        "relay_policy",
-        "ledger_round_ms",
-        "proposals_per_round",
-        "seed",
-        "tx_plan",
-        "message_sizes",
-        "disconnects",
-    },
-    "protocol": {
-        "count_threshold",
-        "max_selected",
-        "squelch_base_ms",
-        "squelch_jitter_ms",
-        "squelch_kinds",
-    },
-    "metrics": {"include_control_in_total"},
-    "output": {"dir"},
-}
-_BURST_KEYS = {"start_ms", "trackers", "count", "rate_per_s"}
-_DISCONNECT_KEYS = {"at_ms", "node"}
+# A converter turns a JSON value into the typed value of its field or
+# parameter, or raises a ConfigError naming `where`, the dotted key.
+Converter = Callable[[Any, str], Any]
+_REQUIRED = object()  # the default of a key that has none
 
-_SCENARIO_DEFAULTS = {
-    "warmup_ms": 10_000,
-    "relay_policy": "flood",
-    "ledger_round_ms": 1000,
-    "proposals_per_round": 1,
-    "seed": 0,
-    "tx_plan": [],
-    "disconnects": [],
+
+def _expect(value: Any, where: str, kinds: type | tuple[type, ...], name: str) -> Any:
+    """`value` if it is one of `kinds`; a JSON bool is not a number."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
+    return value
+
+
+def _float(value: Any, where: str) -> float:
+    number = _expect(value, where, (int, float), "a number")
+    if not -sys.float_info.max <= number <= sys.float_info.max:  # NaN fails too
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(number)
+
+
+def _int(value: Any, where: str) -> int:
+    if type(value) is not int and not float(
+            _expect(value, where, (int, float), "a number")).is_integer():
+        raise ConfigError(f"{where} must be an integral number, got {value!r}")
+    return int(value)
+
+
+_SCALARS: dict[Any, Converter] = {
+    int: _int,
+    float: _float,
+    bool: lambda value, where: _expect(value, where, bool, "true or false"),
+    str: lambda value, where: _expect(value, where, str, "a string"),
 }
-_PROTOCOL_DEFAULTS = {
-    "count_threshold": 10,
-    "max_selected": 3,
-    "squelch_base_ms": 300_000,
-    "squelch_jitter_ms": 150_000,
-    "squelch_kinds": ["proposal", "validation"],
+
+
+@functools.cache
+def _converter(tp: Any) -> Converter:
+    """The converter for a field or parameter type, built once per type."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _SCALARS:
+        return _SCALARS[tp]
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {member.value: member for member in tp}
+
+        def enum(value: Any, where: str) -> Enum:
+            try:
+                return members[value]
+            except (KeyError, TypeError):
+                raise ConfigError(
+                    f"{where} must be one of {list(members)}, got {value!r}") from None
+        return enum
+    if origin is dict:
+        key, item = _converter(args[0]), _converter(args[1])
+        return lambda value, where: {
+            key(k, f"{where} key"): item(v, f"{where}.{k}")
+            for k, v in _expect(value, where, dict, "an object").items()
+        }
+    if dataclasses.is_dataclass(args[0]):
+        return _Objects(args[0])
+    build = frozenset if origin is frozenset else tuple
+    if origin is tuple and args[-1] is not Ellipsis:  # a fixed-length list
+        items = [_converter(arg) for arg in args]
+
+        def fixed(value: Any, where: str) -> tuple:
+            if len(_expect(value, where, list, "a list")) != len(items):
+                raise ConfigError(f"{where} must be a list of {len(items)}, got {value!r}")
+            return build(c(v, f"{where}[{i}]") for i, (c, v) in enumerate(zip(items, value)))
+        return fixed
+    item = _converter(args[0])
+    return lambda value, where: build(
+        item(v, f"{where}[{i}]") for i, v in enumerate(_expect(value, where, list, "a list"))
+    )
+
+
+def _to_json(value: Any) -> Any:
+    """A typed default in the form a config document writes it."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {_to_json(k): _to_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, set, frozenset)):
+        items = [_to_json(v) for v in value]
+        return items if isinstance(value, tuple) else sorted(items)
+    return value
+
+
+class _Struct:
+    """The keys of one config object, read from the fields of a dataclass or
+    the parameters of a function: key -> (parameter, converter, default in
+    JSON form). `renamed` maps a parameter to its key; `extra` adds
+    config-only keys, which feed no parameter."""
+
+    def __init__(self, source: Any, skip: tuple[str, ...] = (),
+                 renamed: dict[str, str] | None = None, **extra: tuple) -> None:
+        hints = typing.get_type_hints(source)
+        if dataclasses.is_dataclass(source):
+            params = [(f.name, f.default if f.default_factory is dataclasses.MISSING
+                       else f.default_factory()) for f in dataclasses.fields(source)]
+        else:
+            params = [(p.name, p.default) for p in inspect.signature(source).parameters.values()]
+        self.keys = {key: (None, *spec) for key, spec in extra.items()}
+        for name, default in params:
+            if name not in skip:
+                no_default = default in (dataclasses.MISSING, inspect.Parameter.empty)
+                spec = _CONFIG_ONLY.get((source, name)) or (
+                    _converter(hints[name]), _REQUIRED if no_default else _to_json(default))
+                self.keys[(renamed or {}).get(name, name)] = (name, *spec)
+
+    def check_keys(self, obj: Any, where: str) -> None:
+        for key in _expect(obj, where, dict, "an object"):
+            if key not in self.keys:
+                raise ConfigError(
+                    f"unknown key {key!r} in {where}; expected one of {sorted(self.keys)}")
+
+    def fill(self, obj: Any, where: str) -> dict:
+        """`obj` with its defaults filled in, every value checked."""
+        self.check_keys(obj, where)
+        out = {}
+        for key, (_, convert, default) in self.keys.items():
+            if key not in obj:
+                if default is _REQUIRED:
+                    raise ConfigError(f"{where} is missing {key!r}")
+                out[key] = copy.copy(default)  # defaults are flat
+            elif isinstance(convert, _Objects):
+                out[key] = convert.fill(obj[key], f"{where}.{key}")
+            else:
+                convert(obj[key], f"{where}.{key}")
+                out[key] = obj[key]
+        return out
+
+    def __call__(self, obj: dict, where: str) -> dict:
+        """The typed values of a filled object, by parameter."""
+        return {param: convert(obj[key], f"{where}.{key}")
+                for key, (param, convert, _) in self.keys.items() if param}
+
+
+class _Objects(_Struct):
+    """A JSON list of objects of one dataclass; converted, each object is the
+    typed keyword arguments of one instance."""
+
+    def fill(self, value: Any, where: str) -> list[dict]:
+        return [_Struct.fill(self, obj, f"{where}[{i}]")
+                for i, obj in enumerate(_expect(value, where, list, "a list"))]
+
+    def __call__(self, value: list[dict], where: str) -> list[dict]:
+        return [_Struct.__call__(self, obj, f"{where}[{i}]") for i, obj in enumerate(value)]
+
+
+# A burst's trackers default to "all", which build_scenario resolves.
+_CONFIG_ONLY = {(TxBurst, "trackers"): (lambda value, where: value if value == "all"
+                                         else _converter(tuple[int, ...])(value, where), "all")}
+_FILE_TOPOLOGY = _Struct(load_topology, skip=("edge_list_text",), file=(_SCALARS[str], _REQUIRED),
+                         renamed={"validator_ids": "validators"})
+_GENERATED_TOPOLOGY = _Struct(generate_topology, skip=("seed",))
+_SCENARIO = _Struct(ScenarioConfig, skip=("topology", "protocol", "config_hash"))
+_PROTOCOL = _Struct(ProtocolConfig)
+_SECTIONS = {
+    "topology": _GENERATED_TOPOLOGY,
+    "scenario": _SCENARIO,
+    "protocol": _PROTOCOL,
+    "metrics": _Struct(summarize, skip=("log",),
+                       renamed={"include_control": "include_control_in_total"}),
+    "output": _Struct(lambda: None, dir=(_SCALARS[str], "")),  # feeds no function
 }
-_METRICS_DEFAULTS = {"include_control_in_total": True}
 
 
 def parse_config_text(text: str) -> dict:
@@ -99,90 +221,17 @@ def decode_config_text(text: str) -> dict:
     return doc
 
 
-def load_config_file(path: str | Path) -> dict:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
-
-
 def validate_config(doc: dict) -> dict:
-    """Reject unknown sections/keys, fill defaults, sanity-check values."""
-    for section in doc:
-        if section not in _SECTION_KEYS:
+    """Reject unknown sections and keys, fill defaults, and check every value
+    against the type of the field or parameter it feeds."""
+    has_file = isinstance(doc.get("topology"), dict) and "file" in doc["topology"]
+    sections = {**_SECTIONS, "topology": _FILE_TOPOLOGY} if has_file else _SECTIONS
+    for section, given in doc.items():
+        if section not in sections:
             raise ConfigError(f"unknown config section {section!r}")
-        if not isinstance(doc[section], dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key in doc[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section {section!r}")
-
-    out = {section: dict(doc.get(section, {})) for section in _SECTION_KEYS}
-
-    topo = out["topology"]
-    has_file = "file" in topo
-    gen_present = _TOPOLOGY_GEN_KEYS & set(topo)
-    if has_file and gen_present:
-        raise ConfigError(
-            f"topology mixes 'file' with generator keys {sorted(gen_present)}"
-        )
-    if not has_file:
-        missing = _TOPOLOGY_GEN_KEYS - set(topo)
-        if missing:
-            raise ConfigError(f"topology is missing generator keys {sorted(missing)}")
-    if has_file:
-        topo.setdefault("validators", [])
-        topo.setdefault("default_latency_ms", DEFAULT_EDGE_LATENCY_MS)
-
-    scenario = out["scenario"]
-    if "duration_ms" not in scenario:
-        raise ConfigError("scenario is missing required key 'duration_ms'")
-    for key, value in _SCENARIO_DEFAULTS.items():
-        scenario.setdefault(key, value)
-    scenario.setdefault(
-        "message_sizes", {k.value: v for k, v in DEFAULT_MESSAGE_SIZES.items()}
-    )
-    if scenario["relay_policy"] not in ("flood", "squelch"):
-        raise ConfigError(
-            f"scenario.relay_policy must be 'flood' or 'squelch', got {scenario['relay_policy']!r}"
-        )
-    for kind_name in scenario["message_sizes"]:
-        _kind_from_name(kind_name, "scenario.message_sizes")
-    if not isinstance(scenario["tx_plan"], list):
-        raise ConfigError("scenario.tx_plan must be a list")
-    for i, burst in enumerate(scenario["tx_plan"]):
-        if not isinstance(burst, dict):
-            raise ConfigError(f"scenario.tx_plan[{i}] must be an object")
-        for key in burst:
-            if key not in _BURST_KEYS:
-                raise ConfigError(f"unknown key {key!r} in scenario.tx_plan[{i}]")
-        for key in ("start_ms", "count"):
-            if key not in burst:
-                raise ConfigError(f"scenario.tx_plan[{i}] is missing {key!r}")
-        burst.setdefault("trackers", "all")
-        burst.setdefault("rate_per_s", 0)
-    for i, disc in enumerate(scenario["disconnects"]):
-        if not isinstance(disc, dict) or set(disc) != _DISCONNECT_KEYS:
-            raise ConfigError(
-                f"scenario.disconnects[{i}] must have exactly keys {sorted(_DISCONNECT_KEYS)}"
-            )
-
-    protocol = out["protocol"]
-    for key, value in _PROTOCOL_DEFAULTS.items():
-        protocol.setdefault(key, value)
-    if not isinstance(protocol["squelch_kinds"], list):
-        raise ConfigError("protocol.squelch_kinds must be a list of message kinds")
-    for kind_name in protocol["squelch_kinds"]:
-        _kind_from_name(kind_name, "protocol.squelch_kinds")
-
-    for key, value in _METRICS_DEFAULTS.items():
-        out["metrics"].setdefault(key, value)
-    out["output"].setdefault("dir", "")
-    return out
-
-
-def _kind_from_name(name: Any, where: str) -> MessageKind:
-    try:
-        return MessageKind(name)
-    except ValueError:
-        raise ConfigError(f"unknown message kind {name!r} in {where}") from None
+        sections[section].check_keys(given, section)
+    return {section: struct.fill(doc.get(section, {}), section)
+            for section, struct in sections.items()}
 
 
 def apply_overrides(doc: dict, assignments: list[str]) -> dict:
@@ -251,90 +300,35 @@ def _config_errors(build):
     return wrapper
 
 
-def _read(section: dict, where: str, **converters) -> dict:
-    """The named values of a config section, each through its converter. A
-    value that does not convert is a ConfigError naming its key."""
-    values = {}
-    for key, convert in converters.items():
-        try:
-            values[key] = convert(section[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from None
-    return values
-
-
-def _float_pair(value: Any) -> tuple[float, float]:
-    low, high = value
-    return float(low), float(high)
-
-
 @_config_errors
 def build_topology(doc: dict) -> TopologyGraph:
     topo = doc["topology"]
     if "file" in topo:
         text = Path(topo["file"]).read_text(encoding="utf-8")
-        values = _read(topo, "topology", validators=set, default_latency_ms=float)
-        return load_topology(text, values["validators"], values["default_latency_ms"])
-    return generate_topology(
-        **_read(topo, "topology", node_count=int, target_avg_degree=float,
-                validator_fraction=float, latency_range_ms=_float_pair),
-        **_read(doc["scenario"], "scenario", seed=int),
-    )
+        return load_topology(text, **_FILE_TOPOLOGY(topo, "topology"))
+    seed = _SCENARIO.keys["seed"][1](doc["scenario"]["seed"], "scenario.seed")
+    return generate_topology(**_GENERATED_TOPOLOGY(topo, "topology"), seed=seed)
 
 
 @_config_errors
-def build_scenario(
-    doc: dict,
-    topology: TopologyGraph | None = None,
-    relay_policy: RelayPolicy | None = None,
-) -> ScenarioConfig:
+def build_scenario(doc: dict, topology: TopologyGraph | None = None,
+                   relay_policy: RelayPolicy | None = None) -> ScenarioConfig:
     """Turn a validated document into a runnable ScenarioConfig.
 
     `relay_policy` overrides the document's policy (the compare command runs
     both arms from one file); the config hash always reflects the document.
     """
     graph = topology if topology is not None else build_topology(doc)
-    scenario = doc["scenario"]
+    values = _SCENARIO(doc["scenario"], "scenario")
     all_trackers = tuple(sorted(graph.tracker_set))
-
-    bursts = []
-    for i, burst in enumerate(scenario["tx_plan"]):
-        trackers = burst["trackers"]
-        if trackers == "all":
-            resolved = all_trackers
-        else:
-            resolved = tuple(int(t) for t in trackers)
-        bursts.append(TxBurst(
-            trackers=resolved,
-            **_read(burst, f"scenario.tx_plan[{i}]", start_ms=float, count=int, rate_per_s=float),
-        ))
-
-    sizes = _read(scenario["message_sizes"], "scenario.message_sizes",
-                  **dict.fromkeys(scenario["message_sizes"], int))
-    protocol_doc = doc["protocol"]
-    protocol = ProtocolConfig(
-        **_read(protocol_doc, "protocol", count_threshold=int, max_selected=int,
-                squelch_base_ms=int, squelch_jitter_ms=int),
-        squelch_kinds=frozenset(
-            _kind_from_name(k, "protocol.squelch_kinds")
-            for k in protocol_doc["squelch_kinds"]
-        ),
-    )
-    policy = relay_policy or RelayPolicy(scenario["relay_policy"])
-    return ScenarioConfig(
-        topology=graph,
-        relay_policy=policy,
-        tx_plan=tuple(bursts),
-        protocol=protocol,
-        message_sizes={
-            _kind_from_name(name, "scenario.message_sizes"): size
-            for name, size in sizes.items()
-        },
-        disconnects=tuple(
-            Disconnect(**_read(d, f"scenario.disconnects[{i}]", at_ms=float, node=int))
-            for i, d in enumerate(scenario["disconnects"])
-        ),
-        config_hash=config_hash(doc),
-        **_read(scenario, "scenario", duration_ms=int, ledger_round_ms=int,
-                proposals_per_round=int, seed=int, warmup_ms=int),
-    )
+    return ScenarioConfig(**{
+        **values,
+        "topology": graph,
+        "relay_policy": relay_policy or values["relay_policy"],
+        "tx_plan": tuple(TxBurst(**{**burst, "trackers": all_trackers})
+                         if burst["trackers"] == "all" else TxBurst(**burst)
+                         for burst in values["tx_plan"]),
+        "disconnects": tuple(Disconnect(**d) for d in values["disconnects"]),
+        "protocol": ProtocolConfig(**_PROTOCOL(doc["protocol"], "protocol")),
+        "config_hash": config_hash(doc),
+    })

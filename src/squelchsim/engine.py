@@ -103,7 +103,7 @@ class Disconnect:
 class ScenarioConfig:
     topology: TopologyGraph
     duration_ms: int
-    relay_policy: RelayPolicy
+    relay_policy: RelayPolicy = RelayPolicy.FLOOD
     ledger_round_ms: int = 1000
     proposals_per_round: int = 1
     tx_plan: tuple[TxBurst, ...] = ()

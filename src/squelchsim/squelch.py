@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .messages import CONTROL_KINDS, MessageKind
+from .messages import APPLICATION_KINDS, CONTROL_KINDS, MessageKind
 
 
 class SlotState(Enum):
@@ -68,6 +68,9 @@ class ProtocolConfig:
             raise ValueError("squelch_base_ms must be positive")
         if self.squelch_jitter_ms < 0:
             raise ValueError("squelch_jitter_ms must be non-negative")
+        if not self.squelch_kinds <= APPLICATION_KINDS:
+            raise ValueError("squelch_kinds must be application kinds, got "
+                             f"{sorted(k.value for k in self.squelch_kinds)}")
 
 
 @dataclass

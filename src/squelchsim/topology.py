@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 DEFAULT_EDGE_LATENCY_MS = 20.0
@@ -121,7 +122,7 @@ class GraphStats:
 
 def load_topology(
     edge_list_text: str,
-    validator_ids: set[int] | frozenset[int],
+    validator_ids: Iterable[int] = (),
     default_latency_ms: float = DEFAULT_EDGE_LATENCY_MS,
 ) -> TopologyGraph:
     """Parse "u v [latency_ms]" lines into a TopologyGraph.
@@ -350,8 +351,9 @@ def graph_stats(graph: TopologyGraph) -> GraphStats:
     if n == 0:
         return GraphStats(0, 0, 0.0, 0.0, 0.0, 0, False, 0)
 
-    index = {node: i for i, node in enumerate(graph.nodes)}
-    adjacency = [[index[p] for p in graph.neighbors(node)] for node in graph.nodes]
+    nodes = sorted(graph.nodes)  # index order is id order, for the tie rule
+    index = {node: i for i, node in enumerate(nodes)}
+    adjacency = [[index[p] for p in graph.neighbors(node)] for node in nodes]
 
     degrees = [len(peers) for peers in adjacency]
     avg_degree = 2 * len(graph.edges) / n

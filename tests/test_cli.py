@@ -98,6 +98,21 @@ def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
     (["--set", "topology.latency_range_ms=5"], "topology.latency_range_ms"),
     (["--set", 'scenario.message_sizes={"transaction":0}'], "message sizes must be positive"),
     (["fit", "--gain", "200", "abc"], "--gain"),
+    (["--set", "scenario.disconnects=5"], "scenario.disconnects"),
+    (["--set", "scenario.message_sizes=5"], "scenario.message_sizes"),
+    (["--set", "output.dir=5"], "output.dir"),
+    (["--set", 'metrics.include_control_in_total="no"'], "metrics.include_control_in_total"),
+    (["--set", "scenario.seed=1.5"], "scenario.seed"),
+    (["--set", "scenario.duration_ms=3000.7"], "scenario.duration_ms"),
+    (["--set", "scenario.proposals_per_round=true"], "scenario.proposals_per_round"),
+    (["--set", "topology.validators=[1]"], "'validators'"),
+    (["--set", 'scenario.tx_plan=[{"start_ms":0,"count":1,"trackers":5}]'],
+     "scenario.tx_plan[0].trackers"),
+    (["--set", 'scenario.tx_plan=[{"start_ms":0,"count":1,"trackers":"abc"}]'],
+     "scenario.tx_plan[0].trackers"),
+    (["--set", 'protocol.squelch_kinds=["squelch"]'], "squelch_kinds"),
+    (["--set", "topology.latency_range_ms=[NaN,5]"], "topology.latency_range_ms[0]"),
+    (["--set", "topology.target_avg_degree=" + "1" * 400], "topology.target_avg_degree"),
 ])
 def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_path,
                                 msgs_csv_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from squelchsim.config import (
     parse_config_text,
     validate_config,
 )
-from squelchsim.engine import RelayPolicy
+from squelchsim.engine import RelayPolicy, ScenarioConfig
 from squelchsim.messages import MessageKind
 
 
@@ -150,3 +152,55 @@ def test_parse_config_text_rejects_non_object():
         parse_config_text("[1, 2]")
     with pytest.raises(ConfigError):
         parse_config_text("{nope")
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference_testbed.json"
+
+
+@pytest.mark.parametrize("seed,expected", [
+    (1, "74e2dab5750a0c03"), (2, "1aecd80073cfc895"), (3, "b4949bfad34292e8"),
+])
+def test_reference_config_hash_pinned(seed, expected):
+    raw = json.loads(REFERENCE_CONFIG.read_text())
+    doc = validate_config(apply_overrides(raw, [f"scenario.seed={seed}"]))
+    assert config_hash(doc) == expected
+
+
+def test_defaults_only_config_hash_pinned():
+    # Every defaultable key left out: file topology, a burst without
+    # trackers and rate, one disconnect.
+    doc = validate_config({
+        "topology": {"file": "graph.edges"},
+        "scenario": {"duration_ms": 3000, "tx_plan": [{"start_ms": 100, "count": 4}],
+                     "disconnects": [{"at_ms": 1500, "node": 2}]},
+    })
+    assert doc["topology"] == {"file": "graph.edges", "validators": [],
+                               "default_latency_ms": 20.0}
+    assert doc["scenario"]["tx_plan"] == [
+        {"start_ms": 100, "trackers": "all", "count": 4, "rate_per_s": 0.0}
+    ]
+    assert config_hash(doc) == "dc7952fec60516a0"
+
+
+def test_defaults_come_from_the_dataclasses():
+    cfg = build_scenario(validate_config(minimal_doc()))
+    assert cfg == ScenarioConfig(topology=cfg.topology, duration_ms=5000, warmup_ms=0,
+                                 config_hash=cfg.config_hash)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.5), ("seed", True), ("duration_ms", "5000"), ("relay_policy", 1),
+    ("tx_plan", {}), ("disconnects", [{"at_ms": 1, "node": 2, "why": 3}]),
+    ("message_sizes", {"transaction": 600.5}),
+    ("tx_plan", [{"start_ms": float("nan"), "count": 1}]),
+    ("disconnects", [{"at_ms": float("inf"), "node": 2}]),
+])
+def test_value_type_checked_by_key(key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"scenario.{key}")):
+        validate_config(minimal_doc(**{key: value}))
+
+
+def test_integral_numbers_accepted_for_int_keys():
+    cfg = build_scenario(validate_config(minimal_doc(duration_ms=5000.0, seed=7.0)))
+    assert cfg.duration_ms == 5000 and type(cfg.duration_ms) is int
+    assert cfg.seed == 7 and type(cfg.seed) is int

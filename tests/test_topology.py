@@ -353,3 +353,19 @@ def test_stats_match_networkx_equal_size_components(text, diameter):
     assert not stats.connected and stats.giant_component_size == 4
     assert stats.diameter == diameter
     assert_matches_networkx(graph)
+
+
+def test_stats_tie_rule_ignores_node_order():
+    # Built by hand with unsorted nodes: the path 1-5-6-7 holds the smallest
+    # id, so it is the giant component even though the star 2-{3,4,8} comes
+    # first in `nodes`.
+    edges = frozenset({(1, 5), (5, 6), (6, 7), (2, 3), (2, 4), (2, 8)})
+    graph = TopologyGraph(
+        nodes=(2, 3, 4, 8, 1, 5, 6, 7),
+        edges=edges,
+        latency_ms=dict.fromkeys(edges, 10.0),
+        validator_set=frozenset({1}),
+        tracker_set=frozenset({2, 3, 4, 5, 6, 7, 8}),
+    )
+    assert graph_stats(graph).diameter == 3
+    assert_matches_networkx(graph)
