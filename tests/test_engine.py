@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -514,3 +515,38 @@ def test_reference_export_csv_bytes_pinned(seed, policy):
     log = run_scenario(build_scenario(doc, relay_policy=RelayPolicy(policy)))
     digest = hashlib.sha256(export_csv(log).encode("utf-8")).hexdigest()
     assert digest == PINNED_EXPORT_SHA256[(seed, policy)]
+
+
+def churn_scenario(seed):
+    """Squelch policy with 2-3 s squelches, two disconnects and a transaction
+    burst: slot expiry, reselection and uplink loss all run on the event loop."""
+    g = generate_topology(25, 6.0, 0.3, (5, 50), seed=seed)
+    protocol = ProtocolConfig(count_threshold=3, max_selected=2,
+                              squelch_base_ms=2000, squelch_jitter_ms=1000)
+    disconnects = (Disconnect(at_ms=6000.0, node=min(g.validator_set)),
+                   Disconnect(at_ms=8500.0, node=min(g.tracker_set)))
+    burst = TxBurst(start_ms=3000.0, trackers=(), count=60, rate_per_s=30.0)
+    return ScenarioConfig(
+        topology=g, duration_ms=12_000, relay_policy=RelayPolicy.SQUELCH,
+        ledger_round_ms=500, proposals_per_round=2, tx_plan=(burst,),
+        protocol=protocol, seed=seed, warmup_ms=2000, disconnects=disconnects,
+    )
+
+
+# sha256 of export_csv for `churn_scenario`, both arms. Unlike the reference
+# pins above, these runs lose nodes mid-run and expire squelches repeatedly.
+PINNED_CHURN_SHA256 = {
+    (1, "flood"): "1087b723400005c1bf27215e961ac62a3bd79b575e5db34767acf8c19079e676",
+    (1, "squelch"): "d07130b76ac0d3f6a46dc4f8004b33b447741f2fb32580ba1fd695874ca1d261",
+    (2, "flood"): "fb9f6129b4a6ffcea089716a6e6f74c7854b67179576cf98d52174f4077d81b3",
+    (2, "squelch"): "5251c83a3486866ae18e737891818667fcf7265ad368582cacb8f052e671b361",
+    (3, "flood"): "f50aaa67b63fc139462c24e79d0cbbcbef423fde87a9bd1eb6a48a2cf72dee35",
+    (3, "squelch"): "2ec6344be81f876e3f4e771d21586c3a7af213ab9b38d086874f5ce2382cd960",
+}
+
+
+@pytest.mark.parametrize("seed,policy", sorted(PINNED_CHURN_SHA256))
+def test_churn_export_csv_bytes_pinned(seed, policy):
+    cfg = dataclasses.replace(churn_scenario(seed), relay_policy=RelayPolicy(policy))
+    digest = hashlib.sha256(export_csv(run_scenario(cfg)).encode("utf-8")).hexdigest()
+    assert digest == PINNED_CHURN_SHA256[(seed, policy)]
