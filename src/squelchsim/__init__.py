@@ -1,6 +1,6 @@
-"""Deterministic simulator of flooding vs squelching message dissemination
-on XRPL-style peer networks, with the linear capacity models used to
-extrapolate CPU savings and freed peer slots."""
+"""Deterministic simulator of message dissemination under the flood and
+squelch relay policies on XRPL-style peer networks, with the linear capacity
+models used to extrapolate CPU savings and freed peer slots."""
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,7 @@ from .engine import (
     TxBurst,
     run_scenario,
 )
-from .messages import MessageKind, SimMessage
+from .messages import MessageKind
 from .metrics import (
     MetricsLog,
     RunSummary,
@@ -55,7 +55,6 @@ __all__ = [
     "SavingsReport",
     "ScenarioConfig",
     "ScenarioSetupError",
-    "SimMessage",
     "Slot",
     "TopologyGraph",
     "TxBurst",

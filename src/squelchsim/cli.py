@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -23,8 +23,6 @@ from .config import (
     ConfigError,
     apply_overrides,
     build_scenario,
-    build_topology,
-    config_hash,
     decode_config_text,
     validate_config,
 )
@@ -79,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squelchsim",
-        description="Flooding vs squelching dissemination simulator and capacity models.",
+        description="Dissemination simulator for the flood and squelch relay policies, "
+                    "and capacity models.",
     )
     parser.add_argument("--version", action="version", version=f"squelchsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,18 +147,19 @@ def _output_dir(args, doc: dict) -> Path:
     return path
 
 
-def _artifact_header(doc: dict, seed: int, policy: str) -> str:
+def _artifact_header(config_hash: str, seed: int, policy: str) -> str:
     return (
-        f"# config_hash={config_hash(doc)}\n"
+        f"# config_hash={config_hash}\n"
         f"# seed={seed}\n"
         f"# tool_version={__version__}\n"
         f"# policy={policy}\n"
     )
 
 
-def _write_metrics_csv(path: Path, doc: dict, log: MetricsLog) -> None:
+def _write_metrics_csv(path: Path, log: MetricsLog) -> None:
     path.write_text(
-        _artifact_header(doc, log.seed, log.policy) + export_csv(log), encoding="utf-8"
+        _artifact_header(log.config_hash, log.seed, log.policy) + export_csv(log),
+        encoding="utf-8",
     )
 
 
@@ -168,7 +168,7 @@ def cmd_simulate(args) -> int:
     out_dir = _output_dir(args, doc)
     cfg = build_scenario(doc)
     log = run_scenario(cfg)
-    _write_metrics_csv(out_dir / "metrics.csv", doc, log)
+    _write_metrics_csv(out_dir / "metrics.csv", log)
     summary = summarize(log, include_control=doc["metrics"]["include_control_in_total"])
     payload = {
         "config_hash": cfg.config_hash,
@@ -187,20 +187,19 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     doc = _load_effective_config(args)
     out_dir = _output_dir(args, doc)
-    topology = build_topology(doc)
+    cfg = build_scenario(doc)
     include_control = doc["metrics"]["include_control_in_total"]
 
     logs: dict[str, MetricsLog] = {}
     summaries = {}
     for policy in (RelayPolicy.FLOOD, RelayPolicy.SQUELCH):
-        cfg = build_scenario(doc, topology=topology, relay_policy=policy)
-        log = run_scenario(cfg)
+        log = run_scenario(replace(cfg, relay_policy=policy))
         logs[policy.value] = log
         summaries[policy.value] = summarize(log, include_control=include_control)
 
     report = savings(summaries["flood"], summaries["squelch"])
     payload = {
-        "config_hash": config_hash(doc),
+        "config_hash": cfg.config_hash,
         "seed": doc["scenario"]["seed"],
         "tool_version": __version__,
         "flood": asdict(summaries["flood"]),
@@ -212,7 +211,7 @@ def cmd_compare(args) -> int:
     )
     cumulative = _cumulative_series(logs["flood"], logs["squelch"])
     (out_dir / "cumulative.csv").write_text(
-        _artifact_header(doc, doc["scenario"]["seed"], "compare") + cumulative,
+        _artifact_header(cfg.config_hash, doc["scenario"]["seed"], "compare") + cumulative,
         encoding="utf-8",
     )
     print(

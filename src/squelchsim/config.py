@@ -29,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
-from .engine import Disconnect, RelayPolicy, ScenarioConfig, TxBurst
+from .engine import Disconnect, ScenarioConfig, TxBurst
 from .metrics import summarize
 from .squelch import ProtocolConfig
 from .topology import TopologyGraph, generate_topology, load_topology
@@ -311,20 +311,14 @@ def build_topology(doc: dict) -> TopologyGraph:
 
 
 @_config_errors
-def build_scenario(doc: dict, topology: TopologyGraph | None = None,
-                   relay_policy: RelayPolicy | None = None) -> ScenarioConfig:
-    """Turn a validated document into a runnable ScenarioConfig.
-
-    `relay_policy` overrides the document's policy (the compare command runs
-    both arms from one file); the config hash always reflects the document.
-    """
-    graph = topology if topology is not None else build_topology(doc)
+def build_scenario(doc: dict) -> ScenarioConfig:
+    """Turn a validated document into a runnable ScenarioConfig."""
+    graph = build_topology(doc)
     values = _SCENARIO(doc["scenario"], "scenario")
     all_trackers = tuple(sorted(graph.tracker_set))
     return ScenarioConfig(**{
         **values,
         "topology": graph,
-        "relay_policy": relay_policy or values["relay_policy"],
         "tx_plan": tuple(TxBurst(**{**burst, "trackers": all_trackers})
                          if burst["trackers"] == "all" else TxBurst(**burst)
                          for burst in values["tx_plan"]),

@@ -4,19 +4,21 @@ Validators emit proposals and validations on a fixed cadence, trackers
 submit transaction bursts per plan, and deliveries are timed events on a
 single priority queue ordered by (time, insertion sequence). Nodes relay
 only the first copy of each message; later copies are counted as duplicates
-and dropped. Under the squelch policy the per-validator slot machinery from
-`squelch` governs which peers keep relaying, and its control messages
-travel the same links (one hop, never relayed).
+and dropped. For the kinds in the run's squelchable set the per-validator
+slot machinery from `squelch` governs which peers keep relaying, and its
+control messages travel the same links (one hop, never relayed). The flood
+policy is the squelch policy with an empty squelchable set, and an origin
+and a relay send through the same path (`forward`).
 
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
 only randomness is the seeded topology generation upstream.
 
-Messages that always flood (every kind under the flood policy, and the kinds
-outside `protocol.squelch_kinds` under the squelch policy) never touch slot
-or link state, so they do not interact with each other or with anything
-else on the heap, and leaving their events out keeps the relative insertion
-order of the rest. Their counts are computed off the heap instead: each
+Messages that always flood (the kinds outside the squelchable set: all of
+them under the flood policy, transactions by default under the squelch
+policy) never touch slot or link state, so they do not interact with each
+other or with anything else on the heap, and leaving their events out keeps
+the relative insertion order of the rest. Their counts are computed off the heap instead: each
 origin lazily gets a template, the first-receipt order and first sender
 (parent) of every node for one message flooded alone at t=0. An emission at
 `t0` is replayed from it in two passes. The first recomputes each node's
@@ -36,13 +38,13 @@ per-kind multiplicity.
 
 from __future__ import annotations
 
-import logging
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import count
 
-from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind, SimMessage
+from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind
 from .metrics import MetricsLog
 from .squelch import (
     PeerLinkState,
@@ -56,8 +58,6 @@ from .squelch import (
     should_relay,
 )
 from .topology import TopologyGraph
-
-logger = logging.getLogger(__name__)
 
 # Event codes; payloads are plain tuples for speed. Ordering in the heap is
 # (at, seq) only, seq is unique, so payloads are never compared.
@@ -75,7 +75,8 @@ class RelayPolicy(Enum):
 
 
 class ScenarioSetupError(ValueError):
-    """The scenario cannot start (disconnected topology, bad plan ids)."""
+    """The scenario cannot start (disconnected topology, bad plan ids,
+    nothing to emit)."""
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,8 @@ class ScenarioConfig:
             raise ValueError("ledger_round_ms must be positive")
         if self.proposals_per_round < 0:
             raise ValueError("proposals_per_round must be non-negative")
-        # Checked here, not per message: replayed kinds build no SimMessage.
-        if any(size <= 0 for kind, size in self.message_sizes.items()
-               if kind in APPLICATION_KINDS):
-            raise ValueError("application message sizes must be positive")
+        if any(size <= 0 for size in self.message_sizes.values()):
+            raise ValueError("message sizes must be positive")
 
 
 class NodeState:
@@ -141,26 +140,19 @@ class NodeState:
         self.latency = latency
         self.links = {p: PeerLinkState(p) for p in latency}
         self.slots: dict[int, Slot] = {}
-        self.seen: set[tuple[MessageKind, int, int]] = set()
+        self.seen: set[int] = set()  # ids of the messages held
         self.live = True
         self.unknown_peer_msgs = 0
 
 
-def relay_decision_flood(node: NodeState, arrived_from: int | None) -> list[int]:
-    """All live neighbors except the sender; the origin passes None and
-    forwards to everyone."""
-    return [p for p in node.latency if p != arrived_from]
-
-
-def relay_decision_squelch(node: NodeState, message: SimMessage,
-                           arrived_from: int | None, now: float,
-                           squelch_kinds: frozenset[MessageKind]) -> list[int]:
-    """Flood set minus peers that squelched us for this origin. Kinds outside
-    `squelch_kinds` (transactions by default) always flood."""
-    if message.kind not in squelch_kinds:
-        return relay_decision_flood(node, arrived_from)
+def relay_targets(node: NodeState, kind: MessageKind, origin: int,
+                  arrived_from: int | None, now: float,
+                  squelch_kinds: frozenset[MessageKind]) -> list[int]:
+    """All live neighbors except the sender (None at the origin), minus the
+    peers that squelched `origin` on this node when `kind` is squelchable."""
+    if kind not in squelch_kinds:
+        return [p for p in node.latency if p != arrived_from]
     links = node.links
-    origin = message.origin
     return [
         p
         for p in node.latency
@@ -208,9 +200,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     if not graph.is_connected():
         raise ScenarioSetupError("topology is disconnected")
 
+    if not graph.validator_set and not any(b.count > 0 for b in cfg.tx_plan):
+        raise ScenarioSetupError("nothing emits: no validators and no transactions")
+
     protocol = cfg.protocol
-    squelching = cfg.relay_policy is RelayPolicy.SQUELCH
-    squelch_kinds = protocol.squelch_kinds
+    squelch_kinds = (protocol.squelch_kinds if cfg.relay_policy is RelayPolicy.SQUELCH
+                     else frozenset())
     duration = float(cfg.duration_ms)
     sizes = dict(DEFAULT_MESSAGE_SIZES)
     sizes.update(cfg.message_sizes)
@@ -266,36 +261,23 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     # Replayed arrivals must land before this; from the first disconnect on,
     # live sets change and only the event loop knows them.
     horizon = min(duration, first_disconnect)
-    always_flood = APPLICATION_KINDS - squelch_kinds if squelching else APPLICATION_KINDS
+    always_flood = APPLICATION_KINDS - squelch_kinds
     templates: dict[int, tuple[list[int], dict[int, int | None]] | None] = {}
+    msg_ids = count()
 
-    sequence_counters: dict[tuple[int, MessageKind], int] = {}
-
-    def next_sequence(origin: int, kind: MessageKind) -> int:
-        key = (origin, kind)
-        n = sequence_counters.get(key, 0)
-        sequence_counters[key] = n + 1
-        return n
-
-    emitted_app_msgs = 0
-
-    def broadcast_from_origin(origin_node: NodeState, msg: SimMessage, at: float) -> None:
-        """The origin sends to every neighbor, honoring downlink squelches
-        for squelchable kinds under the squelch policy."""
-        nonlocal emitted_app_msgs, seq
-        emitted_app_msgs += 1
-        origin_node.seen.add(msg.dedup_key)
-        if squelching:
-            targets = relay_decision_squelch(origin_node, msg, None, at, squelch_kinds)
-        else:
-            targets = relay_decision_flood(origin_node, None)
-        src = origin_node.node_id
-        lat = origin_node.latency
-        for p in targets:
+    def forward(node: NodeState, kind: MessageKind, origin: int, msg_id: int,
+                arrived_from: int | None, at: float) -> None:
+        """`node` takes message `msg_id` and sends it on to its relay targets;
+        an origin passes arrived_from=None."""
+        nonlocal seq
+        node.seen.add(msg_id)
+        src = node.node_id
+        lat = node.latency
+        for p in relay_targets(node, kind, origin, arrived_from, at, squelch_kinds):
             if nodes[p].live:
                 t = at + lat[p]
                 if t < duration:
-                    heappush(heap, (t, seq, _DELIVER_APP, (msg, src, p)))
+                    heappush(heap, (t, seq, _DELIVER_APP, (kind, origin, msg_id, src, p)))
                     seq += 1
 
     def replay(origin: int, t0: float, batch: list[tuple[MessageKind, int]]) -> bool:
@@ -367,17 +349,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     def emit(node: NodeState, at: float, batch: list[tuple[MessageKind, int]]) -> None:
         """Emit `copies` messages of each kind of `batch` from node at `at`,
         replaying the always-flood kinds when their template allows it."""
-        nonlocal emitted_app_msgs
         flooded = [(kind, copies) for kind, copies in batch
                    if copies and kind in always_flood]
         if flooded and replay(node.node_id, at, flooded):
-            emitted_app_msgs += sum(copies for _, copies in flooded)
             batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
         origin = node.node_id
         for kind, copies in batch:
             for _ in range(copies):
-                msg = SimMessage(kind, origin, next_sequence(origin, kind))
-                broadcast_from_origin(node, msg, at)
+                forward(node, kind, origin, next(msg_ids), None, at)
 
     def feed_slot(node: NodeState, origin: int, from_peer: int, at: float) -> None:
         slot = node.slots.get(origin)
@@ -399,37 +378,21 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         at, _, code, data = heappop(heap)
 
         if code == _DELIVER_APP:
-            msg, src, dst = data
+            kind, origin, msg_id, src, dst = data
             node = nodes[dst]
             if not node.live:
                 continue
             second = int(at // 1000)
-            kind = msg.kind
             counts[(src, second, kind, "out")] += 1
             counts[(dst, second, kind, "in")] += 1
-            from_live_neighbor = src in node.latency and nodes[src].live
-            if not from_live_neighbor:
+            if src not in node.latency or not nodes[src].live:
                 node.unknown_peer_msgs += 1
-            key = msg.dedup_key
-            if key in node.seen:
+            elif kind in squelch_kinds:
+                feed_slot(node, origin, src, at)
+            if msg_id in node.seen:
                 dups[(dst, second, kind)] += 1
-                if squelching and kind in squelch_kinds and from_live_neighbor:
-                    feed_slot(node, msg.origin, src, at)
-                continue
-            node.seen.add(key)
-            if squelching:
-                if kind in squelch_kinds and from_live_neighbor:
-                    feed_slot(node, msg.origin, src, at)
-                targets = relay_decision_squelch(node, msg, src, at, squelch_kinds)
             else:
-                targets = relay_decision_flood(node, src)
-            lat = node.latency
-            for p in targets:
-                if nodes[p].live:
-                    t = at + lat[p]
-                    if t < duration:
-                        heappush(heap, (t, seq, _DELIVER_APP, (msg, dst, p)))
-                        seq += 1
+                forward(node, kind, origin, msg_id, src, at)
 
         elif code == _DELIVER_CTRL:
             ctrl, src, dst = data
@@ -491,9 +454,4 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     if peer != gone and nodes[peer].live:
                         push(at + nb.latency[peer], _DELIVER_CTRL, (ctrl, nb_id, peer))
 
-    if emitted_app_msgs == 0:
-        logger.warning(
-            "scenario produced no application traffic (no validators or transactions); "
-            "metrics log is empty"
-        )
     return log

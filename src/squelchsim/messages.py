@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -30,23 +29,3 @@ DEFAULT_MESSAGE_SIZES = {
     MessageKind.UNSQUELCH: 30,
 }
 
-
-@dataclass(frozen=True)
-class SimMessage:
-    """One disseminated application message.
-
-    The (kind, origin, sequence) triple identifies the message network-wide;
-    every node drops and counts later copies of the same triple.
-    """
-
-    kind: MessageKind
-    origin: int
-    sequence: int
-    dedup_key: tuple[MessageKind, int, int] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.sequence < 0:
-            raise ValueError("sequence must be non-negative")
-        object.__setattr__(self, "dedup_key", (self.kind, self.origin, self.sequence))

@@ -1,4 +1,4 @@
-"""Linear capacity models and the squelching gain extrapolation.
+"""Linear capacity models and the gain extrapolation of the squelch policy.
 
 Ordinary least squares over (x, y) points yields the two operating models
 used throughout: mean CPU percentage versus peer count, and total messages
@@ -129,7 +129,7 @@ def compute_gain(
     baseline_peers: int,
     saved_fraction: float,
 ) -> GainReport:
-    """Project what a node with `baseline_peers` peers gains from squelching.
+    """Project what a node with `baseline_peers` peers gains from the squelch policy.
 
     The message model gives the baseline message load; shrinking it by
     saved_fraction and mapping it back through the inverted message model

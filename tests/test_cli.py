@@ -113,6 +113,7 @@ def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
     (["--set", 'protocol.squelch_kinds=["squelch"]'], "squelch_kinds"),
     (["--set", "topology.latency_range_ms=[NaN,5]"], "topology.latency_range_ms[0]"),
     (["--set", "topology.target_avg_degree=" + "1" * 400], "topology.target_avg_degree"),
+    (["--set", 'scenario.message_sizes={"squelch":-3}'], "message sizes must be positive"),
 ])
 def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_path,
                                 msgs_csv_path, capsys):
@@ -123,6 +124,19 @@ def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_p
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+def test_simulate_no_emitter_exit_2(tmp_path, capsys):
+    edges = tmp_path / "k4.edges"
+    edges.write_text(K4_EDGES)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "topology": {"file": str(edges), "validators": []},
+        "scenario": {"duration_ms": 20000, "warmup_ms": 2000},
+    }))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(tmp_path))
+    assert code == 2
+    assert "nothing emits" in err
 
 
 def test_simulate_deterministic_reruns(tmp_path, small_config, capsys):

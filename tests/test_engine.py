@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import random
 from pathlib import Path
 
@@ -18,12 +17,11 @@ from squelchsim.engine import (
     ScenarioConfig,
     ScenarioSetupError,
     TxBurst,
-    relay_decision_flood,
-    relay_decision_squelch,
+    relay_targets,
     run_scenario,
 )
-from squelchsim.messages import APPLICATION_KINDS, CONTROL_KINDS, MessageKind, SimMessage
-from squelchsim.metrics import EmptyWindowError, export_csv, summarize
+from squelchsim.messages import APPLICATION_KINDS, CONTROL_KINDS, MessageKind
+from squelchsim.metrics import export_csv
 from squelchsim.squelch import ProtocolConfig
 from squelchsim.topology import TopologyGraph, generate_topology, load_topology
 
@@ -84,34 +82,31 @@ def make_node(node_id=0, neighbors=(1, 2, 3)):
 
 def test_flood_excludes_sender():
     node = make_node()
-    msg = SimMessage(MessageKind.PROPOSAL, 9, 0)
-    assert relay_decision_flood(node, 1) == [2, 3]
+    node.links[2].downlink_squelches[9] = 10_000.0  # ignored: nothing is squelchable
+    assert relay_targets(node, MessageKind.PROPOSAL, 9, 1, 0.0, frozenset()) == [2, 3]
 
 
 def test_flood_origin_sends_everywhere():
     node = make_node()
-    msg = SimMessage(MessageKind.PROPOSAL, 0, 0)
-    assert relay_decision_flood(node, None) == [1, 2, 3]
+    assert relay_targets(node, MessageKind.PROPOSAL, 0, None, 0.0, frozenset()) == [1, 2, 3]
 
 
 def test_squelch_decision_without_squelches_equals_flood():
     node = make_node()
-    msg = SimMessage(MessageKind.VALIDATION, 9, 0)
-    assert relay_decision_squelch(node, msg, 1, 0.0, SQUELCH_KINDS) == relay_decision_flood(node, 1)
+    assert (relay_targets(node, MessageKind.VALIDATION, 9, 1, 0.0, SQUELCH_KINDS)
+            == relay_targets(node, MessageKind.VALIDATION, 9, 1, 0.0, frozenset()))
 
 
 def test_squelch_decision_filters_squelched_peer():
     node = make_node()
     node.links[2].downlink_squelches[9] = 10_000.0
-    msg = SimMessage(MessageKind.VALIDATION, 9, 0)
-    assert relay_decision_squelch(node, msg, 1, 0.0, SQUELCH_KINDS) == [3]
+    assert relay_targets(node, MessageKind.VALIDATION, 9, 1, 0.0, SQUELCH_KINDS) == [3]
 
 
 def test_squelch_decision_transactions_always_flood():
     node = make_node()
     node.links[2].downlink_squelches[9] = 10_000.0
-    msg = SimMessage(MessageKind.TRANSACTION, 9, 0)
-    assert relay_decision_squelch(node, msg, 1, 0.0, SQUELCH_KINDS) == [2, 3]
+    assert relay_targets(node, MessageKind.TRANSACTION, 9, 1, 0.0, SQUELCH_KINDS) == [2, 3]
 
 
 # --- flood baselines ------------------------------------------------------------
@@ -336,16 +331,13 @@ def test_burst_with_unknown_tracker_rejected():
                                     tx_plan=(burst,)))
 
 
-def test_no_emitters_warns_and_yields_empty_log(caplog):
-    g = graph_from_edges(K4)  # no validators, no transactions
-    cfg = ScenarioConfig(topology=g, duration_ms=2000, relay_policy=RelayPolicy.FLOOD,
-                         warmup_ms=0)
-    with caplog.at_level(logging.WARNING):
-        log = run_scenario(cfg)
-    assert any("no application traffic" in rec.message for rec in caplog.records)
-    assert not log.counts
-    with pytest.raises(EmptyWindowError):
-        summarize(log)
+@pytest.mark.parametrize("tx_plan", [(), (TxBurst(start_ms=0.0, trackers=(1,), count=0),)])
+def test_no_emitters_rejected(tx_plan):
+    g = graph_from_edges(K4)  # no validators, and no burst sends anything
+    with pytest.raises(ScenarioSetupError, match="nothing emits"):
+        run_scenario(ScenarioConfig(topology=g, duration_ms=2000,
+                                    relay_policy=RelayPolicy.FLOOD, warmup_ms=0,
+                                    tx_plan=tx_plan))
 
 
 def test_config_invariants():
@@ -356,9 +348,10 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
                        warmup_ms=0, ledger_round_ms=0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
-                       warmup_ms=0, message_sizes={MessageKind.TRANSACTION: 0})
+    for kind in MessageKind:
+        with pytest.raises(ValueError):
+            ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.FLOOD,
+                           warmup_ms=0, message_sizes={kind: 0})
 
 
 # --- always-flood replay from per-origin templates ---------------------------------
@@ -512,7 +505,8 @@ def test_reference_export_csv_bytes_pinned(seed, policy):
         json.loads(REFERENCE_CONFIG.read_text(encoding="utf-8")),
         ["scenario.duration_ms=32000", f"scenario.seed={seed}"],
     ))
-    log = run_scenario(build_scenario(doc, relay_policy=RelayPolicy(policy)))
+    cfg = dataclasses.replace(build_scenario(doc), relay_policy=RelayPolicy(policy))
+    log = run_scenario(cfg)
     digest = hashlib.sha256(export_csv(log).encode("utf-8")).hexdigest()
     assert digest == PINNED_EXPORT_SHA256[(seed, policy)]
 
