@@ -30,7 +30,7 @@ from .regression import (
     invert,
     predict,
 )
-from .squelch import ControlMessage, PeerLinkState, ProtocolConfig, Slot
+from .squelch import ControlMessage, ProtocolConfig, Slot
 from .topology import (
     GraphStats,
     TopologyGraph,
@@ -48,7 +48,6 @@ __all__ = [
     "LinearModel",
     "MessageKind",
     "MetricsLog",
-    "PeerLinkState",
     "ProtocolConfig",
     "RelayPolicy",
     "RunSummary",

@@ -200,7 +200,7 @@ def cmd_compare(args) -> int:
     report = savings(summaries["flood"], summaries["squelch"])
     payload = {
         "config_hash": cfg.config_hash,
-        "seed": doc["scenario"]["seed"],
+        "seed": cfg.seed,
         "tool_version": __version__,
         "flood": asdict(summaries["flood"]),
         "squelch": asdict(summaries["squelch"]),
@@ -211,7 +211,7 @@ def cmd_compare(args) -> int:
     )
     cumulative = _cumulative_series(logs["flood"], logs["squelch"])
     (out_dir / "cumulative.csv").write_text(
-        _artifact_header(cfg.config_hash, doc["scenario"]["seed"], "compare") + cumulative,
+        _artifact_header(cfg.config_hash, cfg.seed, "compare") + cumulative,
         encoding="utf-8",
     )
     print(

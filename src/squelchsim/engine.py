@@ -16,7 +16,7 @@ only randomness is the seeded topology generation upstream.
 
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
-policy) never touch slot or link state, so they do not interact with each
+policy) never touch slot or downlink state, so they do not interact with each
 other or with anything else on the heap, and leaving their events out keeps
 the relative insertion order of the rest. Their counts are computed off the heap instead: each
 origin lazily gets a template, the first-receipt order and first sender
@@ -47,7 +47,7 @@ from itertools import count
 from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind
 from .metrics import MetricsLog
 from .squelch import (
-    PeerLinkState,
+    ControlMessage,
     ProtocolConfig,
     Slot,
     on_squelch_expired,
@@ -55,7 +55,6 @@ from .squelch import (
     on_unsquelch_received,
     on_uplink_lost,
     on_validator_message,
-    should_relay,
 )
 from .topology import TopologyGraph
 
@@ -131,33 +130,32 @@ class ScenarioConfig:
 class NodeState:
     """Mutable per-node simulation state."""
 
-    __slots__ = ("node_id", "latency", "links", "slots", "seen", "live",
-                 "unknown_peer_msgs")
+    __slots__ = ("node_id", "latency", "downlink", "slots", "seen", "live")
 
     def __init__(self, node_id: int, latency: dict[int, float]):
         self.node_id = node_id
         # Live neighbours, in ascending id order, and the latency to each.
         self.latency = latency
-        self.links = {p: PeerLinkState(p) for p in latency}
+        # origin -> {peer: expiry}: the squelches this node's peers sent it.
+        self.downlink: dict[int, dict[int, float]] = {}
         self.slots: dict[int, Slot] = {}
         self.seen: set[int] = set()  # ids of the messages held
         self.live = True
-        self.unknown_peer_msgs = 0
 
 
 def relay_targets(node: NodeState, kind: MessageKind, origin: int,
                   arrived_from: int | None, now: float,
                   squelch_kinds: frozenset[MessageKind]) -> list[int]:
     """All live neighbors except the sender (None at the origin), minus the
-    peers that squelched `origin` on this node when `kind` is squelchable."""
-    if kind not in squelch_kinds:
-        return [p for p in node.latency if p != arrived_from]
-    links = node.links
-    return [
-        p
-        for p in node.latency
-        if p != arrived_from and should_relay(links[p], origin, now)
-    ]
+    peers that squelched `origin` on this node when `kind` is squelchable.
+    A squelch whose expiry equals `now` has elapsed."""
+    if kind in squelch_kinds:
+        squelched = node.downlink.get(origin)
+        if squelched:
+            # A peer without a squelch reads as expiring now, so it is kept.
+            return [p for p in node.latency
+                    if p != arrived_from and squelched.get(p, now) <= now]
+    return [p for p in node.latency if p != arrived_from]
 
 
 def _build_template(nodes: dict[int, NodeState],
@@ -358,21 +356,27 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             for _ in range(copies):
                 forward(node, kind, origin, next(msg_ids), None, at)
 
+    def send_controls(node: NodeState, actions: list[tuple[int, ControlMessage]],
+                      at: float) -> None:
+        """Send each (peer, control message) of `actions` to a live peer, and
+        for a squelch also push its expiry, `at + duration`: the same float
+        the slot keeps in `squelched`."""
+        src = node.node_id
+        lat = node.latency
+        for peer, ctrl in actions:
+            if nodes[peer].live:
+                push(at + lat[peer], _DELIVER_CTRL, (ctrl, src, peer))
+                if ctrl.kind is MessageKind.SQUELCH:
+                    expiry = at + ctrl.duration_ms
+                    push(expiry, _SQUELCH_EXPIRY,
+                         (src, ctrl.origin_validator, peer, expiry))
+
     def feed_slot(node: NodeState, origin: int, from_peer: int, at: float) -> None:
         slot = node.slots.get(origin)
         if slot is None:
             slot = Slot(owner=node.node_id, origin_validator=origin)
             node.slots[origin] = slot
-        actions = on_validator_message(slot, from_peer, at, protocol)
-        src = node.node_id
-        lat = node.latency
-        for peer, ctrl in actions:
-            if not nodes[peer].live:
-                continue
-            push(at + lat[peer], _DELIVER_CTRL, (ctrl, src, peer))
-            if ctrl.kind is MessageKind.SQUELCH:
-                push(slot.squelched[peer], _SQUELCH_EXPIRY,
-                     (src, origin, peer, slot.squelched[peer]))
+        send_controls(node, on_validator_message(slot, from_peer, at, protocol), at)
 
     while heap:
         at, _, code, data = heappop(heap)
@@ -385,9 +389,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             second = int(at // 1000)
             counts[(src, second, kind, "out")] += 1
             counts[(dst, second, kind, "in")] += 1
-            if src not in node.latency or not nodes[src].live:
-                node.unknown_peer_msgs += 1
-            elif kind in squelch_kinds:
+            # A live node has dropped every disconnected peer from `latency`.
+            if kind in squelch_kinds and src in node.latency:
                 feed_slot(node, origin, src, at)
             if msg_id in node.seen:
                 dups[(dst, second, kind)] += 1
@@ -403,14 +406,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             kind = ctrl.kind
             counts[(src, second, kind, "out")] += 1
             counts[(dst, second, kind, "in")] += 1
-            link = node.links.get(src)
-            if link is None:
-                node.unknown_peer_msgs += 1
-                continue
             if kind is MessageKind.SQUELCH:
-                on_squelch_received(link, ctrl, at)
+                on_squelch_received(node.downlink, src, ctrl, at)
             else:
-                on_unsquelch_received(link, ctrl)
+                on_unsquelch_received(node.downlink, src, ctrl)
 
         elif code == _EMIT_ROUND:
             v = data
@@ -449,9 +448,6 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 if not nb.live:
                     continue
                 nb.latency.pop(gone, None)
-                actions = on_uplink_lost(nb.slots, gone, at)
-                for peer, ctrl in actions:
-                    if peer != gone and nodes[peer].live:
-                        push(at + nb.latency[peer], _DELIVER_CTRL, (ctrl, nb_id, peer))
+                send_controls(nb, on_uplink_lost(nb.slots, gone, at), at)
 
     return log

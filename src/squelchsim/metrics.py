@@ -71,9 +71,6 @@ class MetricsLog:
         """A bucket is excluded if any part of it precedes the warmup boundary."""
         return second * 1000 < self.warmup_ms
 
-    def total_duplicates(self) -> int:
-        return sum(self.duplicates.values())
-
 
 @dataclass(frozen=True)
 class RunSummary:

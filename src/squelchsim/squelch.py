@@ -4,7 +4,12 @@ Each node counts, per remote validator, how many message copies every peer
 delivers. The first peers to accumulate enough copies become the selected
 relayers; everyone else who relayed gets a timed squelch request and stops
 forwarding that validator's messages to us. Expiry, or the loss of a
-selected uplink, returns the slot to a fresh counting round.
+selected uplink, returns the slot to a fresh counting round. Once selected,
+a slot changes only for a copy from a peer that is neither selected nor
+under an unexpired squelch.
+
+A node's downlink map, `origin -> {peer: expiry}`, holds the squelches its
+peers sent it: a peer gets none of that origin's messages before its expiry.
 
 This module is a pure state-transition library: it performs no I/O and owns
 no timers. Callers inject the current simulated time. State objects are
@@ -86,14 +91,6 @@ class Slot:
     round_index: int = 0
 
 
-@dataclass
-class PeerLinkState:
-    """What one peer asked of us: validators we must not relay to it."""
-
-    peer: int
-    downlink_squelches: dict[int, float] = field(default_factory=dict)
-
-
 def squelch_duration_ms(config: ProtocolConfig, owner: int, peer: int, round_index: int) -> int:
     """Base duration plus deterministic per-(node, peer, round) jitter."""
     if config.squelch_jitter_ms == 0:
@@ -114,18 +111,18 @@ def on_validator_message(
 
     While counting, a peer that reaches the copy threshold joins the selected
     set; once the set is full, every other peer that relayed this round gets
-    exactly one squelch. Once selected, stragglers that keep relaying are
-    squelched as they show up; copies from already-squelched peers are late
-    in-flight traffic and trigger nothing.
+    exactly one squelch. Once selected, copies are no longer counted (a reset
+    clears the counts), stragglers that keep relaying are squelched as they
+    show up, and copies from already-squelched peers are late in-flight
+    traffic and trigger nothing.
 
     Returns the control messages to send, ordered by peer id for
     determinism.
     """
     actions: list[tuple[int, ControlMessage]] = []
-    count = slot.per_peer_count.get(from_peer, 0) + 1
-    slot.per_peer_count[from_peer] = count
-
     if slot.state is SlotState.COUNTING:
+        count = slot.per_peer_count.get(from_peer, 0) + 1
+        slot.per_peer_count[from_peer] = count
         if count >= config.count_threshold and from_peer not in slot.selected:
             slot.selected.add(from_peer)
             # A stale squelch entry may linger if the peer raced its expiry.
@@ -138,11 +135,10 @@ def on_validator_message(
                     if peer in slot.squelched and slot.squelched[peer] > now:
                         continue
                     actions.append(_squelch_peer(slot, peer, now, config))
-    else:
-        if from_peer not in slot.selected:
-            expiry = slot.squelched.get(from_peer)
-            if expiry is None or expiry <= now:
-                actions.append(_squelch_peer(slot, from_peer, now, config))
+    elif from_peer not in slot.selected:
+        expiry = slot.squelched.get(from_peer)
+        if expiry is None or expiry <= now:
+            actions.append(_squelch_peer(slot, from_peer, now, config))
     return actions
 
 
@@ -177,19 +173,21 @@ def on_squelch_expired(slot: Slot, peer: int, now: float) -> None:
     _reset_to_counting(slot)
 
 
-def on_squelch_received(link: PeerLinkState, msg: ControlMessage, now: float) -> None:
-    """Record that this peer must not receive the validator's messages until
+def on_squelch_received(downlink: dict[int, dict[int, float]], peer: int,
+                        msg: ControlMessage, now: float) -> None:
+    """Record that `peer` must not receive the validator's messages until
     now + duration. A repeat squelch overwrites the previous expiry."""
     if msg.kind is not MessageKind.SQUELCH:
         raise ContractViolationError("on_squelch_received requires a squelch message")
-    link.downlink_squelches[msg.origin_validator] = now + msg.duration_ms
+    downlink.setdefault(msg.origin_validator, {})[peer] = now + msg.duration_ms
 
 
-def on_unsquelch_received(link: PeerLinkState, msg: ControlMessage) -> None:
-    """Resume relaying the validator's messages to this peer. Idempotent."""
+def on_unsquelch_received(downlink: dict[int, dict[int, float]], peer: int,
+                          msg: ControlMessage) -> None:
+    """Resume relaying the validator's messages to `peer`. Idempotent."""
     if msg.kind is not MessageKind.UNSQUELCH:
         raise ContractViolationError("on_unsquelch_received requires an unsquelch message")
-    link.downlink_squelches.pop(msg.origin_validator, None)
+    downlink.get(msg.origin_validator, {}).pop(peer, None)
 
 
 def on_uplink_lost(
@@ -218,13 +216,6 @@ def on_uplink_lost(
             slot.per_peer_count.pop(lost_peer, None)
             slot.squelched.pop(lost_peer, None)
     return actions
-
-
-def should_relay(link: PeerLinkState, origin_validator: int, now: float) -> bool:
-    """False only while an unexpired downlink squelch exists for the
-    validator. An expiry exactly equal to now counts as expired."""
-    expiry = link.downlink_squelches.get(origin_validator)
-    return expiry is None or expiry <= now
 
 
 def _reset_to_counting(slot: Slot) -> None:

@@ -185,6 +185,26 @@ def test_compare_artifacts_and_bands(tmp_path, small_config, capsys):
     assert int(last[5]) > int(last[7])  # flood cumulative above squelch
 
 
+def test_compare_writes_typed_seed(tmp_path, small_config, capsys):
+    # An integral float seed is the int 7 in every artifact, as in simulate's.
+    sim, cmp = tmp_path / "sim", tmp_path / "cmp"
+    for cmd, out in (("simulate", sim), ("compare", cmp)):
+        code, _, _ = run_cli(capsys, cmd, "--config", str(small_config), "--out", str(out),
+                             "--set", "scenario.seed=7.0")
+        assert code == 0
+    assert "# seed=7\n" in (sim / "metrics.csv").read_text()
+    assert "# seed=7\n" in (cmp / "cumulative.csv").read_text()
+    assert '"seed": 7,' in (sim / "summary.json").read_text()
+    assert '"seed": 7,' in (cmp / "compare.json").read_text()
+    hashes = {json.loads((sim / "summary.json").read_text())["config_hash"],
+              json.loads((cmp / "compare.json").read_text())["config_hash"]}
+    code, _, _ = run_cli(capsys, "compare", "--config", str(small_config),
+                         "--out", str(tmp_path / "int"), "--seed", "7")
+    assert code == 0
+    hashes.add(json.loads((tmp_path / "int" / "compare.json").read_text())["config_hash"])
+    assert len(hashes) == 1
+
+
 def test_compare_transaction_only_scenario_saves_nothing(tmp_path, capsys):
     doc = {
         "topology": {

@@ -82,7 +82,7 @@ def make_node(node_id=0, neighbors=(1, 2, 3)):
 
 def test_flood_excludes_sender():
     node = make_node()
-    node.links[2].downlink_squelches[9] = 10_000.0  # ignored: nothing is squelchable
+    node.downlink[9] = {2: 10_000.0}  # ignored: nothing is squelchable
     assert relay_targets(node, MessageKind.PROPOSAL, 9, 1, 0.0, frozenset()) == [2, 3]
 
 
@@ -99,14 +99,27 @@ def test_squelch_decision_without_squelches_equals_flood():
 
 def test_squelch_decision_filters_squelched_peer():
     node = make_node()
-    node.links[2].downlink_squelches[9] = 10_000.0
+    node.downlink[9] = {2: 10_000.0}
     assert relay_targets(node, MessageKind.VALIDATION, 9, 1, 0.0, SQUELCH_KINDS) == [3]
 
 
 def test_squelch_decision_transactions_always_flood():
     node = make_node()
-    node.links[2].downlink_squelches[9] = 10_000.0
+    node.downlink[9] = {2: 10_000.0}
     assert relay_targets(node, MessageKind.TRANSACTION, 9, 1, 0.0, SQUELCH_KINDS) == [2, 3]
+
+
+def test_relay_targets_boundary_and_isolation():
+    node = make_node()
+    assert relay_targets(node, MessageKind.VALIDATION, 9, None, 0.0, SQUELCH_KINDS) == [1, 2, 3]
+    node.downlink[9] = {2: 5000.0}
+    assert relay_targets(node, MessageKind.VALIDATION, 9, None, 4999.0, SQUELCH_KINDS) == [1, 3]
+    # an expiry equal to now has elapsed
+    assert relay_targets(node, MessageKind.VALIDATION, 9, None, 5000.0, SQUELCH_KINDS) == [1, 2, 3]
+    # a squelch for one origin leaves the others alone
+    assert relay_targets(node, MessageKind.VALIDATION, 8, None, 0.0, SQUELCH_KINDS) == [1, 2, 3]
+    node.downlink[8] = {}
+    assert relay_targets(node, MessageKind.VALIDATION, 8, 1, 0.0, SQUELCH_KINDS) == [2, 3]
 
 
 # --- flood baselines ------------------------------------------------------------

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+from squelchsim.engine import NodeState, relay_targets
 from squelchsim.messages import MessageKind
 from squelchsim.squelch import (
     ContractViolationError,
     ControlMessage,
-    PeerLinkState,
     ProtocolConfig,
     Slot,
     SlotState,
@@ -15,7 +17,6 @@ from squelchsim.squelch import (
     on_unsquelch_received,
     on_uplink_lost,
     on_validator_message,
-    should_relay,
     squelch_duration_ms,
 )
 
@@ -118,7 +119,22 @@ def test_selected_peer_messages_no_action():
     on_validator_message(slot, 1, 0.0, cfg)
     acts = on_validator_message(slot, 1, 5.0, cfg)
     assert acts == []
-    assert slot.per_peer_count[1] == 2
+    # a selected slot stops counting: the count that selected peer 1 stays
+    assert slot.per_peer_count[1] == 1
+
+
+def test_selected_slot_unchanged_by_selected_and_squelched_peers():
+    # Peers 1 and 2 are selected and 3 is squelched; copies from 1, 2 and a
+    # still-squelched 3 must leave the slot exactly as it was.
+    cfg = config(threshold=2, max_selected=2)
+    slot = make_slot()
+    for peer in (3, 1, 1, 2, 2):
+        on_validator_message(slot, peer, 0.0, cfg)
+    assert slot.state is SlotState.SELECTED and set(slot.squelched) == {3}
+    before = copy.deepcopy(slot)
+    for peer, now in ((1, 10.0), (3, 11.0), (2, 12.0), (3, slot.squelched[3] - 1)):
+        assert on_validator_message(slot, peer, now, cfg) == []
+    assert slot == before
 
 
 # --- exhaustive arrival-order enumeration -------------------------------------
@@ -251,42 +267,40 @@ def test_reselection_after_expiry():
 # --- downlink squelch handling -------------------------------------------------
 
 def test_squelch_received_records_expiry():
-    link = PeerLinkState(peer=5)
-    on_squelch_received(link, ControlMessage(MessageKind.SQUELCH, 7, 300_000), 0.0)
-    assert link.downlink_squelches[7] == 300_000.0
+    downlink = {}
+    on_squelch_received(downlink, 5, ControlMessage(MessageKind.SQUELCH, 7, 300_000), 0.0)
+    assert downlink == {7: {5: 300_000.0}}
 
 
 def test_squelch_received_overwrites():
-    link = PeerLinkState(peer=5)
-    link.downlink_squelches[7] = 100_000.0
-    on_squelch_received(link, ControlMessage(MessageKind.SQUELCH, 7, 50_000), 90_000.0)
-    assert link.downlink_squelches[7] == 140_000.0
+    downlink = {7: {5: 100_000.0, 6: 1.0}}
+    on_squelch_received(downlink, 5, ControlMessage(MessageKind.SQUELCH, 7, 50_000), 90_000.0)
+    assert downlink == {7: {5: 140_000.0, 6: 1.0}}
 
 
 def test_unsquelch_removes_and_is_idempotent():
-    link = PeerLinkState(peer=5)
-    link.downlink_squelches[7] = 100.0
-    on_unsquelch_received(link, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
-    assert 7 not in link.downlink_squelches
-    on_unsquelch_received(link, ControlMessage(MessageKind.UNSQUELCH, 9, 0))
-    assert link.downlink_squelches == {}
+    downlink = {7: {5: 100.0, 6: 100.0}}
+    on_unsquelch_received(downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
+    assert downlink == {7: {6: 100.0}}
+    on_unsquelch_received(downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
+    on_unsquelch_received(downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 9, 0))
+    assert downlink == {7: {6: 100.0}}
 
 
-def test_should_relay_boundary_and_isolation():
-    link = PeerLinkState(peer=5)
-    assert should_relay(link, 1, 0.0)
-    link.downlink_squelches[1] = 5000.0
-    assert not should_relay(link, 1, 4999.0)
-    assert should_relay(link, 1, 5000.0)
-    assert should_relay(link, 2, 0.0)
+def test_downlink_contract_violations():
+    with pytest.raises(ContractViolationError):
+        on_squelch_received({}, 5, ControlMessage(MessageKind.UNSQUELCH, 7, 0), 0.0)
+    with pytest.raises(ContractViolationError):
+        on_unsquelch_received({}, 5, ControlMessage(MessageKind.SQUELCH, 7, 1))
 
 
 def test_squelch_then_unsquelch_then_relay():
-    link = PeerLinkState(peer=5)
-    on_squelch_received(link, ControlMessage(MessageKind.SQUELCH, 7, 1_000_000), 0.0)
-    assert not should_relay(link, 7, 10.0)
-    on_unsquelch_received(link, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
-    assert should_relay(link, 7, 10.0)
+    node = NodeState(0, {4: 10.0, 5: 10.0})
+    kinds = ProtocolConfig().squelch_kinds
+    on_squelch_received(node.downlink, 5, ControlMessage(MessageKind.SQUELCH, 7, 1_000_000), 0.0)
+    assert relay_targets(node, MessageKind.VALIDATION, 7, None, 10.0, kinds) == [4]
+    on_unsquelch_received(node.downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
+    assert relay_targets(node, MessageKind.VALIDATION, 7, None, 10.0, kinds) == [4, 5]
 
 
 # --- uplink loss ----------------------------------------------------------------
