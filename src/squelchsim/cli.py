@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -32,6 +33,7 @@ from .regression import (
     DegenerateFitError,
     GainParameterError,
     NonInvertibleError,
+    PointsParseError,
     compute_gain,
     fit_linear,
     invert,
@@ -55,6 +57,7 @@ _USAGE_ERRORS = (
     DegenerateFitError,
     NonInvertibleError,
     GainParameterError,
+    PointsParseError,
     FileNotFoundError,
     IsADirectoryError,
 )
@@ -252,6 +255,8 @@ def cmd_fit(args) -> int:
     if args.invert:
         payload["inverse"] = asdict(invert(model))
     if args.predict is not None:
+        if not math.isfinite(args.predict):
+            raise ConfigError(f"--predict needs a finite X, got {args.predict}")
         payload["prediction"] = {"x": args.predict, "y": predict(model, args.predict)}
     if args.gain is not None:
         if not args.cpu_csv:

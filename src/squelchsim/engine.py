@@ -58,14 +58,17 @@ from .squelch import (
 )
 from .topology import TopologyGraph
 
-# Event codes; payloads are plain tuples for speed. Ordering in the heap is
-# (at, seq) only, seq is unique, so payloads are never compared.
+# A heap entry is one flat record (at, seq, code, node, kind, origin, peer,
+# arg): `node` is where the event happens, and an event at a disconnected
+# node is dropped before dispatch. Heap order is (at, seq); seq is unique.
+# Deliveries: `peer` sent, `arg` is the message id or the ControlMessage.
+# _EMIT: `arg` is a (kind, copies) batch. _SQUELCH_EXPIRY: the squelch of
+# `peer` for validator `origin`, due at `arg`. _DISCONNECT: `node` leaves.
 _DELIVER_APP = 0
 _DELIVER_CTRL = 1
-_EMIT_ROUND = 2
-_SUBMIT_TX = 3
-_SQUELCH_EXPIRY = 4
-_DISCONNECT = 5
+_EMIT = 2
+_SQUELCH_EXPIRY = 3
+_DISCONNECT = 4
 
 
 class RelayPolicy(Enum):
@@ -134,7 +137,11 @@ class NodeState:
 
     def __init__(self, node_id: int, latency: dict[int, float]):
         self.node_id = node_id
-        # Live neighbours, in ascending id order, and the latency to each.
+        # Live neighbours, in ascending id order, and the latency to each. A
+        # disconnect deletes the leaving node here before any later event, so
+        # a live node's `latency` names live nodes only. Sends go to its keys,
+        # control actions to peers that fed a slot while in it
+        # (`on_uplink_lost` forgets a lost peer): no send tests liveness.
         self.latency = latency
         # origin -> {peer: expiry}: the squelches this node's peers sent it.
         self.downlink: dict[int, dict[int, float]] = {}
@@ -227,15 +234,18 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     heap: list[tuple] = []
     seq = 0
 
-    def push(at: float, code: int, data) -> None:
+    def push(at: float, code: int, node: int, kind, origin, peer, arg) -> None:
         nonlocal seq
         if at < duration:
-            heappush(heap, (at, seq, code, data))
+            heappush(heap, (at, seq, code, node, kind, origin, peer, arg))
             seq += 1
 
-    validators = sorted(graph.validator_set)
-    for v in validators:
-        push(0.0, _EMIT_ROUND, v)
+    # An _EMIT of the round batch pushes the node's next round.
+    round_batch = ((MessageKind.PROPOSAL, cfg.proposals_per_round),
+                   (MessageKind.VALIDATION, 1))
+    tx_batch = ((MessageKind.TRANSACTION, 1),)
+    for v in sorted(graph.validator_set):
+        push(0.0, _EMIT, v, None, None, None, round_batch)
 
     all_trackers = sorted(graph.tracker_set)
     for burst in cfg.tx_plan:
@@ -247,12 +257,13 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 raise ScenarioSetupError(f"burst tracker {origin} is not a topology node")
         gap = 1000.0 / burst.rate_per_s if burst.rate_per_s > 0 else 0.0
         for i in range(burst.count):
-            push(burst.start_ms + i * gap, _SUBMIT_TX, group[i % len(group)])
+            push(burst.start_ms + i * gap, _EMIT, group[i % len(group)], None, None, None,
+                 tx_batch)
 
     for disc in cfg.disconnects:
         if disc.node not in nodes:
             raise ScenarioSetupError(f"disconnect names unknown node {disc.node}")
-        push(disc.at_ms, _DISCONNECT, disc.node)
+        push(disc.at_ms, _DISCONNECT, disc.node, None, None, None, None)
     # Only disconnects that made it onto the heap (push drops the rest).
     first_disconnect = min((d.at_ms for d in cfg.disconnects if d.at_ms < duration),
                            default=float("inf"))
@@ -272,11 +283,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         src = node.node_id
         lat = node.latency
         for p in relay_targets(node, kind, origin, arrived_from, at, squelch_kinds):
-            if nodes[p].live:
-                t = at + lat[p]
-                if t < duration:
-                    heappush(heap, (t, seq, _DELIVER_APP, (kind, origin, msg_id, src, p)))
-                    seq += 1
+            t = at + lat[p]
+            if t < duration:
+                heappush(heap, (t, seq, _DELIVER_APP, p, kind, origin, src, msg_id))
+                seq += 1
 
     def replay(origin: int, t0: float, batch: list[tuple[MessageKind, int]]) -> bool:
         """Count `batch`, (kind, copies) pairs of always-flood messages that
@@ -344,7 +354,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 dups[(w, s, kind)] += n * copies
         return True
 
-    def emit(node: NodeState, at: float, batch: list[tuple[MessageKind, int]]) -> None:
+    def emit(node: NodeState, at: float, batch: tuple[tuple[MessageKind, int], ...]) -> None:
         """Emit `copies` messages of each kind of `batch` from node at `at`,
         replaying the always-flood kinds when their template allows it."""
         flooded = [(kind, copies) for kind, copies in batch
@@ -358,18 +368,16 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
 
     def send_controls(node: NodeState, actions: list[tuple[int, ControlMessage]],
                       at: float) -> None:
-        """Send each (peer, control message) of `actions` to a live peer, and
-        for a squelch also push its expiry, `at + duration`: the same float
-        the slot keeps in `squelched`."""
+        """Send each (peer, control message) of `actions`, and for a squelch
+        also push its expiry, `at + duration`: the same float the slot keeps
+        in `squelched`."""
         src = node.node_id
         lat = node.latency
         for peer, ctrl in actions:
-            if nodes[peer].live:
-                push(at + lat[peer], _DELIVER_CTRL, (ctrl, src, peer))
-                if ctrl.kind is MessageKind.SQUELCH:
-                    expiry = at + ctrl.duration_ms
-                    push(expiry, _SQUELCH_EXPIRY,
-                         (src, ctrl.origin_validator, peer, expiry))
+            push(at + lat[peer], _DELIVER_CTRL, peer, ctrl.kind, None, src, ctrl)
+            if ctrl.kind is MessageKind.SQUELCH:
+                expiry = at + ctrl.duration_ms
+                push(expiry, _SQUELCH_EXPIRY, src, None, ctrl.origin_validator, peer, expiry)
 
     def feed_slot(node: NodeState, origin: int, from_peer: int, at: float) -> None:
         slot = node.slots.get(origin)
@@ -379,75 +387,43 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         send_controls(node, on_validator_message(slot, from_peer, at, protocol), at)
 
     while heap:
-        at, _, code, data = heappop(heap)
-
-        if code == _DELIVER_APP:
-            kind, origin, msg_id, src, dst = data
-            node = nodes[dst]
-            if not node.live:
-                continue
+        at, _, code, dst, kind, origin, peer, arg = heappop(heap)
+        node = nodes[dst]
+        if not node.live:
+            continue
+        if code <= _DELIVER_CTRL:
             second = int(at // 1000)
-            counts[(src, second, kind, "out")] += 1
+            counts[(peer, second, kind, "out")] += 1
             counts[(dst, second, kind, "in")] += 1
-            # A live node has dropped every disconnected peer from `latency`.
-            if kind in squelch_kinds and src in node.latency:
-                feed_slot(node, origin, src, at)
-            if msg_id in node.seen:
-                dups[(dst, second, kind)] += 1
+            if code == _DELIVER_APP:
+                # The sender may have left while the copy was in flight.
+                if kind in squelch_kinds and peer in node.latency:
+                    feed_slot(node, origin, peer, at)
+                if arg in node.seen:
+                    dups[(dst, second, kind)] += 1
+                else:
+                    forward(node, kind, origin, arg, peer, at)
+            elif kind is MessageKind.SQUELCH:
+                on_squelch_received(node.downlink, peer, arg, at)
             else:
-                forward(node, kind, origin, msg_id, src, at)
+                on_unsquelch_received(node.downlink, peer, arg)
 
-        elif code == _DELIVER_CTRL:
-            ctrl, src, dst = data
-            node = nodes[dst]
-            if not node.live:
-                continue
-            second = int(at // 1000)
-            kind = ctrl.kind
-            counts[(src, second, kind, "out")] += 1
-            counts[(dst, second, kind, "in")] += 1
-            if kind is MessageKind.SQUELCH:
-                on_squelch_received(node.downlink, src, ctrl, at)
-            else:
-                on_unsquelch_received(node.downlink, src, ctrl)
-
-        elif code == _EMIT_ROUND:
-            v = data
-            node = nodes[v]
-            if not node.live:
-                continue
-            emit(node, at, [(MessageKind.PROPOSAL, cfg.proposals_per_round),
-                            (MessageKind.VALIDATION, 1)])
-            push(at + cfg.ledger_round_ms, _EMIT_ROUND, v)
-
-        elif code == _SUBMIT_TX:
-            origin = data
-            node = nodes[origin]
-            if not node.live:
-                continue
-            emit(node, at, [(MessageKind.TRANSACTION, 1)])
+        elif code == _EMIT:
+            emit(node, at, arg)
+            if arg is round_batch:
+                push(at + cfg.ledger_round_ms, _EMIT, dst, None, None, None, round_batch)
 
         elif code == _SQUELCH_EXPIRY:
-            owner, validator, peer, expiry = data
-            node = nodes[owner]
-            if not node.live:
-                continue
-            slot = node.slots.get(validator)
+            slot = node.slots.get(origin)
             # Stale expiries (slot reset or re-squelch meanwhile) are skipped.
-            if slot is not None and slot.squelched.get(peer) == expiry:
+            if slot is not None and slot.squelched.get(peer) == arg:
                 on_squelch_expired(slot, peer, at)
 
         else:  # _DISCONNECT
-            gone = data
-            node = nodes[gone]
-            if not node.live:
-                continue
             node.live = False
             for nb_id in node.latency:
                 nb = nodes[nb_id]
-                if not nb.live:
-                    continue
-                nb.latency.pop(gone, None)
-                send_controls(nb, on_uplink_lost(nb.slots, gone, at), at)
+                del nb.latency[dst]
+                send_controls(nb, on_uplink_lost(nb.slots, dst, at), at)
 
     return log

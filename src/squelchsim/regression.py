@@ -26,6 +26,10 @@ class GainParameterError(ValueError):
     """Gain extrapolation called with out-of-range parameters."""
 
 
+class PointsParseError(ValueError):
+    """A malformed or non-finite row in an x,y points CSV."""
+
+
 class ExtrapolationWarning(UserWarning):
     """predict() was asked for a point outside the fitted x range."""
 
@@ -158,7 +162,7 @@ def compute_gain(
 
 
 def read_points_csv(text: str) -> list[tuple[float, float]]:
-    """Parse an `x,y` CSV with a single header line into points."""
+    """Parse an `x,y` CSV with a single header line into finite points."""
     points: list[tuple[float, float]] = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -170,9 +174,12 @@ def read_points_csv(text: str) -> list[tuple[float, float]]:
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'x,y', got {line!r}")
+            raise PointsParseError(f"line {lineno}: expected 'x,y', got {line!r}")
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric point {line!r}") from None
+            raise PointsParseError(f"line {lineno}: non-numeric point {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PointsParseError(f"line {lineno}: non-finite point {line!r}")
+        points.append((x, y))
     return points

@@ -38,7 +38,8 @@ class TopologyGraph:
     """Immutable peer graph: nodes, undirected edges, per-edge latency.
 
     Edges are stored as (u, v) pairs with u < v. The latency map has exactly
-    one positive entry per edge. Validators and trackers partition the nodes.
+    one positive, finite entry per edge. Validators and trackers partition
+    the nodes.
     """
 
     nodes: tuple[int, ...]
@@ -67,8 +68,9 @@ class TopologyGraph:
         if set(self.latency_ms) != set(self.edges):
             raise ValueError("latency map does not cover exactly the edge set")
         for edge, lat in self.latency_ms.items():
-            if lat <= 0:
-                raise ValueError(f"non-positive latency on edge {edge}")
+            if not 0 < lat < math.inf:
+                raise ValueError(f"latency on edge {edge} must be positive and "
+                                 f"finite, got {lat}")
         if self.validator_set & self.tracker_set:
             raise ValueError("validator_set and tracker_set overlap")
         if (self.validator_set | self.tracker_set) != node_set:
@@ -156,8 +158,8 @@ def load_topology(
                 lat = float(parts[2])
             except ValueError:
                 raise EdgeListParseError(lineno, f"bad latency {parts[2]!r}") from None
-        if lat <= 0:
-            raise EdgeListParseError(lineno, f"latency must be positive, got {lat}")
+        if not 0 < lat < math.inf:
+            raise EdgeListParseError(lineno, f"latency must be positive and finite, got {lat}")
         edge = (u, v) if u < v else (v, u)
         if edge in edges:
             raise EdgeListParseError(lineno, f"duplicate edge {edge}")

@@ -114,6 +114,8 @@ def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
     (["--set", "topology.latency_range_ms=[NaN,5]"], "topology.latency_range_ms[0]"),
     (["--set", "topology.target_avg_degree=" + "1" * 400], "topology.target_avg_degree"),
     (["--set", 'scenario.message_sizes={"squelch":-3}'], "message sizes must be positive"),
+    (["fit", "--predict=nan"], "--predict"),
+    (["fit", "--predict=-inf"], "--predict"),
 ])
 def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_path,
                                 msgs_csv_path, capsys):
@@ -276,6 +278,15 @@ def test_fit_degenerate_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("row", ["2,oops", "2,3,4", "nan,1", "1,1e400"])
+def test_fit_bad_point_exit_2(row, tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(f"x,y\n0,0\n1,1\n{row}\n")
+    code, out, err = run_cli(capsys, "fit", str(csv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 4")
+
+
 def test_fit_gain_requires_cpu_csv(msgs_csv_path, capsys):
     code, _, err = run_cli(capsys, "fit", str(msgs_csv_path), "--gain", "200", "0.3")
     assert code == 2
@@ -309,6 +320,23 @@ def test_topo_stats_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "topo-stats", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("latency", ["nan", "inf", "1e400"])
+def test_non_finite_latency_exit_2(latency, tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text(f"0 1 5\n1 2 {latency}\n0 2 5\n")
+    code, _, err = run_cli(capsys, "topo-stats", str(edges))
+    assert code == 2
+    assert "line 2" in err
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "topology": {"file": str(edges), "validators": [0]},
+        "scenario": {"duration_ms": 3000, "warmup_ms": 0},
+    }))
+    code, _, err = run_cli(capsys, "compare", "--config", str(config), "--out", str(tmp_path))
+    assert code == 2
+    assert "line 2" in err
 
 
 # --- pinned output bytes -------------------------------------------------------------

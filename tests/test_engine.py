@@ -557,3 +557,39 @@ def test_churn_export_csv_bytes_pinned(seed, policy):
     cfg = dataclasses.replace(churn_scenario(seed), relay_policy=RelayPolicy(policy))
     digest = hashlib.sha256(export_csv(run_scenario(cfg)).encode("utf-8")).hexdigest()
     assert digest == PINNED_CHURN_SHA256[(seed, policy)]
+
+
+def tie_scenario(seed):
+    """Every edge on the 20 ms default latency, so arrivals tie and the order
+    they pop in rests on the heap's insertion sequence alone; transactions are
+    squelchable, so they run on the event loop too."""
+    g0 = generate_topology(30, 6.0, 0.3, (5, 50), seed=seed)
+    g = load_topology("".join(f"{u} {v}\n" for u, v in sorted(g0.edges)),
+                      g0.validator_set)
+    return ScenarioConfig(
+        topology=g, duration_ms=8000, relay_policy=RelayPolicy.SQUELCH,
+        ledger_round_ms=500, proposals_per_round=2,
+        tx_plan=(TxBurst(1000.0, (), 40, 20.0),),
+        protocol=ProtocolConfig(3, 2, 2000, 1000, APPLICATION_KINDS), seed=seed,
+        warmup_ms=1000, disconnects=(Disconnect(4000.0, min(g.validator_set)),),
+    )
+
+
+# sha256 of export_csv for `tie_scenario`, both arms. The other pins use
+# random float latencies, which almost never tie; these catch any change in
+# the order events are pushed.
+PINNED_TIE_SHA256 = {
+    (1, "flood"): "55feec6f6dd241b65b1cf13c8909cfe17f724a86d29129b4cb222b9e79eaa7e9",
+    (1, "squelch"): "c1d5c4e43a6d2e88c8919345d3aa66a17bd30c28605a512eb4b6058f04547100",
+    (2, "flood"): "d28c148376e7914fd1847f1e80b58c33c5cf889601fb77110e94bacd23864982",
+    (2, "squelch"): "7b3820809da4f0ab918e0a4e81b88ad899202795ed73b319ae2e25322aed8dcd",
+    (3, "flood"): "bfe18bb76c2588043efb34125547276eae6dfdde9c27b842e01636fe9feb32db",
+    (3, "squelch"): "3af40db25c2acb60f0bdfd1c0e1d267af0c192baf14cf8c268890a8084a172ce",
+}
+
+
+@pytest.mark.parametrize("seed,policy", sorted(PINNED_TIE_SHA256))
+def test_tie_export_csv_bytes_pinned(seed, policy):
+    cfg = dataclasses.replace(tie_scenario(seed), relay_policy=RelayPolicy(policy))
+    digest = hashlib.sha256(export_csv(run_scenario(cfg)).encode("utf-8")).hexdigest()
+    assert digest == PINNED_TIE_SHA256[(seed, policy)]

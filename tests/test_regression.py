@@ -10,6 +10,7 @@ from squelchsim.regression import (
     ExtrapolationWarning,
     GainParameterError,
     NonInvertibleError,
+    PointsParseError,
     compute_gain,
     fit_linear,
     invert,
@@ -207,7 +208,6 @@ def test_read_points_csv(cpu_csv_path, cpu_points):
 
 
 def test_read_points_csv_errors():
-    with pytest.raises(ValueError):
-        read_points_csv("x,y\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_points_csv("x,y\n1,banana\n")
+    for row in ("1,2,3", "1,banana", "2,oops", "nan,1", "1,inf", "1e400,2"):
+        with pytest.raises(PointsParseError, match="line 3"):
+            read_points_csv(f"x,y\n0,1\n{row}\n")

@@ -143,7 +143,7 @@ def test_selected_slot_unchanged_by_selected_and_squelched_peers():
 # change behavior). Asserts along every path: selected and squelched stay
 # disjoint, selected never exceeds max_selected, each squelch goes to a
 # never-squelched peer, and every completed path ends with exactly
-# max_selected selected and the other k - max_selected squelched.
+# min(k, max_selected) selected and every other peer squelched.
 
 def enumerate_all_orders(k, threshold, max_selected):
     cfg = config(threshold=threshold, max_selected=max_selected)
@@ -193,11 +193,13 @@ def enumerate_all_orders(k, threshold, max_selected):
 @pytest.mark.parametrize("threshold", [1, 2, 3])
 @pytest.mark.parametrize("max_selected", [1, 2, 3])
 def test_exhaustive_selection_outcomes(k, threshold, max_selected):
-    if max_selected > k:
-        pytest.skip("needs k >= max_selected")
-    for selected, squelched in enumerate_all_orders(k, threshold, max_selected):
-        assert len(selected) == max_selected
-        assert len(squelched) == k - max_selected
+    # With fewer peers than max_selected, all of them end selected.
+    n_selected = min(k, max_selected)
+    outcomes = enumerate_all_orders(k, threshold, max_selected)
+    assert outcomes
+    for selected, squelched in outcomes:
+        assert len(selected) == n_selected
+        assert len(squelched) == k - n_selected
         assert selected | squelched == set(range(k))
 
 

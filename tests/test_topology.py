@@ -136,6 +136,16 @@ def test_load_negative_latency_rejected():
         load_topology("0 1 -3", set())
 
 
+@pytest.mark.parametrize("latency", ["nan", "inf", "1e400", "-inf"])
+def test_load_non_finite_latency_rejected(latency):
+    with pytest.raises(EdgeListParseError) as exc:
+        load_topology(f"0 1 5\n1 2 {latency}\n", set())
+    assert exc.value.line_number == 2
+    with pytest.raises(EdgeListParseError) as exc:
+        load_topology("0 1\n", set(), default_latency_ms=float(latency))
+    assert exc.value.line_number == 1
+
+
 def test_type_invariants_enforced():
     with pytest.raises(ValueError):
         TopologyGraph(
@@ -145,6 +155,11 @@ def test_type_invariants_enforced():
             validator_set=frozenset({0, 1}),
             tracker_set=frozenset({1}),
         )
+    for latency in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TopologyGraph(nodes=(0, 1), edges=frozenset({(0, 1)}),
+                          latency_ms={(0, 1): latency}, validator_set=frozenset({0}),
+                          tracker_set=frozenset({1}))
 
 
 # --- graph_stats ------------------------------------------------------------
