@@ -28,7 +28,7 @@ from .config import (
     validate_config,
 )
 from .engine import RelayPolicy, ScenarioSetupError, run_scenario
-from .metrics import MetricsLog, export_csv, savings, summarize
+from .metrics import EmptyWindowError, MetricsLog, export_csv, savings, summarize
 from .regression import (
     DegenerateFitError,
     GainParameterError,
@@ -54,6 +54,7 @@ _USAGE_ERRORS = (
     UnknownNodeError,
     TopologyParameterError,
     ScenarioSetupError,
+    EmptyWindowError,
     DegenerateFitError,
     NonInvertibleError,
     GainParameterError,
@@ -257,7 +258,10 @@ def cmd_fit(args) -> int:
     if args.predict is not None:
         if not math.isfinite(args.predict):
             raise ConfigError(f"--predict needs a finite X, got {args.predict}")
-        payload["prediction"] = {"x": args.predict, "y": predict(model, args.predict)}
+        y = predict(model, args.predict)
+        if not math.isfinite(y):
+            raise ConfigError(f"--predict {args.predict} overflows the fitted line")
+        payload["prediction"] = {"x": args.predict, "y": y}
     if args.gain is not None:
         if not args.cpu_csv:
             raise ConfigError("--gain requires --cpu-csv with CPU-vs-peers points")

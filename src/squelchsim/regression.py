@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
 class DegenerateFitError(ValueError):
-    """Fewer than two points, or no x variance to fit a slope against."""
+    """Fewer than two points, no x variance to fit a slope against, or points
+    too large for the fit's sums to stay finite."""
 
 
 class NonInvertibleError(ValueError):
@@ -74,16 +76,18 @@ def fit_linear(
     xs = [float(x) for x, _ in points]
     ys = [float(y) for _, y in points]
     n = len(points)
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    x_mean = _finite_sum(xs) / n
+    y_mean = _finite_sum(ys) / n
+    sxx = _finite_sum((x - x_mean) ** 2 for x in xs)
     if sxx == 0.0:
         raise DegenerateFitError("all x values identical; slope is undefined")
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxy = _finite_sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
-    ss_res = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = math.fsum((y - y_mean) ** 2 for y in ys)
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise DegenerateFitError("slope or intercept overflows floating point")
+    ss_res = _finite_sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = _finite_sum((y - y_mean) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return LinearModel(
         intercept=intercept,
@@ -95,6 +99,17 @@ def fit_linear(
         x_min=min(xs),
         x_max=max(xs),
     )
+
+
+def _finite_sum(values: Iterable[float]) -> float:
+    """math.fsum that reports an overflowing term or total as a DegenerateFitError."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # a float ** 2 overflow, or fsum's inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise DegenerateFitError("points too large: a sum of the fit overflows floating point")
+    return total
 
 
 def predict(model: LinearModel, x: float) -> float:

@@ -15,6 +15,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 DEFAULT_EDGE_LATENCY_MS = 20.0
+# Sources per bit-parallel BFS pass in graph_stats; bounds memory to N x block bits.
+_BFS_BLOCK = 4096
 
 
 class EdgeListParseError(ValueError):
@@ -344,6 +346,12 @@ def _spanning_tree_edges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, 
 def graph_stats(graph: TopologyGraph) -> GraphStats:
     """All-pairs BFS metrics in hop counts.
 
+    One level-synchronous BFS runs from every source of a block at once:
+    each member holds a Python-int bitmask of the sources it has reached,
+    and a level ORs in the neighbours' masks, O(levels x |E|) big-int ORs
+    per block of _BFS_BLOCK sources. A member's eccentricity is the level
+    at which its mask fills.
+
     Disconnected graphs report distance metrics over the giant component
     (largest, ties broken by smallest member id) with connected=False.
     Degree metrics always cover the whole graph. An empty graph yields
@@ -369,51 +377,49 @@ def graph_stats(graph: TopologyGraph) -> GraphStats:
     if len(members) == 1:
         return GraphStats(0, 0, 0.0, 0.0, avg_degree, max_degree, connected, 1)
 
-    member_pos = {m: i for i, m in enumerate(members)}
-    eccentricities: list[int] = []
-    pair_sum = 0
-    # Histogram of pair distances; the diameter bounds the bucket count.
-    hist: dict[int, int] = {}
-    for src in members:
-        dist = _bfs_distances(src, adjacency, len(giant))
-        ecc = 0
-        src_pos = member_pos[src]
-        for node, d in dist.items():
-            if d > ecc:
-                ecc = d
-            if member_pos[node] > src_pos:
-                pair_sum += d
-                hist[d] = hist.get(d, 0) + 1
-        eccentricities.append(ecc)
-
     k = len(members)
+    pos = {m: i for i, m in enumerate(members)}
+    peers = [[pos[p] for p in adjacency[m]] for m in members]
+    ecc = [0] * k
+    hist: dict[int, int] = {}  # ordered pairs per distance: each pair twice
+    for first in range(0, k, _BFS_BLOCK):
+        width = min(_BFS_BLOCK, k - first)
+        full = (1 << width) - 1
+        # reach[i]: bit b set iff source first+b is within `level` hops of i.
+        reach = [0] * k
+        for b in range(width):
+            reach[first + b] = 1 << b
+        # A one-source block's source starts full; it must not fill at level 1.
+        pending = [i for i in range(k) if reach[i] != full]
+        level = 0
+        while pending:
+            level += 1
+            prev, reach, still, grown = reach, reach[:], [], 0
+            for i in pending:
+                mask = prev[i]
+                for j in peers[i]:
+                    mask |= prev[j]
+                reach[i] = mask
+                grown += mask.bit_count() - prev[i].bit_count()
+                if mask == full:
+                    ecc[i] = max(ecc[i], level)
+                else:
+                    still.append(i)
+            hist[level] = hist.get(level, 0) + grown
+            pending = still
+    hist = {d: c // 2 for d, c in hist.items()}
+
     pairs = k * (k - 1) // 2
     return GraphStats(
-        diameter=max(eccentricities),
-        radius=min(eccentricities),
-        avg_distance=pair_sum / pairs,
+        diameter=max(ecc),
+        radius=min(ecc),
+        avg_distance=sum(d * c for d, c in hist.items()) / pairs,
         median_distance=_median_from_histogram(hist, pairs),
         avg_degree=avg_degree,
         max_degree=max_degree,
         connected=connected,
         giant_component_size=k,
     )
-
-
-def _bfs_distances(src: int, adjacency: list[list[int]], expect: int) -> dict[int, int]:
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-                if len(dist) == expect:
-                    queue.clear()
-                    break
-    return dist
 
 
 def _median_from_histogram(hist: dict[int, int], total: int) -> float:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from squelchsim.cli import main
+from squelchsim.regression import ExtrapolationWarning
 
 K4_EDGES = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 PATH_EDGES = "0 1\n1 2\n"
@@ -141,6 +142,19 @@ def test_simulate_no_emitter_exit_2(tmp_path, capsys):
     assert "nothing emits" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_empty_window_exit_2(command, tmp_path, capsys):
+    # Every edge takes longer than the run, so no bucket past the warm-up
+    # holds a message: the config has no window to summarise.
+    code, out, err = run_cli(
+        capsys, command, "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path),
+        "--set", "topology.latency_range_ms=[5,1e300]",
+        "--set", "scenario.duration_ms=12000", "--set", "scenario.warmup_ms=1000",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: no populated bucket past the warmup boundary\n"
+
+
 def test_simulate_deterministic_reruns(tmp_path, small_config, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert run_cli(capsys, "simulate", "--config", str(small_config), "--out", str(out_a))[0] == 0
@@ -238,7 +252,8 @@ def test_compare_transaction_only_scenario_saves_nothing(tmp_path, capsys):
 # --- fit --------------------------------------------------------------------------
 
 def test_fit_predict_cli(cpu_csv_path, capsys):
-    code, out, _ = run_cli(capsys, "fit", str(cpu_csv_path), "--predict", "200")
+    with pytest.warns(ExtrapolationWarning, match=r"at x=200\.0, outside"):
+        code, out, _ = run_cli(capsys, "fit", str(cpu_csv_path), "--predict", "200")
     assert code == 0
     payload = json.loads(out)
     assert payload["model"]["intercept"] == pytest.approx(15.8754, abs=0.001)
@@ -246,10 +261,11 @@ def test_fit_predict_cli(cpu_csv_path, capsys):
 
 
 def test_fit_gain_cli(cpu_csv_path, msgs_csv_path, capsys):
-    code, out, _ = run_cli(
-        capsys, "fit", str(msgs_csv_path), "--gain", "200", "0.28905",
-        "--cpu-csv", str(cpu_csv_path),
-    )
+    with pytest.warns(ExtrapolationWarning):
+        code, out, _ = run_cli(
+            capsys, "fit", str(msgs_csv_path), "--gain", "200", "0.28905",
+            "--cpu-csv", str(cpu_csv_path),
+        )
     assert code == 0
     gain = json.loads(out)["gain"]
     assert gain["freed_slots"] == pytest.approx(58, abs=1)
@@ -285,6 +301,26 @@ def test_fit_bad_point_exit_2(row, tmp_path, capsys):
     code, out, err = run_cli(capsys, "fit", str(csv))
     assert (code, out) == (2, "")
     assert err.startswith("error: line 4")
+
+
+@pytest.mark.parametrize("rows", [
+    "1e200,1\n2e200,3\n3e200,4\n",  # (x - x_mean) ** 2 overflows
+    "0,1e200\n1,-1e200\n2,1e200\n",  # so does (y - y_mean) ** 2
+    "1,0\n1.0000000000000002,1e300\n",  # finite sums, infinite slope
+], ids=["huge-x", "huge-y", "steep"])
+def test_fit_overflowing_points_exit_2(rows, tmp_path, capsys):
+    csv = tmp_path / "huge.csv"
+    csv.write_text("x,y\n" + rows)
+    code, out, err = run_cli(capsys, "fit", str(csv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "overflows floating point" in err
+
+
+def test_fit_predict_overflow_exit_2(msgs_csv_path, capsys):
+    with pytest.warns(ExtrapolationWarning):
+        code, out, err = run_cli(capsys, "fit", str(msgs_csv_path), "--predict", "1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --predict 1e+308 overflows")
 
 
 def test_fit_gain_requires_cpu_csv(msgs_csv_path, capsys):
@@ -378,7 +414,8 @@ def test_topo_stats_stdout_pinned(tmp_path, capsys):
 
 
 def test_fit_gain_stdout_pinned(cpu_csv_path, msgs_csv_path, capsys):
-    code, out, _ = run_cli(capsys, "fit", str(msgs_csv_path), "--gain", "200", "0.28905",
-                           "--cpu-csv", str(cpu_csv_path))
+    with pytest.warns(ExtrapolationWarning):
+        code, out, _ = run_cli(capsys, "fit", str(msgs_csv_path), "--gain", "200", "0.28905",
+                               "--cpu-csv", str(cpu_csv_path))
     assert code == 0
     assert _sha256(out.encode("utf-8")) == PINNED_CLI_SHA256["fit --gain"]

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from squelchsim import topology
 from squelchsim.topology import (
     EdgeListParseError,
+    GraphStats,
     TopologyGraph,
     TopologyParameterError,
     UnknownNodeError,
@@ -225,6 +227,42 @@ def test_stats_match_oracle_random(seed):
     assert_matches_oracle(g)
 
 
+def random_components_graph(rng: random.Random) -> TopologyGraph:
+    """Up to three equal-size groups of sparse, shuffled ids, each a random
+    graph (a path through it half the time, so it is one component), plus
+    the left-over ids as isolated nodes."""
+    ids = rng.sample(range(10_000), rng.randint(2, 40))
+    parts = rng.randint(1, 3)
+    size = len(ids) // parts
+    edges = set()
+    for c in range(parts):
+        group = ids[c * size : (c + 1) * size]
+        pairs = [(u, v) for i, u in enumerate(group) for v in group[i + 1 :]]
+        density = rng.uniform(0.05, 0.6)
+        edges.update(p for p in pairs if rng.random() < density)
+        if rng.random() < 0.5:
+            edges.update(zip(group, group[1:]))
+    edges = {(min(e), max(e)) for e in edges}
+    return TopologyGraph(
+        nodes=tuple(ids),
+        edges=frozenset(edges),
+        latency_ms=dict.fromkeys(edges, 1.0),
+        validator_set=frozenset(),
+        tracker_set=frozenset(ids),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, topology._BFS_BLOCK])
+@pytest.mark.parametrize("seed", range(5))
+def test_stats_match_oracle_across_source_blocks(block, seed, monkeypatch):
+    # The bit-parallel BFS takes its sources in blocks; small blocks make
+    # every graph here a multi-block run, including one-source blocks.
+    monkeypatch.setattr(topology, "_BFS_BLOCK", block)
+    rng = random.Random(seed)
+    for _ in range(20):
+        assert_matches_oracle(random_components_graph(rng))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_radius_diameter_bounds(seed):
     g = generate_topology(30, 4.0, 0.2, (5, 20), seed=seed)
@@ -291,9 +329,16 @@ def test_generate_mainnet_scale_snapshot():
     assert g.edge_count == 9197
     assert len(g.validator_set) == 152
     assert 2 * g.edge_count / g.node_count == pytest.approx(20.62, abs=0.01)
-    s = graph_stats(g)
-    assert s.connected
-    assert s.diameter <= 6
+    assert graph_stats(g) == GraphStats(
+        diameter=4,
+        radius=3,
+        avg_distance=2.589774174228584,
+        median_distance=3.0,
+        avg_degree=2 * 9197 / 892,
+        max_degree=25,
+        connected=True,
+        giant_component_size=892,
+    )
 
 
 def test_edge_list_round_trip():
