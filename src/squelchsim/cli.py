@@ -172,8 +172,9 @@ def cmd_simulate(args) -> int:
     out_dir = _output_dir(args, doc)
     cfg = build_scenario(doc)
     log = run_scenario(cfg)
-    _write_metrics_csv(out_dir / "metrics.csv", log)
+    # Summarize first: a window with nothing to measure must leave no artifact.
     summary = summarize(log, include_control=doc["metrics"]["include_control_in_total"])
+    _write_metrics_csv(out_dir / "metrics.csv", log)
     payload = {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,

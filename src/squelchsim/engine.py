@@ -215,10 +215,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     sizes = dict(DEFAULT_MESSAGE_SIZES)
     sizes.update(cfg.message_sizes)
 
-    nodes: dict[int, NodeState] = {}
-    for node_id in graph.nodes:
-        lat = {p: graph.edge_latency(node_id, p) for p in graph.neighbors(node_id)}
-        nodes[node_id] = NodeState(node_id, lat)
+    nodes = {n: NodeState(n, dict(graph.neighbors(n))) for n in graph.nodes}
 
     log = MetricsLog(
         policy=cfg.relay_policy.value,

@@ -10,6 +10,7 @@ peer slots and the CPU saving of a squelch-enabled node are derived.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -157,10 +158,14 @@ def compute_gain(
     """
     if baseline_peers <= 0:
         raise GainParameterError("baseline_peers must be positive")
+    if baseline_peers > sys.float_info.max:
+        raise GainParameterError("baseline_peers exceeds floating-point range")
     if not 0.0 < saved_fraction < 1.0:
         raise GainParameterError("saved_fraction must lie strictly in (0, 1)")
     baseline_msgs = predict(msgs_model, baseline_peers)
     baseline_cpu = predict(cpu_model, baseline_peers)
+    if not (math.isfinite(baseline_msgs) and math.isfinite(baseline_cpu)):
+        raise GainParameterError("baseline_peers too large: a model prediction overflows")
     squelched_msgs = (1.0 - saved_fraction) * baseline_msgs
     # Tiny slack keeps exact-integer boundaries from flooring down through
     # float noise (a vanishing saved_fraction must free zero slots).

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, KeysView
+from dataclasses import dataclass
 
 DEFAULT_EDGE_LATENCY_MS = 20.0
 # Sources per bit-parallel BFS pass in graph_stats; bounds memory to N x block bits.
 _BFS_BLOCK = 4096
+# Edge-list ids must fit the signed 64-bit packing of squelch.squelch_duration_ms.
+_ID_LIMIT = 2**63
 
 
 class EdgeListParseError(ValueError):
@@ -39,49 +41,41 @@ class TopologyParameterError(ValueError):
 class TopologyGraph:
     """Immutable peer graph: nodes, undirected edges, per-edge latency.
 
-    Edges are stored as (u, v) pairs with u < v. The latency map has exactly
-    one positive, finite entry per edge. Validators and trackers partition
-    the nodes.
+    The keys of latency_ms are the edges, stored as (u, v) pairs with u < v,
+    each with a positive, finite latency. Validators are a subset of the
+    nodes; every other node is a tracker.
     """
 
     nodes: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
     latency_ms: dict[tuple[int, int], float]
     validator_set: frozenset[int]
-    tracker_set: frozenset[int]
-    _adjacency: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        adjacency: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for u, v in self.edges:
+        for (u, v), lat in self.latency_ms.items():
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if u > v:
                 raise ValueError(f"edge ({u}, {v}) not normalized as (min, max)")
             if u not in node_set or v not in node_set:
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        if set(self.latency_ms) != set(self.edges):
-            raise ValueError("latency map does not cover exactly the edge set")
-        for edge, lat in self.latency_ms.items():
             if not 0 < lat < math.inf:
-                raise ValueError(f"latency on edge {edge} must be positive and "
+                raise ValueError(f"latency on edge {(u, v)} must be positive and "
                                  f"finite, got {lat}")
-        if self.validator_set & self.tracker_set:
-            raise ValueError("validator_set and tracker_set overlap")
-        if (self.validator_set | self.tracker_set) != node_set:
-            raise ValueError("validators and trackers must cover all nodes")
-        object.__setattr__(
-            self,
-            "_adjacency",
-            {n: tuple(sorted(peers)) for n, peers in adjacency.items()},
-        )
+        if not self.validator_set <= node_set:
+            raise ValueError("validators must be graph nodes")
+        # Not a field: derived once, left out of eq and repr.
+        object.__setattr__(self, "_adjacency", _adjacency(self.nodes, self.latency_ms))
+
+    @property
+    def edges(self) -> KeysView[tuple[int, int]]:
+        return self.latency_ms.keys()
+
+    @property
+    def tracker_set(self) -> frozenset[int]:
+        return frozenset(self.nodes) - self.validator_set
 
     @property
     def node_count(self) -> int:
@@ -89,25 +83,17 @@ class TopologyGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.latency_ms)
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
+    def neighbors(self, node: int) -> dict[int, float]:
+        """{peer: latency}, peers in ascending id order; copy before mutating."""
         return self._adjacency[node]
 
     def edge_latency(self, u: int, v: int) -> float:
-        return self.latency_ms[(u, v) if u < v else (v, u)]
+        return self._adjacency[u][v]
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return False
-        seen = {self.nodes[0]}
-        queue = deque(seen)
-        while queue:
-            for peer in self._adjacency[queue.popleft()]:
-                if peer not in seen:
-                    seen.add(peer)
-                    queue.append(peer)
-        return len(seen) == len(self.nodes)
+        return bool(self.nodes) and len(_bfs(self._adjacency, self.nodes[0])) == len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,6 @@ def load_topology(
     malformed fields raise EdgeListParseError with the line number; a
     validator id that is not an edge endpoint raises UnknownNodeError.
     """
-    edges: set[tuple[int, int]] = set()
     latency: dict[tuple[int, int], float] = {}
     nodes: set[int] = set()
     for lineno, raw in enumerate(edge_list_text.splitlines(), start=1):
@@ -150,8 +135,8 @@ def load_topology(
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(lineno, f"non-integer node id in {line!r}") from None
-        if u < 0 or v < 0:
-            raise EdgeListParseError(lineno, "node ids must be non-negative")
+        if not (0 <= u < _ID_LIMIT and 0 <= v < _ID_LIMIT):
+            raise EdgeListParseError(lineno, f"node ids must lie in [0, 2**63), got {line!r}")
         if u == v:
             raise EdgeListParseError(lineno, f"self-loop on node {u}")
         lat = default_latency_ms
@@ -163,9 +148,8 @@ def load_topology(
         if not 0 < lat < math.inf:
             raise EdgeListParseError(lineno, f"latency must be positive and finite, got {lat}")
         edge = (u, v) if u < v else (v, u)
-        if edge in edges:
+        if edge in latency:
             raise EdgeListParseError(lineno, f"duplicate edge {edge}")
-        edges.add(edge)
         latency[edge] = lat
         nodes.add(u)
         nodes.add(v)
@@ -173,13 +157,7 @@ def load_topology(
     missing = validators - nodes
     if missing:
         raise UnknownNodeError(f"validator ids not present in any edge: {sorted(missing)}")
-    return TopologyGraph(
-        nodes=tuple(sorted(nodes)),
-        edges=frozenset(edges),
-        latency_ms=latency,
-        validator_set=validators,
-        tracker_set=frozenset(nodes - validators),
-    )
+    return TopologyGraph(nodes=tuple(sorted(nodes)), latency_ms=latency, validator_set=validators)
 
 
 def to_edge_list_text(graph: TopologyGraph) -> str:
@@ -251,7 +229,7 @@ def generate_topology(
         edges.add(edge)
 
     # Bridge components so the graph is connected.
-    components = _components(_adjacency_lists(n, edges))
+    components = _components(_adjacency(range(n), dict.fromkeys(edges)))
     reached = sorted(components[0])
     for comp in components[1:]:
         u = rng.choice(reached)
@@ -262,7 +240,8 @@ def generate_topology(
 
     # Trim surplus without disconnecting: keep a BFS tree, drop extras.
     if len(edges) > m_target:
-        tree = _spanning_tree_edges(n, edges)
+        parent = _bfs(_adjacency(range(n), dict.fromkeys(edges)), 0)
+        tree = {(p, c) if p < c else (c, p) for c, p in parent.items() if p is not None}
         removable = sorted(edges - tree)
         rng.shuffle(removable)
         for edge in removable:
@@ -283,13 +262,7 @@ def generate_topology(
     validators = frozenset(rng.sample(range(n), validator_count))
     latency = {edge: rng.uniform(low, high) for edge in sorted(edges)}
 
-    graph = TopologyGraph(
-        nodes=tuple(range(n)),
-        edges=frozenset(edges),
-        latency_ms=latency,
-        validator_set=validators,
-        tracker_set=frozenset(range(n)) - validators,
-    )
+    graph = TopologyGraph(nodes=tuple(range(n)), latency_ms=latency, validator_set=validators)
     realized = 2 * len(edges) / n
     if abs(realized - target_avg_degree) > 0.1 * target_avg_degree:
         raise TopologyParameterError(
@@ -298,49 +271,40 @@ def generate_topology(
     return graph
 
 
-def _adjacency_lists(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
-    """Peers of nodes 0..n-1, each list in ascending order."""
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(edges):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+def _adjacency(nodes: Iterable[int], edge_map: dict[tuple[int, int], object]) -> dict[int, dict]:
+    """{node: {peer: edge value}}, each node's peers in ascending id order."""
+    adjacency: dict[int, dict] = {n: {} for n in nodes}
+    for u, v in sorted(edge_map):
+        adjacency[u][v] = adjacency[v][u] = edge_map[(u, v)]
     return adjacency
 
 
-def _components(adjacency: list[list[int]]) -> list[set[int]]:
-    """Connected components of nodes 0..len(adjacency)-1, largest first,
-    ties broken by smallest member id."""
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for start in range(len(adjacency)):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            for peer in adjacency[queue.popleft()]:
-                if peer not in comp:
-                    comp.add(peer)
-                    queue.append(peer)
-        seen |= comp
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
-
-
-def _spanning_tree_edges(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    adjacency = _adjacency_lists(n, edges)
-    tree: set[tuple[int, int]] = set()
-    seen = {0}
-    queue = deque([0])
+def _bfs(adjacency: dict[int, dict], start: int) -> dict[int, int | None]:
+    """{node: BFS parent} for every node reachable from start, in BFS order;
+    start maps to None."""
+    parent: dict[int, int | None] = {start: None}
+    queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                tree.add((u, v) if u < v else (v, u))
+            if v not in parent:
+                parent[v] = u
                 queue.append(v)
-    return tree
+    return parent
+
+
+def _components(adjacency: dict[int, dict]) -> list[dict[int, int | None]]:
+    """Connected components as _bfs parent maps, largest first, ties broken
+    by smallest member id."""
+    seen: set[int] = set()
+    comps: list[dict[int, int | None]] = []
+    for start in adjacency:
+        if start not in seen:
+            comp = _bfs(adjacency, start)
+            seen.update(comp)
+            comps.append(comp)
+    comps.sort(key=lambda c: (-len(c), min(c)))
+    return comps
 
 
 def graph_stats(graph: TopologyGraph) -> GraphStats:
@@ -361,16 +325,11 @@ def graph_stats(graph: TopologyGraph) -> GraphStats:
     if n == 0:
         return GraphStats(0, 0, 0.0, 0.0, 0.0, 0, False, 0)
 
-    nodes = sorted(graph.nodes)  # index order is id order, for the tie rule
-    index = {node: i for i, node in enumerate(nodes)}
-    adjacency = [[index[p] for p in graph.neighbors(node)] for node in nodes]
+    adjacency = graph._adjacency
+    avg_degree = 2 * graph.edge_count / n
+    max_degree = max(map(len, adjacency.values()))
 
-    degrees = [len(peers) for peers in adjacency]
-    avg_degree = 2 * len(graph.edges) / n
-    max_degree = max(degrees)
-
-    comps = _components(adjacency)
-    giant = comps[0]
+    giant = _components(adjacency)[0]
     connected = len(giant) == n
 
     members = sorted(giant)

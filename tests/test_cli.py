@@ -117,6 +117,7 @@ def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
     (["--set", 'scenario.message_sizes={"squelch":-3}'], "message sizes must be positive"),
     (["fit", "--predict=nan"], "--predict"),
     (["fit", "--predict=-inf"], "--predict"),
+    (["fit", "--gain", str(10**400), "0.3"], "baseline_peers"),
 ])
 def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_path,
                                 msgs_csv_path, capsys):
@@ -153,6 +154,7 @@ def test_empty_window_exit_2(command, tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: no populated bucket past the warmup boundary\n"
+    assert list(tmp_path.iterdir()) == []  # summarized before any artifact is written
 
 
 def test_simulate_deterministic_reruns(tmp_path, small_config, capsys):
@@ -373,6 +375,24 @@ def test_non_finite_latency_exit_2(latency, tmp_path, capsys):
     code, _, err = run_cli(capsys, "compare", "--config", str(config), "--out", str(tmp_path))
     assert code == 2
     assert "line 2" in err
+
+
+def test_node_id_beyond_int64_exit_2(tmp_path, capsys):
+    # Squelch durations hash node ids as signed 64-bit ints, so the loader
+    # refuses 2**63 up front instead of failing inside the squelch arm.
+    big = 2**63
+    edges = tmp_path / "big.edges"
+    edges.write_text(K4_EDGES + f"1 {big} 12\n0 {big} 12\n3 {big} 12\n")
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "topology": {"file": str(edges), "validators": [0, 2]},
+        "scenario": {"duration_ms": 20000, "warmup_ms": 2000, "relay_policy": "squelch"},
+        "protocol": {"count_threshold": 2, "max_selected": 1},
+    }))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 7: node ids must lie in [0, 2**63)")
 
 
 # --- pinned output bytes -------------------------------------------------------------

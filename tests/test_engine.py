@@ -31,10 +31,8 @@ def graph_from_edges(edge_list, validators=frozenset(), latency=10.0):
     nodes = tuple(sorted({x for e in edges for x in e}))
     return TopologyGraph(
         nodes=nodes,
-        edges=edges,
         latency_ms={e: latency for e in edges},
         validator_set=frozenset(validators),
-        tracker_set=frozenset(nodes) - frozenset(validators),
     )
 
 
@@ -370,10 +368,7 @@ def test_config_invariants():
 # --- always-flood replay from per-origin templates ---------------------------------
 
 def node_states(g):
-    return {
-        n: NodeState(n, {p: g.edge_latency(n, p) for p in g.neighbors(n)})
-        for n in g.nodes
-    }
+    return {n: NodeState(n, dict(g.neighbors(n))) for n in g.nodes}
 
 
 def test_template_is_first_receipt_tree():

@@ -195,8 +195,12 @@ def test_compute_gain_parameter_errors(cpu_points, msgs_points):
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(GainParameterError):
             compute_gain(cpu, msgs, 200, bad)
-    with pytest.raises(GainParameterError):
-        compute_gain(cpu, msgs, 0, 0.5)
+    for peers in (0, 10**400):  # 10**400 does not fit a float
+        with pytest.raises(GainParameterError):
+            compute_gain(cpu, msgs, peers, 0.5)
+    # Fits a float, but the message model's prediction overflows to inf.
+    with pytest.warns(ExtrapolationWarning), pytest.raises(GainParameterError):
+        compute_gain(cpu, msgs, 10**308, 0.5)
 
 
 # --- CSV ingestion ---------------------------------------------------------------------

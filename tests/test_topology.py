@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import statistics
 from collections import deque
@@ -116,6 +117,14 @@ def test_load_reports_line_number():
     assert "0 x" in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["0 1\n-1 2\n", f"0 1\n1 {2**63} 12\n"])
+def test_load_node_id_out_of_int64_range(text):
+    with pytest.raises(EdgeListParseError, match=r"\[0, 2\*\*63\)") as exc:
+        load_topology(text, set())
+    assert exc.value.line_number == 2
+    assert load_topology(f"0 {2**63 - 1}\n", set()).nodes == (0, 2**63 - 1)
+
+
 def test_load_unknown_validator():
     with pytest.raises(UnknownNodeError):
         load_topology("0 1", {7})
@@ -149,19 +158,12 @@ def test_load_non_finite_latency_rejected(latency):
 
 
 def test_type_invariants_enforced():
-    with pytest.raises(ValueError):
-        TopologyGraph(
-            nodes=(0, 1),
-            edges=frozenset({(0, 1)}),
-            latency_ms={(0, 1): 10.0},
-            validator_set=frozenset({0, 1}),
-            tracker_set=frozenset({1}),
-        )
+    with pytest.raises(ValueError, match="validators must be graph nodes"):
+        TopologyGraph(nodes=(0, 1), latency_ms={(0, 1): 10.0}, validator_set=frozenset({0, 2}))
     for latency in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            TopologyGraph(nodes=(0, 1), edges=frozenset({(0, 1)}),
-                          latency_ms={(0, 1): latency}, validator_set=frozenset({0}),
-                          tracker_set=frozenset({1}))
+            TopologyGraph(nodes=(0, 1), latency_ms={(0, 1): latency},
+                          validator_set=frozenset({0}))
 
 
 # --- graph_stats ------------------------------------------------------------
@@ -184,7 +186,7 @@ def test_stats_path_graph():
 
 
 def test_stats_empty_graph():
-    g = TopologyGraph((), frozenset(), {}, frozenset(), frozenset())
+    g = TopologyGraph((), {}, frozenset())
     s = graph_stats(g)
     assert s == type(s)(0, 0, 0.0, 0.0, 0.0, 0, False, 0)
 
@@ -219,10 +221,8 @@ def test_stats_match_oracle_random(seed):
         pytest.skip("degenerate draw")
     g = TopologyGraph(
         nodes=tuple(sorted(nodes_in_edges)),
-        edges=frozenset(edges),
         latency_ms={e: 1.0 for e in edges},
         validator_set=frozenset(),
-        tracker_set=frozenset(nodes_in_edges),
     )
     assert_matches_oracle(g)
 
@@ -245,10 +245,8 @@ def random_components_graph(rng: random.Random) -> TopologyGraph:
     edges = {(min(e), max(e)) for e in edges}
     return TopologyGraph(
         nodes=tuple(ids),
-        edges=frozenset(edges),
         latency_ms=dict.fromkeys(edges, 1.0),
         validator_set=frozenset(),
-        tracker_set=frozenset(ids),
     )
 
 
@@ -341,6 +339,27 @@ def test_generate_mainnet_scale_snapshot():
     )
 
 
+# Edge-list text plus sorted validators, pinned. The first two inputs bridge
+# components (three bridges, then one) and then trim surplus edges off a BFS
+# tree; the third is the MainNet-scale snapshot above.
+GENERATOR_PINS = [
+    ((100, 2.2, 0.2, (5, 50), 0),
+     "f30de3de595df29e2dadd292995bc4af2d003799ce7b1c6e08069854f05fb98f"),
+    ((30, 2.2, 0.2, (5, 50), 4),
+     "b998d76fd11edbe1b008a6152394595b004ec8768798b1d2c1a19518a8044fae"),
+    ((892, 20.62, 0.17, (5, 100), 7),
+     "e1b2f14a5d4e9b5b5d126abdfa7ac2f332e5dda1b83191d03af06dd8bd9686a6"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GENERATOR_PINS, ids=["n100", "n30", "mainnet"])
+def test_generate_pinned_bytes(args, digest):
+    *params, seed = args
+    g = generate_topology(*params, seed=seed)
+    text = to_edge_list_text(g) + f"validators {sorted(g.validator_set)}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_edge_list_round_trip():
     g = generate_topology(20, 5.0, 0.3, (5, 50), seed=4)
     g2 = load_topology(to_edge_list_text(g), set(g.validator_set))
@@ -422,10 +441,8 @@ def test_stats_tie_rule_ignores_node_order():
     edges = frozenset({(1, 5), (5, 6), (6, 7), (2, 3), (2, 4), (2, 8)})
     graph = TopologyGraph(
         nodes=(2, 3, 4, 8, 1, 5, 6, 7),
-        edges=edges,
         latency_ms=dict.fromkeys(edges, 10.0),
         validator_set=frozenset({1}),
-        tracker_set=frozenset({2, 3, 4, 5, 6, 7, 8}),
     )
     assert graph_stats(graph).diameter == 3
     assert_matches_networkx(graph)
