@@ -2,38 +2,46 @@
 
 Validators emit proposals and validations on a fixed cadence, trackers
 submit transaction bursts per plan, and deliveries are timed events on a
-single priority queue ordered by (time, insertion sequence). Nodes relay
-only the first copy of each message; later copies are counted as duplicates
-and dropped. For the kinds in the run's squelchable set the per-validator
-slot machinery from `squelch` governs which peers keep relaying, and its
-control messages travel the same links (one hop, never relayed). The flood
-policy is the squelch policy with an empty squelchable set, and an origin
-and a relay send through the same path (`forward`).
+priority queue ordered by (time, insertion sequence). Nodes relay only the
+first copy of each message; later copies are counted as duplicates and
+dropped. For the kinds in the run's squelchable set a node's `squelch` slot
+governs which peers keep relaying, and its control messages travel the same
+links (one hop, never relayed). The flood policy is the squelch policy with
+an empty squelchable set, and an origin and a relay send through the same
+path (`forward`).
+
+A run is one event loop per origin, in origin order, each with its own heap
+and fresh node state, adding into one metrics log. This is exact: every
+event but a disconnect belongs to one origin (its message's emission or
+delivery, its slot's control message or squelch expiry) and touches only
+that origin's state, a node's slot, downlink squelches and held message ids.
+Only disconnects change the shared latency maps, and each origin's run
+replays them all. Dropping the other origins' events keeps the relative
+(time, insertion sequence) order of the rest, so the counts add.
+
+Messages that always flood (the kinds outside the squelchable set: all of
+them under the flood policy, transactions by default under the squelch
+policy) never touch slot or downlink state, so by the same argument they can
+leave the heap too. Their counts are computed off it: each origin's run
+lazily builds a template, the first-receipt order and first sender (parent)
+of every node for one message flooded alone at t=0. An emission at `t0` is
+replayed from it in two passes. The first recomputes each node's first
+receipt as its parent's plus the link latency, the same float additions in
+the same order as the event loop, so every per-second bucket comes out
+identical. The second walks every other send and counts it unless it arrives
+at or after `duration_ms`. The replay is exact when every non-tree arrival
+comes strictly after its receiver's first receipt: then each node's earliest
+copy is the tree copy, whatever the insertion sequence. When that check
+fails (a tie, or float rounding that reorders near-ties at `t0`), or when a
+counted arrival reaches the first disconnect, the emission goes through the
+event loop unchanged. An origin whose template run itself sees an exact tie
+(typical of equal-latency graphs) always uses the event loop. A round's
+proposals and validation share one replay, counted with a per-kind
+multiplicity.
 
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
 only randomness is the seeded topology generation upstream.
-
-Messages that always flood (the kinds outside the squelchable set: all of
-them under the flood policy, transactions by default under the squelch
-policy) never touch slot or downlink state, so they do not interact with each
-other or with anything else on the heap, and leaving their events out keeps
-the relative insertion order of the rest. Their counts are computed off the heap instead: each
-origin lazily gets a template, the first-receipt order and first sender
-(parent) of every node for one message flooded alone at t=0. An emission at
-`t0` is replayed from it in two passes. The first recomputes each node's
-first receipt as its parent's plus the link latency, the same float
-additions in the same order as the event loop, so every per-second bucket
-comes out identical. The second walks every other send and counts it unless
-it arrives at or after `duration_ms`. The replay is exact when every
-non-tree arrival comes strictly after its receiver's first receipt: then
-each node's earliest copy is the tree copy, whatever the insertion sequence.
-When that check fails (a tie, or float rounding that reorders near-ties at
-`t0`), or when a counted arrival reaches the first disconnect, the emission
-goes through the event loop unchanged. An origin whose template run itself
-sees an exact tie (typical of equal-latency graphs) always uses the event
-loop. A round's proposals and validation share one replay, counted with a
-per-kind multiplicity.
 """
 
 from __future__ import annotations
@@ -58,12 +66,12 @@ from .squelch import (
 )
 from .topology import TopologyGraph
 
-# A heap entry is one flat record (at, seq, code, node, kind, origin, peer,
-# arg): `node` is where the event happens, and an event at a disconnected
-# node is dropped before dispatch. Heap order is (at, seq); seq is unique.
-# Deliveries: `peer` sent, `arg` is the message id or the ControlMessage.
-# _EMIT: `arg` is a (kind, copies) batch. _SQUELCH_EXPIRY: the squelch of
-# `peer` for validator `origin`, due at `arg`. _DISCONNECT: `node` leaves.
+# A heap entry is one flat record (at, seq, code, node, kind, peer, arg):
+# `node` is where the event happens, and an event at a disconnected node is
+# dropped before dispatch. Heap order is (at, seq); seq is unique. The origin
+# is the run's. Deliveries: `peer` sent, `arg` is the message id or the
+# ControlMessage. _EMIT: `arg` is a (kind, copies) batch. _SQUELCH_EXPIRY:
+# the squelch of `peer`, due at `arg`. _DISCONNECT: `node` leaves.
 _DELIVER_APP = 0
 _DELIVER_CTRL = 1
 _EMIT = 2
@@ -101,6 +109,10 @@ class Disconnect:
     at_ms: float
     node: int
 
+    def __post_init__(self) -> None:
+        if self.at_ms < 0:
+            raise ValueError("disconnect at_ms must be non-negative")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -133,7 +145,7 @@ class ScenarioConfig:
 class NodeState:
     """Mutable per-node simulation state."""
 
-    __slots__ = ("node_id", "latency", "downlink", "slots", "seen", "live")
+    __slots__ = ("node_id", "latency", "downlink", "slot", "seen", "live")
 
     def __init__(self, node_id: int, latency: dict[int, float]):
         self.node_id = node_id
@@ -143,25 +155,23 @@ class NodeState:
         # control actions to peers that fed a slot while in it
         # (`on_uplink_lost` forgets a lost peer): no send tests liveness.
         self.latency = latency
-        # origin -> {peer: expiry}: the squelches this node's peers sent it.
-        self.downlink: dict[int, dict[int, float]] = {}
-        self.slots: dict[int, Slot] = {}
+        # {peer: expiry}: the squelches this node's peers sent it.
+        self.downlink: dict[int, float] = {}
+        self.slot: Slot | None = None
         self.seen: set[int] = set()  # ids of the messages held
         self.live = True
 
 
-def relay_targets(node: NodeState, kind: MessageKind, origin: int,
-                  arrived_from: int | None, now: float,
-                  squelch_kinds: frozenset[MessageKind]) -> list[int]:
+def relay_targets(node: NodeState, kind: MessageKind, arrived_from: int | None,
+                  now: float, squelch_kinds: frozenset[MessageKind]) -> list[int]:
     """All live neighbors except the sender (None at the origin), minus the
-    peers that squelched `origin` on this node when `kind` is squelchable.
-    A squelch whose expiry equals `now` has elapsed."""
-    if kind in squelch_kinds:
-        squelched = node.downlink.get(origin)
-        if squelched:
-            # A peer without a squelch reads as expiring now, so it is kept.
-            return [p for p in node.latency
-                    if p != arrived_from and squelched.get(p, now) <= now]
+    peers that squelched this node when `kind` is squelchable. A squelch
+    whose expiry equals `now` has elapsed."""
+    squelched = node.downlink
+    if squelched and kind in squelch_kinds:
+        # A peer without a squelch reads as expiring now, so it is kept.
+        return [p for p in node.latency
+                if p != arrived_from and squelched.get(p, now) <= now]
     return [p for p in node.latency if p != arrived_from]
 
 
@@ -215,7 +225,37 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     sizes = dict(DEFAULT_MESSAGE_SIZES)
     sizes.update(cfg.message_sizes)
 
-    nodes = {n: NodeState(n, dict(graph.neighbors(n))) for n in graph.nodes}
+    # An _EMIT of the round batch pushes the node's next round.
+    round_batch = ((MessageKind.PROPOSAL, cfg.proposals_per_round),
+                   (MessageKind.VALIDATION, 1))
+    tx_batch = ((MessageKind.TRANSACTION, 1),)
+    # origin -> its (at, batch) emissions, in push order.
+    emissions: dict[int, list[tuple[float, tuple]]] = defaultdict(list)
+    for v in sorted(graph.validator_set):
+        emissions[v].append((0.0, round_batch))
+
+    known = set(graph.nodes)
+    for burst in cfg.tx_plan:
+        group = burst.trackers or tuple(sorted(graph.tracker_set))
+        if burst.count > 0 and not group:
+            raise ScenarioSetupError("transaction burst has no trackers to submit from")
+        for tracker in group:
+            if tracker not in known:
+                raise ScenarioSetupError(f"burst tracker {tracker} is not a topology node")
+        gap = 1000.0 / burst.rate_per_s if burst.rate_per_s > 0 else 0.0
+        for i in range(burst.count):
+            emissions[group[i % len(group)]].append((burst.start_ms + i * gap, tx_batch))
+
+    for disc in cfg.disconnects:
+        if disc.node not in known:
+            raise ScenarioSetupError(f"disconnect names unknown node {disc.node}")
+    # Only disconnects that make it onto the heap (push drops the rest).
+    first_disconnect = min((d.at_ms for d in cfg.disconnects if d.at_ms < duration),
+                           default=float("inf"))
+    # Replayed arrivals must land before this; from the first disconnect on,
+    # live sets change and only the event loop knows them.
+    horizon = min(duration, first_disconnect)
+    always_flood = APPLICATION_KINDS - squelch_kinds
 
     log = MetricsLog(
         policy=cfg.relay_policy.value,
@@ -227,75 +267,42 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     )
     counts = log.counts
     dups = log.duplicates
-
-    heap: list[tuple] = []
+    msg_ids = count()
     seq = 0
 
-    def push(at: float, code: int, node: int, kind, origin, peer, arg) -> None:
+    # The helpers act on the current origin's `origin`, `nodes`, `heap`, `template`.
+
+    def push(at: float, code: int, node: int, kind, peer, arg) -> None:
         nonlocal seq
         if at < duration:
-            heappush(heap, (at, seq, code, node, kind, origin, peer, arg))
+            heappush(heap, (at, seq, code, node, kind, peer, arg))
             seq += 1
 
-    # An _EMIT of the round batch pushes the node's next round.
-    round_batch = ((MessageKind.PROPOSAL, cfg.proposals_per_round),
-                   (MessageKind.VALIDATION, 1))
-    tx_batch = ((MessageKind.TRANSACTION, 1),)
-    for v in sorted(graph.validator_set):
-        push(0.0, _EMIT, v, None, None, None, round_batch)
-
-    all_trackers = sorted(graph.tracker_set)
-    for burst in cfg.tx_plan:
-        group = burst.trackers or tuple(all_trackers)
-        if burst.count > 0 and not group:
-            raise ScenarioSetupError("transaction burst has no trackers to submit from")
-        for origin in group:
-            if origin not in nodes:
-                raise ScenarioSetupError(f"burst tracker {origin} is not a topology node")
-        gap = 1000.0 / burst.rate_per_s if burst.rate_per_s > 0 else 0.0
-        for i in range(burst.count):
-            push(burst.start_ms + i * gap, _EMIT, group[i % len(group)], None, None, None,
-                 tx_batch)
-
-    for disc in cfg.disconnects:
-        if disc.node not in nodes:
-            raise ScenarioSetupError(f"disconnect names unknown node {disc.node}")
-        push(disc.at_ms, _DISCONNECT, disc.node, None, None, None, None)
-    # Only disconnects that made it onto the heap (push drops the rest).
-    first_disconnect = min((d.at_ms for d in cfg.disconnects if d.at_ms < duration),
-                           default=float("inf"))
-    # Replayed arrivals must land before this; from the first disconnect on,
-    # live sets change and only the event loop knows them.
-    horizon = min(duration, first_disconnect)
-    always_flood = APPLICATION_KINDS - squelch_kinds
-    templates: dict[int, tuple[list[int], dict[int, int | None]] | None] = {}
-    msg_ids = count()
-
-    def forward(node: NodeState, kind: MessageKind, origin: int, msg_id: int,
+    def forward(node: NodeState, kind: MessageKind, msg_id: int,
                 arrived_from: int | None, at: float) -> None:
         """`node` takes message `msg_id` and sends it on to its relay targets;
-        an origin passes arrived_from=None."""
+        the origin passes arrived_from=None."""
         nonlocal seq
         node.seen.add(msg_id)
         src = node.node_id
         lat = node.latency
-        for p in relay_targets(node, kind, origin, arrived_from, at, squelch_kinds):
+        for p in relay_targets(node, kind, arrived_from, at, squelch_kinds):
             t = at + lat[p]
             if t < duration:
-                heappush(heap, (t, seq, _DELIVER_APP, p, kind, origin, src, msg_id))
+                heappush(heap, (t, seq, _DELIVER_APP, p, kind, src, msg_id))
                 seq += 1
 
-    def replay(origin: int, t0: float, batch: list[tuple[MessageKind, int]]) -> bool:
+    def replay(t0: float, batch: list[tuple[MessageKind, int]]) -> bool:
         """Count `batch`, (kind, copies) pairs of always-flood messages that
-        `origin` emits at t0, from the origin's template. Returns False, having
+        the origin emits at t0, from its template. Returns False, having
         counted nothing, when the template tree is not provably the event
         loop's first-receipt tree at t0 or the flood meets a disconnect."""
+        nonlocal template
         if t0 >= first_disconnect:
             return False
-        if origin not in templates:
-            templates[origin] = _build_template(nodes, origin)
-        template = templates[origin]
         if template is None:
+            template = _build_template(nodes, origin) or False
+        if not template:
             return False
         order, parent = template
         first = {origin: t0}
@@ -352,16 +359,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         return True
 
     def emit(node: NodeState, at: float, batch: tuple[tuple[MessageKind, int], ...]) -> None:
-        """Emit `copies` messages of each kind of `batch` from node at `at`,
-        replaying the always-flood kinds when their template allows it."""
+        """Emit `copies` messages of each kind of `batch` from the origin at
+        `at`, replaying the always-flood kinds when their template allows it."""
         flooded = [(kind, copies) for kind, copies in batch
                    if copies and kind in always_flood]
-        if flooded and replay(node.node_id, at, flooded):
+        if flooded and replay(at, flooded):
             batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
-        origin = node.node_id
         for kind, copies in batch:
             for _ in range(copies):
-                forward(node, kind, origin, next(msg_ids), None, at)
+                forward(node, kind, next(msg_ids), None, at)
 
     def send_controls(node: NodeState, actions: list[tuple[int, ControlMessage]],
                       at: float) -> None:
@@ -371,56 +377,62 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         src = node.node_id
         lat = node.latency
         for peer, ctrl in actions:
-            push(at + lat[peer], _DELIVER_CTRL, peer, ctrl.kind, None, src, ctrl)
+            push(at + lat[peer], _DELIVER_CTRL, peer, ctrl.kind, src, ctrl)
             if ctrl.kind is MessageKind.SQUELCH:
                 expiry = at + ctrl.duration_ms
-                push(expiry, _SQUELCH_EXPIRY, src, None, ctrl.origin_validator, peer, expiry)
+                push(expiry, _SQUELCH_EXPIRY, src, None, peer, expiry)
 
-    def feed_slot(node: NodeState, origin: int, from_peer: int, at: float) -> None:
-        slot = node.slots.get(origin)
-        if slot is None:
-            slot = Slot(owner=node.node_id, origin_validator=origin)
-            node.slots[origin] = slot
-        send_controls(node, on_validator_message(slot, from_peer, at, protocol), at)
+    for origin in sorted(emissions):
+        nodes = {n: NodeState(n, dict(graph.neighbors(n))) for n in graph.nodes}
+        # Built on the first replay; False when a tie rules the template out.
+        template = None
+        heap: list[tuple] = []
+        for at, batch in emissions[origin]:
+            push(at, _EMIT, origin, None, None, batch)
+        for disc in cfg.disconnects:
+            push(disc.at_ms, _DISCONNECT, disc.node, None, None, None)
 
-    while heap:
-        at, _, code, dst, kind, origin, peer, arg = heappop(heap)
-        node = nodes[dst]
-        if not node.live:
-            continue
-        if code <= _DELIVER_CTRL:
-            second = int(at // 1000)
-            counts[(peer, second, kind, "out")] += 1
-            counts[(dst, second, kind, "in")] += 1
-            if code == _DELIVER_APP:
-                # The sender may have left while the copy was in flight.
-                if kind in squelch_kinds and peer in node.latency:
-                    feed_slot(node, origin, peer, at)
-                if arg in node.seen:
-                    dups[(dst, second, kind)] += 1
+        while heap:
+            at, _, code, dst, kind, peer, arg = heappop(heap)
+            node = nodes[dst]
+            if not node.live:
+                continue
+            if code <= _DELIVER_CTRL:
+                second = int(at // 1000)
+                counts[(peer, second, kind, "out")] += 1
+                counts[(dst, second, kind, "in")] += 1
+                if code == _DELIVER_APP:
+                    # The sender may have left while the copy was in flight.
+                    if kind in squelch_kinds and peer in node.latency:
+                        slot = node.slot
+                        if slot is None:
+                            slot = node.slot = Slot(owner=dst, origin_validator=origin)
+                        send_controls(node, on_validator_message(slot, peer, at, protocol), at)
+                    if arg in node.seen:
+                        dups[(dst, second, kind)] += 1
+                    else:
+                        forward(node, kind, arg, peer, at)
+                elif kind is MessageKind.SQUELCH:
+                    on_squelch_received(node.downlink, peer, arg, at)
                 else:
-                    forward(node, kind, origin, arg, peer, at)
-            elif kind is MessageKind.SQUELCH:
-                on_squelch_received(node.downlink, peer, arg, at)
-            else:
-                on_unsquelch_received(node.downlink, peer, arg)
+                    on_unsquelch_received(node.downlink, peer, arg)
 
-        elif code == _EMIT:
-            emit(node, at, arg)
-            if arg is round_batch:
-                push(at + cfg.ledger_round_ms, _EMIT, dst, None, None, None, round_batch)
+            elif code == _EMIT:
+                emit(node, at, arg)
+                if arg is round_batch:
+                    push(at + cfg.ledger_round_ms, _EMIT, dst, None, None, round_batch)
 
-        elif code == _SQUELCH_EXPIRY:
-            slot = node.slots.get(origin)
-            # Stale expiries (slot reset or re-squelch meanwhile) are skipped.
-            if slot is not None and slot.squelched.get(peer) == arg:
-                on_squelch_expired(slot, peer, at)
+            elif code == _SQUELCH_EXPIRY:
+                # Stale expiries (slot reset or re-squelch meanwhile) are skipped.
+                if node.slot.squelched.get(peer) == arg:
+                    on_squelch_expired(node.slot, peer, at)
 
-        else:  # _DISCONNECT
-            node.live = False
-            for nb_id in node.latency:
-                nb = nodes[nb_id]
-                del nb.latency[dst]
-                send_controls(nb, on_uplink_lost(nb.slots, dst, at), at)
+            else:  # _DISCONNECT
+                node.live = False
+                for nb_id in node.latency:
+                    nb = nodes[nb_id]
+                    del nb.latency[dst]
+                    if nb.slot is not None:
+                        send_controls(nb, on_uplink_lost(nb.slot, dst, at), at)
 
     return log

@@ -8,8 +8,8 @@ selected uplink, returns the slot to a fresh counting round. Once selected,
 a slot changes only for a copy from a peer that is neither selected nor
 under an unexpired squelch.
 
-A node's downlink map, `origin -> {peer: expiry}`, holds the squelches its
-peers sent it: a peer gets none of that origin's messages before its expiry.
+A node's downlink map for one origin, `{peer: expiry}`, holds the squelches
+its peers sent it: a peer gets none of the origin's messages before then.
 
 This module is a pure state-transition library: it performs no I/O and owns
 no timers. Callers inject the current simulated time. State objects are
@@ -173,48 +173,36 @@ def on_squelch_expired(slot: Slot, peer: int, now: float) -> None:
     _reset_to_counting(slot)
 
 
-def on_squelch_received(downlink: dict[int, dict[int, float]], peer: int,
+def on_squelch_received(downlink: dict[int, float], peer: int,
                         msg: ControlMessage, now: float) -> None:
     """Record that `peer` must not receive the validator's messages until
     now + duration. A repeat squelch overwrites the previous expiry."""
     if msg.kind is not MessageKind.SQUELCH:
         raise ContractViolationError("on_squelch_received requires a squelch message")
-    downlink.setdefault(msg.origin_validator, {})[peer] = now + msg.duration_ms
+    downlink[peer] = now + msg.duration_ms
 
 
-def on_unsquelch_received(downlink: dict[int, dict[int, float]], peer: int,
+def on_unsquelch_received(downlink: dict[int, float], peer: int,
                           msg: ControlMessage) -> None:
     """Resume relaying the validator's messages to `peer`. Idempotent."""
     if msg.kind is not MessageKind.UNSQUELCH:
         raise ContractViolationError("on_unsquelch_received requires an unsquelch message")
-    downlink.get(msg.origin_validator, {}).pop(peer, None)
+    downlink.pop(peer, None)
 
 
-def on_uplink_lost(
-    slots: dict[int, Slot],
-    lost_peer: int,
-    now: float,
-) -> list[tuple[int, ControlMessage]]:
-    """React to a disconnected peer across all of a node's slots.
-
-    Slots that had the peer selected unsquelch everyone and restart counting
-    so replacement uplinks can be chosen; other slots forget the peer's
-    counter and its squelch, whose expiry must not reset a live slot later.
-    Actions are emitted per slot in validator order.
-    """
-    actions: list[tuple[int, ControlMessage]] = []
-    for validator in sorted(slots):
-        slot = slots[validator]
-        if lost_peer in slot.selected:
-            for peer in sorted(slot.squelched):
-                actions.append(
-                    (peer, ControlMessage(MessageKind.UNSQUELCH, validator, 0))
-                )
-            slot.squelched.clear()
-            _reset_to_counting(slot)
-        else:
-            slot.per_peer_count.pop(lost_peer, None)
-            slot.squelched.pop(lost_peer, None)
+def on_uplink_lost(slot: Slot, lost_peer: int, now: float) -> list[tuple[int, ControlMessage]]:
+    """React to a disconnected peer. A slot that had it selected unsquelches
+    everyone, in peer order, and restarts counting so replacement uplinks can
+    be chosen; otherwise it forgets the peer's counter and its squelch, whose
+    expiry must not reset a live slot later."""
+    if lost_peer not in slot.selected:
+        slot.per_peer_count.pop(lost_peer, None)
+        slot.squelched.pop(lost_peer, None)
+        return []
+    unsquelch = ControlMessage(MessageKind.UNSQUELCH, slot.origin_validator, 0)
+    actions = [(peer, unsquelch) for peer in sorted(slot.squelched)]
+    slot.squelched.clear()
+    _reset_to_counting(slot)
     return actions
 
 

@@ -188,12 +188,12 @@ def test_criterion_7_protocol_state_machine():
         on_validator_message(slot, 3, 1001.0, cfg)
         assert 3 in slot.selected
 
-        # losing a selected uplink unsquelches every squelched peer per slot
+        # losing a selected uplink unsquelches every squelched peer of the slot
         slot = Slot(owner=0, origin_validator=100)
         slot.selected = {2, 3, 4}
         slot.squelched = {1: 1e12, 5: 1e12}
         slot.state = SlotState.SELECTED
-        actions = on_uplink_lost({100: slot}, 3, 0.0)
+        actions = on_uplink_lost(slot, 3, 0.0)
         assert sorted(peer for peer, _ in actions) == [1, 5]
         assert slot.squelched == {}
         assert slot.state is SlotState.COUNTING

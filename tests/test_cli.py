@@ -118,6 +118,8 @@ def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
     (["fit", "--predict=nan"], "--predict"),
     (["fit", "--predict=-inf"], "--predict"),
     (["fit", "--gain", str(10**400), "0.3"], "baseline_peers"),
+    (["--set", 'scenario.disconnects=[{"at_ms":-5,"node":0}]'],
+     "disconnect at_ms must be non-negative"),
 ])
 def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_path,
                                 msgs_csv_path, capsys):

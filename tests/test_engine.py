@@ -80,44 +80,45 @@ def make_node(node_id=0, neighbors=(1, 2, 3)):
 
 def test_flood_excludes_sender():
     node = make_node()
-    node.downlink[9] = {2: 10_000.0}  # ignored: nothing is squelchable
-    assert relay_targets(node, MessageKind.PROPOSAL, 9, 1, 0.0, frozenset()) == [2, 3]
+    node.downlink = {2: 10_000.0}  # ignored: nothing is squelchable
+    assert relay_targets(node, MessageKind.PROPOSAL, 1, 0.0, frozenset()) == [2, 3]
 
 
 def test_flood_origin_sends_everywhere():
     node = make_node()
-    assert relay_targets(node, MessageKind.PROPOSAL, 0, None, 0.0, frozenset()) == [1, 2, 3]
+    assert relay_targets(node, MessageKind.PROPOSAL, None, 0.0, frozenset()) == [1, 2, 3]
 
 
 def test_squelch_decision_without_squelches_equals_flood():
     node = make_node()
-    assert (relay_targets(node, MessageKind.VALIDATION, 9, 1, 0.0, SQUELCH_KINDS)
-            == relay_targets(node, MessageKind.VALIDATION, 9, 1, 0.0, frozenset()))
+    assert (relay_targets(node, MessageKind.VALIDATION, 1, 0.0, SQUELCH_KINDS)
+            == relay_targets(node, MessageKind.VALIDATION, 1, 0.0, frozenset()))
 
 
 def test_squelch_decision_filters_squelched_peer():
     node = make_node()
-    node.downlink[9] = {2: 10_000.0}
-    assert relay_targets(node, MessageKind.VALIDATION, 9, 1, 0.0, SQUELCH_KINDS) == [3]
+    node.downlink = {2: 10_000.0}
+    assert relay_targets(node, MessageKind.VALIDATION, 1, 0.0, SQUELCH_KINDS) == [3]
 
 
 def test_squelch_decision_transactions_always_flood():
     node = make_node()
-    node.downlink[9] = {2: 10_000.0}
-    assert relay_targets(node, MessageKind.TRANSACTION, 9, 1, 0.0, SQUELCH_KINDS) == [2, 3]
+    node.downlink = {2: 10_000.0}
+    assert relay_targets(node, MessageKind.TRANSACTION, 1, 0.0, SQUELCH_KINDS) == [2, 3]
 
 
 def test_relay_targets_boundary_and_isolation():
     node = make_node()
-    assert relay_targets(node, MessageKind.VALIDATION, 9, None, 0.0, SQUELCH_KINDS) == [1, 2, 3]
-    node.downlink[9] = {2: 5000.0}
-    assert relay_targets(node, MessageKind.VALIDATION, 9, None, 4999.0, SQUELCH_KINDS) == [1, 3]
+    assert relay_targets(node, MessageKind.VALIDATION, None, 0.0, SQUELCH_KINDS) == [1, 2, 3]
+    node.downlink = {2: 5000.0}
+    assert relay_targets(node, MessageKind.VALIDATION, None, 4999.0, SQUELCH_KINDS) == [1, 3]
     # an expiry equal to now has elapsed
-    assert relay_targets(node, MessageKind.VALIDATION, 9, None, 5000.0, SQUELCH_KINDS) == [1, 2, 3]
-    # a squelch for one origin leaves the others alone
-    assert relay_targets(node, MessageKind.VALIDATION, 8, None, 0.0, SQUELCH_KINDS) == [1, 2, 3]
-    node.downlink[8] = {}
-    assert relay_targets(node, MessageKind.VALIDATION, 8, 1, 0.0, SQUELCH_KINDS) == [2, 3]
+    assert relay_targets(node, MessageKind.VALIDATION, None, 5000.0, SQUELCH_KINDS) == [1, 2, 3]
+    # a squelch lives on the node that received it, not on its neighbours
+    assert relay_targets(make_node(), MessageKind.VALIDATION, None, 0.0,
+                         SQUELCH_KINDS) == [1, 2, 3]
+    node.downlink = {}
+    assert relay_targets(node, MessageKind.VALIDATION, 1, 0.0, SQUELCH_KINDS) == [2, 3]
 
 
 # --- flood baselines ------------------------------------------------------------
@@ -447,14 +448,19 @@ def draw_replay_scenario(data, st):
                 rate_per_s=draw(st.sampled_from([0.0, 10.0, 100.0, 333.0])))
         for _ in range(draw(st.integers(0, 2)))
     )
+    # Some disconnects fall on a whole second, a round boundary for rounds
+    # that divide 1000 ms.
     disconnects = tuple(
-        Disconnect(at_ms=float(draw(st.integers(0, duration))),
+        Disconnect(at_ms=float(draw(st.one_of(st.integers(0, duration),
+                                              st.integers(0, duration // 1000).map(
+                                                  lambda s: s * 1000)))),
                    node=draw(st.sampled_from(g.nodes)))
         for _ in range(draw(st.integers(0, 2)))
     )
     kinds = draw(st.sampled_from([
         frozenset({MessageKind.PROPOSAL}),
         frozenset({MessageKind.PROPOSAL, MessageKind.VALIDATION}),
+        frozenset(APPLICATION_KINDS),
     ]))
     protocol = ProtocolConfig(count_threshold=draw(st.integers(1, 3)),
                               max_selected=draw(st.integers(1, 3)),
@@ -554,6 +560,39 @@ def test_churn_export_csv_bytes_pinned(seed, policy):
     assert digest == PINNED_CHURN_SHA256[(seed, policy)]
 
 
+@pytest.mark.parametrize("policy", list(RelayPolicy))
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_run_is_sum_of_single_origin_runs(seed, policy):
+    """No origin's traffic depends on another's: a run's counts are the sums
+    of one run per validator, each on the same graph with that validator
+    alone, plus one run with no validators that carries the transactions."""
+    g = generate_topology(20, 5.0, 0.3, (5, 50), seed=seed)
+    tracker = min(g.tracker_set)
+    cfg = ScenarioConfig(
+        topology=g, duration_ms=8000, relay_policy=policy, ledger_round_ms=500,
+        proposals_per_round=2, tx_plan=(TxBurst(1500.0, (tracker,), 40, 25.0),),
+        protocol=ProtocolConfig(count_threshold=3, max_selected=2,
+                                squelch_base_ms=1500, squelch_jitter_ms=1000),
+        seed=seed, warmup_ms=1000,
+        disconnects=(Disconnect(3000.0, min(g.validator_set)),
+                     Disconnect(5000.0, tracker), Disconnect(6000.0, max(g.nodes))),
+    )
+    parts = [
+        run_scenario(dataclasses.replace(
+            cfg, topology=TopologyGraph(g.nodes, g.latency_ms, frozenset({v})), tx_plan=()))
+        for v in sorted(g.validator_set)
+    ]
+    parts.append(run_scenario(dataclasses.replace(
+        cfg, topology=TopologyGraph(g.nodes, g.latency_ms, frozenset()))))
+    total = parts[0]
+    for part in parts[1:]:
+        for key, n in part.counts.items():
+            total.counts[key] += n
+        for key, n in part.duplicates.items():
+            total.duplicates[key] += n
+    assert export_csv(total) == export_csv(run_scenario(cfg))
+
+
 def tie_scenario(seed):
     """Every edge on the 20 ms default latency, so arrivals tie and the order
     they pop in rests on the heap's insertion sequence alone; transactions are
@@ -588,3 +627,26 @@ def test_tie_export_csv_bytes_pinned(seed, policy):
     cfg = dataclasses.replace(tie_scenario(seed), relay_policy=RelayPolicy(policy))
     digest = hashlib.sha256(export_csv(run_scenario(cfg)).encode("utf-8")).hexdigest()
     assert digest == PINNED_TIE_SHA256[(seed, policy)]
+
+
+def hundred_node_scenario():
+    """A 100-node squelch run (20 validators) with short squelches and three
+    disconnects: a validator, a tracker, then another validator."""
+    g = generate_topology(100, 8.0, 0.2, (5, 50), seed=1)
+    first, second = sorted(g.validator_set)[:2]
+    return ScenarioConfig(
+        topology=g, duration_ms=10_000, relay_policy=RelayPolicy.SQUELCH,
+        ledger_round_ms=1000, proposals_per_round=1,
+        tx_plan=(TxBurst(2000.0, (), 50, 25.0),),
+        protocol=ProtocolConfig(count_threshold=3, max_selected=2,
+                                squelch_base_ms=2000, squelch_jitter_ms=1000),
+        warmup_ms=1000,
+        disconnects=(Disconnect(4000.0, first), Disconnect(6000.0, min(g.tracker_set)),
+                     Disconnect(7500.0, second)),
+    )
+
+
+def test_hundred_node_squelch_export_csv_bytes_pinned():
+    log = run_scenario(hundred_node_scenario())
+    digest = hashlib.sha256(export_csv(log).encode("utf-8")).hexdigest()
+    assert digest == "470df220cd260357ea96df81ea533972cfe275ab6fb3bd73c1a9263fad421c27"

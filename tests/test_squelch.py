@@ -271,22 +271,22 @@ def test_reselection_after_expiry():
 def test_squelch_received_records_expiry():
     downlink = {}
     on_squelch_received(downlink, 5, ControlMessage(MessageKind.SQUELCH, 7, 300_000), 0.0)
-    assert downlink == {7: {5: 300_000.0}}
+    assert downlink == {5: 300_000.0}
 
 
 def test_squelch_received_overwrites():
-    downlink = {7: {5: 100_000.0, 6: 1.0}}
+    downlink = {5: 100_000.0, 6: 1.0}
     on_squelch_received(downlink, 5, ControlMessage(MessageKind.SQUELCH, 7, 50_000), 90_000.0)
-    assert downlink == {7: {5: 140_000.0, 6: 1.0}}
+    assert downlink == {5: 140_000.0, 6: 1.0}
 
 
 def test_unsquelch_removes_and_is_idempotent():
-    downlink = {7: {5: 100.0, 6: 100.0}}
+    downlink = {5: 100.0, 6: 100.0}
     on_unsquelch_received(downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
-    assert downlink == {7: {6: 100.0}}
+    assert downlink == {6: 100.0}
     on_unsquelch_received(downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
     on_unsquelch_received(downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 9, 0))
-    assert downlink == {7: {6: 100.0}}
+    assert downlink == {6: 100.0}
 
 
 def test_downlink_contract_violations():
@@ -300,9 +300,9 @@ def test_squelch_then_unsquelch_then_relay():
     node = NodeState(0, {4: 10.0, 5: 10.0})
     kinds = ProtocolConfig().squelch_kinds
     on_squelch_received(node.downlink, 5, ControlMessage(MessageKind.SQUELCH, 7, 1_000_000), 0.0)
-    assert relay_targets(node, MessageKind.VALIDATION, 7, None, 10.0, kinds) == [4]
+    assert relay_targets(node, MessageKind.VALIDATION, None, 10.0, kinds) == [4]
     on_unsquelch_received(node.downlink, 5, ControlMessage(MessageKind.UNSQUELCH, 7, 0))
-    assert relay_targets(node, MessageKind.VALIDATION, 7, None, 10.0, kinds) == [4, 5]
+    assert relay_targets(node, MessageKind.VALIDATION, None, 10.0, kinds) == [4, 5]
 
 
 # --- uplink loss ----------------------------------------------------------------
@@ -318,8 +318,7 @@ def build_selected_slot(validator, selected_peers, squelched_peers, owner=0):
 
 def test_uplink_lost_unsquelches_affected_slot():
     slot = build_selected_slot(100, {2, 3, 4}, {1, 5})
-    slots = {100: slot}
-    actions = on_uplink_lost(slots, 3, 1000.0)
+    actions = on_uplink_lost(slot, 3, 1000.0)
     assert sorted(p for p, _ in actions) == [1, 5]
     assert all(m.kind is MessageKind.UNSQUELCH for _, m in actions)
     assert slot.state is SlotState.COUNTING
@@ -330,8 +329,7 @@ def test_uplink_lost_unsquelches_affected_slot():
 def test_uplink_lost_untouched_slot():
     slot = build_selected_slot(100, {2, 3}, {1})
     slot.per_peer_count[9] = 4
-    slots = {100: slot}
-    actions = on_uplink_lost(slots, 9, 1000.0)
+    actions = on_uplink_lost(slot, 9, 1000.0)
     assert actions == []
     assert 9 not in slot.per_peer_count
     assert slot.state is SlotState.SELECTED
@@ -339,22 +337,11 @@ def test_uplink_lost_untouched_slot():
 
 def test_uplink_lost_forgets_squelch_of_unselected_peer():
     slot = build_selected_slot(100, {2, 3}, {1, 4})
-    actions = on_uplink_lost({100: slot}, 1, 1000.0)
+    actions = on_uplink_lost(slot, 1, 1000.0)
     assert actions == []
     assert slot.squelched == {4: 1e12}
     assert slot.selected == {2, 3}
     assert slot.state is SlotState.SELECTED
-
-
-def test_uplink_lost_two_slots_independent():
-    a = build_selected_slot(100, {2, 3}, {1})
-    b = build_selected_slot(200, {2, 5}, {1, 6})
-    slots = {100: a, 200: b}
-    actions = on_uplink_lost(slots, 2, 1000.0)
-    per_validator = {}
-    for peer, msg in actions:
-        per_validator.setdefault(msg.origin_validator, []).append(peer)
-    assert per_validator == {100: [1], 200: [1, 6]}
 
 
 # --- deterministic jitter -------------------------------------------------------
