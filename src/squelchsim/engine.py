@@ -19,25 +19,39 @@ Only disconnects change the shared latency maps, and each origin's run
 replays them all. Dropping the other origins' events keeps the relative
 (time, insertion sequence) order of the rest, so the counts add.
 
+Messages whose copies change no state leave the heap by the same argument.
+Their counts come from a template over an adjacency {node: {peer:
+latency}}: the first-receipt order and first sender (parent) of every node
+for one message flooded alone at t=0. An emission at `t0` is replayed from
+it in two passes. The first recomputes each node's first receipt as its
+parent's plus the link latency, the same float additions in the same order
+as the event loop, so every per-second bucket comes out identical. The
+second walks every other send and counts it unless it arrives at or after
+`duration_ms`. The replay is exact when every non-tree arrival comes
+strictly after its receiver's first receipt: then each node's earliest copy
+is the tree copy, whatever the insertion sequence. When that check fails (a
+tie, or float rounding that reorders near-ties at `t0`), when a counted
+arrival reaches the replay's horizon, or from the first disconnect on, the
+emission goes through the event loop unchanged; so does every emission over
+a template whose own run saw an exact tie (typical of equal-latency graphs).
+A round's kinds share one replay, counted with a per-kind multiplicity.
+
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
-policy) never touch slot or downlink state, so by the same argument they can
-leave the heap too. Their counts are computed off it: each origin's run
-lazily builds a template, the first-receipt order and first sender (parent)
-of every node for one message flooded alone at t=0. An emission at `t0` is
-replayed from it in two passes. The first recomputes each node's first
-receipt as its parent's plus the link latency, the same float additions in
-the same order as the event loop, so every per-second bucket comes out
-identical. The second walks every other send and counts it unless it arrives
-at or after `duration_ms`. The replay is exact when every non-tree arrival
-comes strictly after its receiver's first receipt: then each node's earliest
-copy is the tree copy, whatever the insertion sequence. When that check
-fails (a tie, or float rounding that reorders near-ties at `t0`), or when a
-counted arrival reaches the first disconnect, the emission goes through the
-event loop unchanged. An origin whose template run itself sees an exact tie
-(typical of equal-latency graphs) always uses the event loop. A round's
-proposals and validation share one replay, counted with a per-kind
-multiplicity.
+policy) never touch slot or downlink state; they replay over the latency
+maps. A squelchable emission replays once the origin's squelch state has
+settled: no delivery or control message in flight and no slot squelch due
+by `t0`. Each node keeps the peers whose downlink squelch has elapsed by
+`t0`, and the horizon is the earliest slot squelch expiry, downlink expiry
+after `t0`, first disconnect or `duration_ms`. The pruned template is used
+only if each send reaches a slot that selected the sender, or filled its
+selection and still squelches the sender: `on_validator_message` then
+returns nothing and changes at most an already selected peer's count, which
+nothing reads. Nothing else changes that state before the horizon. No
+control or squelchable copy is in flight at `t0`; later ones come only from
+a slot action or an emission that falls back to the event loop, and either
+drops the cached pruned template, as do a control delivery and a live
+expiry.
 
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
@@ -58,6 +72,7 @@ from .squelch import (
     ControlMessage,
     ProtocolConfig,
     Slot,
+    SlotState,
     on_squelch_expired,
     on_squelch_received,
     on_unsquelch_received,
@@ -175,12 +190,13 @@ def relay_targets(node: NodeState, kind: MessageKind, arrived_from: int | None,
     return [p for p in node.latency if p != arrived_from]
 
 
-def _build_template(nodes: dict[int, NodeState],
+def _build_template(adjacency: dict[int, dict[int, float]],
                     origin: int) -> tuple[list[int], dict[int, int | None]] | None:
-    """First-receipt order (origin first) and first sender of every node for
-    one message flooded alone from `origin` at t=0, in the event loop's
-    (time, insertion sequence) order. None when an exact arrival tie makes
-    that order depend on the insertion sequence.
+    """First-receipt order (origin first) and first sender of every node
+    reached by one message flooded alone from `origin` at t=0, each node
+    sending to its peers in `adjacency` ({node: {peer: latency}}), in the
+    event loop's (time, insertion sequence) order. None when an exact arrival
+    tie makes that order depend on the insertion sequence.
 
     Sends to nodes that already hold the message are never pushed: they are
     duplicates, and leaving them out keeps the relative sequence of the rest.
@@ -190,7 +206,7 @@ def _build_template(nodes: dict[int, NodeState],
     order = [origin]
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
-    for p, lat in nodes[origin].latency.items():
+    for p, lat in adjacency[origin].items():
         heappush(heap, (lat, seq, origin, p))
         seq += 1
     while heap:
@@ -202,7 +218,7 @@ def _build_template(nodes: dict[int, NodeState],
         first[dst] = at
         parent[dst] = src
         order.append(dst)
-        for p, lat in nodes[dst].latency.items():
+        for p, lat in adjacency[dst].items():
             if p not in first:
                 heappush(heap, (at + lat, seq, dst, p))
                 seq += 1
@@ -292,19 +308,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 heappush(heap, (t, seq, _DELIVER_APP, p, kind, src, msg_id))
                 seq += 1
 
-    def replay(t0: float, batch: list[tuple[MessageKind, int]]) -> bool:
-        """Count `batch`, (kind, copies) pairs of always-flood messages that
-        the origin emits at t0, from its template. Returns False, having
-        counted nothing, when the template tree is not provably the event
-        loop's first-receipt tree at t0 or the flood meets a disconnect."""
-        nonlocal template
-        if t0 >= first_disconnect:
-            return False
-        if template is None:
-            template = _build_template(nodes, origin) or False
-        if not template:
-            return False
-        order, parent = template
+    def replay(t0: float, batch: list[tuple[MessageKind, int]],
+               tmpl: tuple[list[int], dict[int, int | None]],
+               adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
+        """Count `batch`, (kind, copies) pairs of messages that the origin
+        emits at t0 and that every node sends to its peers in `adjacency`,
+        from `tmpl`, their template. Returns False, having counted nothing,
+        when the template tree is not provably the event loop's first-receipt
+        tree at t0 or an arrival lands in [horizon, duration)."""
+        order, parent = tmpl
         first = {origin: t0}
         out_c: dict[tuple[int, int], int] = defaultdict(int)
         dup_c: dict[tuple[int, int], int] = defaultdict(int)
@@ -312,7 +324,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         # Pass 1: first receipts along the tree, and the tree sends.
         for v in order[1:]:
             p = parent[v]
-            t = first[p] + nodes[p].latency[v]
+            t = first[p] + adjacency[p][v]
             first[v] = t
             if t >= horizon:
                 if t >= duration:
@@ -330,7 +342,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             pu = parent[u]
             su = int(fu // 1000)
             sent_in_su = 0
-            for w, lat in nodes[u].latency.items():
+            for w, lat in adjacency[u].items():
                 if w == pu or parent[w] == u:
                     continue
                 t = fu + lat
@@ -358,13 +370,56 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 dups[(w, s, kind)] += n * copies
         return True
 
+    def settle(t0: float):
+        """(pruned template, None after a tie; adjacency; window end) at t0,
+        or None while the origin's squelch state has not settled."""
+        slots = [n.slot for n in nodes.values() if n.slot is not None]
+        # Cheap tests first. Once a flood has passed, only the origin may lack
+        # a slot, and a counting slot must have selected every peer it counted.
+        if (len(slots) < len(nodes) - 1
+                or any(s.state is SlotState.COUNTING and not s.per_peer_count.keys() <= s.selected
+                       for s in slots) or any(e[2] <= _DELIVER_CTRL for e in heap)):
+            return None
+        end = min((x for s in slots for x in s.squelched.values()), default=horizon)
+        if end <= t0:
+            return None
+        end = min(end, horizon)
+        adjacency: dict[int, dict[int, float]] = {}
+        for n, node in nodes.items():
+            kept = adjacency[n] = {}
+            for p, lat in node.latency.items():
+                x = node.downlink.get(p, t0)
+                if x <= t0:
+                    kept[p] = lat
+                elif x < end:
+                    end = x
+        tmpl = _build_template(adjacency, origin)
+        if tmpl:
+            order, parent = tmpl
+            if not all((s := nodes[w].slot) is not None
+                       and (u in s.selected or s.state is SlotState.SELECTED and u in s.squelched)
+                       for u in order for w in adjacency[u] if w != parent[u]):
+                return None
+        return tmpl, adjacency, end
+
     def emit(node: NodeState, at: float, batch: tuple[tuple[MessageKind, int], ...]) -> None:
         """Emit `copies` messages of each kind of `batch` from the origin at
-        `at`, replaying the always-flood kinds when their template allows it."""
-        flooded = [(kind, copies) for kind, copies in batch
-                   if copies and kind in always_flood]
-        if flooded and replay(at, flooded):
-            batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
+        `at`, replaying what its templates allow."""
+        nonlocal template, steady
+        if at < first_disconnect:
+            flooded = [(kind, copies) for kind, copies in batch if copies and kind in always_flood]
+            if flooded and template is None:
+                template = _build_template(latency, origin) or False
+            if flooded and template and replay(at, flooded, template, latency, horizon):
+                batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
+            pruned = [(kind, copies) for kind, copies in batch if copies and kind in squelch_kinds]
+            if pruned and (steady is None or at >= steady[2]):
+                steady = settle(at)
+            if pruned and steady and steady[0]:
+                if replay(at, pruned, *steady):
+                    batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
+                else:
+                    steady = None  # its copies go in flight
         for kind, copies in batch:
             for _ in range(copies):
                 forward(node, kind, next(msg_ids), None, at)
@@ -384,8 +439,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
 
     for origin in sorted(emissions):
         nodes = {n: NodeState(n, dict(graph.neighbors(n))) for n in graph.nodes}
+        latency = {n: node.latency for n, node in nodes.items()}
         # Built on the first replay; False when a tie rules the template out.
         template = None
+        steady = None  # settle()'s result, kept until its window ends
         heap: list[tuple] = []
         for at, batch in emissions[origin]:
             push(at, _EMIT, origin, None, None, batch)
@@ -407,15 +464,20 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                         slot = node.slot
                         if slot is None:
                             slot = node.slot = Slot(owner=dst, origin_validator=origin)
-                        send_controls(node, on_validator_message(slot, peer, at, protocol), at)
+                        actions = on_validator_message(slot, peer, at, protocol)
+                        if actions:
+                            send_controls(node, actions, at)
+                            steady = None
                     if arg in node.seen:
                         dups[(dst, second, kind)] += 1
                     else:
                         forward(node, kind, arg, peer, at)
-                elif kind is MessageKind.SQUELCH:
-                    on_squelch_received(node.downlink, peer, arg, at)
                 else:
-                    on_unsquelch_received(node.downlink, peer, arg)
+                    steady = None
+                    if kind is MessageKind.SQUELCH:
+                        on_squelch_received(node.downlink, peer, arg, at)
+                    else:
+                        on_unsquelch_received(node.downlink, peer, arg)
 
             elif code == _EMIT:
                 emit(node, at, arg)
@@ -426,6 +488,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 # Stale expiries (slot reset or re-squelch meanwhile) are skipped.
                 if node.slot.squelched.get(peer) == arg:
                     on_squelch_expired(node.slot, peer, at)
+                    steady = None
 
             else:  # _DISCONNECT
                 node.live = False

@@ -368,16 +368,16 @@ def test_config_invariants():
 
 # --- always-flood replay from per-origin templates ---------------------------------
 
-def node_states(g):
-    return {n: NodeState(n, dict(g.neighbors(n))) for n in g.nodes}
+def adjacency(g):
+    return {n: dict(g.neighbors(n)) for n in g.nodes}
 
 
 def test_template_is_first_receipt_tree():
-    order, parent = engine._build_template(node_states(graph_from_edges(PATH3)), 0)
+    order, parent = engine._build_template(adjacency(graph_from_edges(PATH3)), 0)
     assert order == [0, 1, 2]
     assert parent == {0: None, 1: 0, 2: 1}
     # Equal latencies on K4: duplicates arrive later than first receipts, no tie.
-    order, parent = engine._build_template(node_states(graph_from_edges(K4)), 0)
+    order, parent = engine._build_template(adjacency(graph_from_edges(K4)), 0)
     assert order == [0, 1, 2, 3]
     assert parent == {0: None, 1: 0, 2: 0, 3: 0}
 
@@ -385,7 +385,7 @@ def test_template_is_first_receipt_tree():
 def test_template_declines_exact_tie():
     # Node 2 of the 4-cycle gets both copies at 20 ms: order is up to the sequence.
     cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    assert engine._build_template(node_states(graph_from_edges(cycle)), 0) is None
+    assert engine._build_template(adjacency(graph_from_edges(cycle)), 0) is None
 
 
 def test_replay_falls_back_when_rounding_ties_at_emission_time(monkeypatch):
@@ -393,7 +393,7 @@ def test_replay_falls_back_when_rounding_ties_at_emission_time(monkeypatch):
     # (0.1 + 0.8) by one ulp; at t=1000 both land on 1000.9 and the event loop
     # takes node 1's, sent first. The round at 1000 must not use the template.
     g = load_topology("0 1 0.1\n1 3 0.8\n0 2 0.3\n2 3 0.6\n", {0})
-    assert engine._build_template(node_states(g), 0)[1][3] == 2
+    assert engine._build_template(adjacency(g), 0)[1][3] == 2
     cfg = ScenarioConfig(topology=g, duration_ms=2000, relay_policy=RelayPolicy.FLOOD,
                          ledger_round_ms=1000, warmup_ms=0)
     replayed = export_csv(run_scenario(cfg))
@@ -513,14 +513,17 @@ PINNED_EXPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("seed,policy", sorted(PINNED_EXPORT_SHA256))
-def test_reference_export_csv_bytes_pinned(seed, policy):
+def reference_scenario(seed, policy):
     doc = validate_config(apply_overrides(
         json.loads(REFERENCE_CONFIG.read_text(encoding="utf-8")),
         ["scenario.duration_ms=32000", f"scenario.seed={seed}"],
     ))
-    cfg = dataclasses.replace(build_scenario(doc), relay_policy=RelayPolicy(policy))
-    log = run_scenario(cfg)
+    return dataclasses.replace(build_scenario(doc), relay_policy=RelayPolicy(policy))
+
+
+@pytest.mark.parametrize("seed,policy", sorted(PINNED_EXPORT_SHA256))
+def test_reference_export_csv_bytes_pinned(seed, policy):
+    log = run_scenario(reference_scenario(seed, policy))
     digest = hashlib.sha256(export_csv(log).encode("utf-8")).hexdigest()
     assert digest == PINNED_EXPORT_SHA256[(seed, policy)]
 
@@ -650,3 +653,125 @@ def test_hundred_node_squelch_export_csv_bytes_pinned():
     log = run_scenario(hundred_node_scenario())
     digest = hashlib.sha256(export_csv(log).encode("utf-8")).hexdigest()
     assert digest == "470df220cd260357ea96df81ea533972cfe275ab6fb3bd73c1a9263fad421c27"
+
+
+# --- settled squelch rounds replayed from a pruned template --------------------
+
+def draw_settling_scenario(data, st):
+    """A squelch run whose squelches mostly outlast its 3-8 s window, so
+    that selection settles, now and then with squelchable transactions, a
+    transaction burst, short squelches or a late disconnect."""
+    draw = data.draw
+    n = draw(st.integers(5, 14))
+    g = generate_topology(n, float(draw(st.integers(3, min(6, n - 1)))), 0.3, (5.0, 50.0),
+                          seed=draw(st.integers(0, 2**16)))
+    duration = draw(st.integers(3000, 8000))
+    protocol = ProtocolConfig(count_threshold=draw(st.integers(1, 3)),
+                              max_selected=draw(st.integers(1, 2)),
+                              squelch_base_ms=draw(st.one_of(st.integers(20_000, 300_000),
+                                                             st.integers(1000, 4000))),
+                              squelch_jitter_ms=draw(st.integers(0, 500)),
+                              squelch_kinds=draw(st.sampled_from([SQUELCH_KINDS,
+                                                                  APPLICATION_KINDS])))
+    bursts = tuple(TxBurst(float(draw(st.integers(0, duration))), (), draw(st.integers(1, 8)),
+                           draw(st.sampled_from([0.0, 20.0])))
+                   for _ in range(draw(st.integers(0, 1))))
+    disconnects = tuple(Disconnect(float(draw(st.integers(duration // 2, duration))),
+                                   draw(st.sampled_from(g.nodes)))
+                        for _ in range(draw(st.integers(0, 1))))
+    return ScenarioConfig(
+        topology=g, duration_ms=duration, relay_policy=RelayPolicy.SQUELCH,
+        # Rounds shorter than a flood emit while copies are still in flight.
+        ledger_round_ms=draw(st.one_of(st.integers(30, 200), st.integers(250, 1000))),
+        proposals_per_round=draw(st.integers(0, 3)), tx_plan=bursts, protocol=protocol,
+        warmup_ms=0, disconnects=disconnects,
+    )
+
+
+def test_settled_squelch_replay_matches_event_loop_on_random_scenarios(monkeypatch):
+    """Replaying settled squelch rounds yields the same bytes as simulating
+    every copy on the event heap."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=10, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        cfg = draw_settling_scenario(data, st)
+        replayed = export_csv(run_scenario(cfg))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+            simulated = export_csv(run_scenario(cfg))
+        assert replayed == simulated
+
+    check()
+
+
+def short_squelch_scenario():
+    """2-2.2 s squelches and 200 ms rounds on 14 nodes: slots reset between
+    settled rounds, so a replay window must end at the first slot squelch
+    expiry."""
+    return ScenarioConfig(
+        topology=generate_topology(14, 6.0, 0.3, (5.0, 50.0), seed=2), duration_ms=8000,
+        relay_policy=RelayPolicy.SQUELCH, ledger_round_ms=200, proposals_per_round=0,
+        protocol=ProtocolConfig(count_threshold=1, max_selected=2, squelch_base_ms=2000,
+                                squelch_jitter_ms=200),
+        warmup_ms=0)
+
+
+@pytest.mark.parametrize("make_cfg", [lambda: reference_scenario(1, "squelch"),
+                                      hundred_node_scenario, short_squelch_scenario],
+                         ids=["reference", "hundred_node", "short_squelch"])
+def test_settled_squelch_replay_matches_event_loop(monkeypatch, make_cfg):
+    """Same bytes with and without the template paths, and the steady path
+    did replay: a copy counted off the heap is never fed to a slot, so the
+    replayed run feeds fewer (transactions never feed a slot here)."""
+    feeds = [0]
+    feed = engine.on_validator_message
+
+    def counting_feed(*args):
+        feeds[0] += 1
+        return feed(*args)
+
+    monkeypatch.setattr(engine, "on_validator_message", counting_feed)
+    cfg = make_cfg()
+    replayed = export_csv(run_scenario(cfg))
+    replayed_feeds, feeds[0] = feeds[0], 0
+    monkeypatch.setattr(engine, "_build_template", lambda adjacency, origin: None)
+    assert export_csv(run_scenario(cfg)) == replayed
+    assert replayed_feeds < feeds[0]
+
+
+@pytest.mark.parametrize("nodes,degree,max_selected,exact", [
+    # Sparse: a node can be the first sender of a peer it selected, and then
+    # gets no copy back from that peer.
+    (30, 6.0, 2, False),
+    (24, 10.0, 2, True),
+])
+def test_settled_squelch_deliveries_per_message_oracle(monkeypatch, nodes, degree,
+                                                       max_selected, exact):
+    """With no expiry and no disconnect in the window, once selection has
+    settled every node takes each squelchable message from its selected peers
+    only: at most N x max_selected deliveries per message, and exactly that
+    on this dense graph. The event loop runs every copy, so the check does
+    not depend on the replay."""
+    monkeypatch.setattr(engine, "_build_template", lambda adjacency, origin: None)
+    g = generate_topology(nodes, degree, 0.1, (5, 50), seed=1)
+    cfg = ScenarioConfig(topology=g, duration_ms=8000, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, warmup_ms=0,
+                         protocol=ProtocolConfig(count_threshold=3, max_selected=max_selected))
+    log = run_scenario(cfg)
+    # One round per second, each flood done within its second, so a steady
+    # second holds one round: a proposal and a validation per validator.
+    last_squelch = max(s for (_, s, k, d) in log.counts if k is MessageKind.SQUELCH)
+    steady = range(last_squelch + 1, cfg.duration_ms // 1000)
+    assert len(steady) >= 4
+    bound = 2 * len(g.validator_set) * nodes * max_selected
+    for second in steady:
+        delivered = sum(n for (_, s, k, d), n in log.counts.items()
+                        if s == second and d == "in" and k in SQUELCH_KINDS)
+        assert delivered <= bound
+        if exact:
+            assert delivered == bound
