@@ -39,19 +39,40 @@ A round's kinds share one replay, counted with a per-kind multiplicity.
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
 policy) never touch slot or downlink state; they replay over the latency
-maps. A squelchable emission replays once the origin's squelch state has
-settled: no delivery or control message in flight and no slot squelch due
-by `t0`. Each node keeps the peers whose downlink squelch has elapsed by
-`t0`, and the horizon is the earliest slot squelch expiry, downlink expiry
-after `t0`, first disconnect or `duration_ms`. The pruned template is used
-only if each send reaches a slot that selected the sender, or filled its
-selection and still squelches the sender: `on_validator_message` then
-returns nothing and changes at most an already selected peer's count, which
-nothing reads. Nothing else changes that state before the horizon. No
-control or squelchable copy is in flight at `t0`; later ones come only from
-a slot action or an emission that falls back to the event loop, and either
-drops the cached pruned template, as do a control delivery and a live
-expiry.
+maps. A squelchable emission at `t0` replays over a pruned adjacency, in
+which each node keeps the peers whose downlink squelch has elapsed by `t0`
+(with none unexpired, the latency maps and their template), once none of
+the origin's deliveries or control messages is in flight. Every pruned send
+that arrives before `duration_ms` feeds its receiver's slot, and the send
+check sorts those feeds:
+
+- Quiet: each fed slot has selected the sender, or filled its selection and
+  still squelches the sender. `on_validator_message` then returns nothing
+  and changes at most an already selected peer's count, which nothing reads.
+  The horizon is the earliest slot squelch expiry, downlink expiry after
+  `t0`, first disconnect or `duration_ms`, and nothing else changes that
+  state before it. The result is kept for later emissions up to its
+  horizon. No control or squelchable copy is in flight at `t0`; later ones
+  come only from a slot action or an emission that falls back to the event
+  loop, and either drops the kept result, as do a control delivery and a
+  live expiry.
+- Counting: some fed slot is still counting (or not created yet) and the
+  sender is not among its selected peers. The emission replays only if no
+  counting slot fills its selection: its selected peers plus the fed
+  unselected peers whose count reaches `count_threshold` with the batch's
+  copies stay below `max_selected`, and every selected slot's feeds are
+  quiet. The horizon also ends at the origin's next heap event (an
+  emission, a squelch expiry, stale or not, a disconnect) and, for a
+  round, at the next round's emission, pushed only after this one returns.
+  Inside that window no other event of the origin runs and no feed returns
+  an action, so the relay targets stay fixed and the flood is the
+  template's. The feeds are counter increments and set inserts, which
+  commute: applied at `t0` once the replay succeeds, they leave the slots
+  as the event loop leaves them by the window's end. The result serves
+  this emission alone.
+
+A round that fills a selection stays on the event loop: its squelches
+change downlinks while its copies are in flight.
 
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
@@ -65,6 +86,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import count
+from math import isfinite
 
 from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind
 from .metrics import MetricsLog
@@ -115,6 +137,8 @@ class TxBurst:
     rate_per_s: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (isfinite(self.start_ms) and isfinite(self.rate_per_s)):
+            raise ValueError("burst start_ms and rate_per_s must be finite")
         if self.start_ms < 0 or self.count < 0 or self.rate_per_s < 0:
             raise ValueError("burst fields must be non-negative")
 
@@ -125,6 +149,8 @@ class Disconnect:
     node: int
 
     def __post_init__(self) -> None:
+        if not isfinite(self.at_ms):
+            raise ValueError("disconnect at_ms must be finite")
         if self.at_ms < 0:
             raise ValueError("disconnect at_ms must be non-negative")
 
@@ -370,56 +396,115 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 dups[(w, s, kind)] += n * copies
         return True
 
-    def settle(t0: float):
-        """(pruned template, None after a tie; adjacency; window end) at t0,
-        or None while the origin's squelch state has not settled."""
-        slots = [n.slot for n in nodes.values() if n.slot is not None]
-        # Cheap tests first. Once a flood has passed, only the origin may lack
-        # a slot, and a counting slot must have selected every peer it counted.
-        if (len(slots) < len(nodes) - 1
-                or any(s.state is SlotState.COUNTING and not s.per_peer_count.keys() <= s.selected
-                       for s in slots) or any(e[2] <= _DELIVER_CTRL for e in heap)):
+    def settle(t0: float, copies: int, next_round: float):
+        """(pruned template, falsy after a tie; adjacency; window end; feeds)
+        for `copies` squelchable messages the origin emits at t0, or None
+        while they must run on the event loop. `feeds` lists (receiver,
+        senders) for each counting slot, or node without one, that a sender
+        it has not selected reaches, for the caller to apply once the replay
+        succeeds. When it is empty the result holds until its window end;
+        otherwise it serves this emission alone, and the window also ends at
+        the origin's next heap event and at `next_round`, this round's next
+        emission, which is not pushed yet."""
+        nonlocal template
+        if any(e[2] <= _DELIVER_CTRL for e in heap):
             return None
-        end = min((x for s in slots for x in s.squelched.values()), default=horizon)
-        if end <= t0:
-            return None
-        end = min(end, horizon)
-        adjacency: dict[int, dict[int, float]] = {}
-        for n, node in nodes.items():
-            kept = adjacency[n] = {}
-            for p, lat in node.latency.items():
-                x = node.downlink.get(p, t0)
-                if x <= t0:
-                    kept[p] = lat
-                elif x < end:
-                    end = x
-        tmpl = _build_template(adjacency, origin)
-        if tmpl:
-            order, parent = tmpl
-            if not all((s := nodes[w].slot) is not None
-                       and (u in s.selected or s.state is SlotState.SELECTED and u in s.squelched)
-                       for u in order for w in adjacency[u] if w != parent[u]):
+        end = horizon
+        if any(x > t0 for node in nodes.values() for x in node.downlink.values()):
+            adjacency: dict[int, dict[int, float]] = {}
+            for n, node in nodes.items():
+                kept = adjacency[n] = {}
+                for p, lat in node.latency.items():
+                    x = node.downlink.get(p, t0)
+                    if x <= t0:
+                        kept[p] = lat
+                    elif x < end:
+                        end = x
+            tmpl = _build_template(adjacency, origin)
+        else:
+            adjacency = latency
+            if template is None:
+                template = _build_template(latency, origin) or False
+            tmpl = template
+        if not tmpl:
+            return tmpl, adjacency, end, ()
+        # The peers whose copy reaches each node before the run ends; each
+        # copy feeds the receiver's slot.
+        order, parent = tmpl
+        first = {origin: t0}
+        for v in order[1:]:
+            p = parent[v]
+            first[v] = first[p] + adjacency[p][v]
+        fed: dict[int, list[int]] = defaultdict(list)
+        for u in order:
+            fu = first[u]
+            pu = parent[u]
+            for w, lat in adjacency[u].items():
+                if w != pu and fu + lat < duration:
+                    fed[w].append(u)
+        feeds = []
+        threshold = protocol.count_threshold
+        for w, peers in fed.items():
+            s = nodes[w].slot
+            if s is None:
+                selected, counts = set(), {}
+            elif s.state is SlotState.SELECTED:
+                if not s.squelched.keys() >= set(peers) - s.selected:
+                    return None
+                continue
+            elif s.selected.issuperset(peers):
+                continue
+            else:
+                selected, counts = s.selected, s.per_peer_count
+            # A counting slot must not fill its selection.
+            if (copies + max(counts.values(), default=0) >= threshold
+                    and len(selected) + sum(u not in selected and counts.get(u, 0) + copies
+                                            >= threshold for u in peers)
+                    >= protocol.max_selected):
                 return None
-        return tmpl, adjacency, end
+            feeds.append((w, peers))
+        if feeds:
+            return tmpl, adjacency, min(end, next_round, heap[0][0] if heap else end), feeds
+        for node in nodes.values():
+            if node.slot and node.slot.squelched:
+                end = min(end, *node.slot.squelched.values())
+        return tmpl, adjacency, end, feeds
 
     def emit(node: NodeState, at: float, batch: tuple[tuple[MessageKind, int], ...]) -> None:
         """Emit `copies` messages of each kind of `batch` from the origin at
         `at`, replaying what its templates allow."""
         nonlocal template, steady
         if at < first_disconnect:
+            next_round = at + cfg.ledger_round_ms if batch is round_batch else duration
             flooded = [(kind, copies) for kind, copies in batch if copies and kind in always_flood]
             if flooded and template is None:
                 template = _build_template(latency, origin) or False
             if flooded and template and replay(at, flooded, template, latency, horizon):
                 batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
             pruned = [(kind, copies) for kind, copies in batch if copies and kind in squelch_kinds]
+            k = sum(copies for _, copies in pruned)
             if pruned and (steady is None or at >= steady[2]):
-                steady = settle(at)
+                steady = settle(at, k, next_round)
             if pruned and steady and steady[0]:
-                if replay(at, pruned, *steady):
-                    batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
-                else:
+                tmpl, adjacency, end, feeds = steady
+                if not replay(at, pruned, tmpl, adjacency, end):
                     steady = None  # its copies go in flight
+                else:
+                    batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
+                    # The copies' effect on the slots; the event loop's, in another order.
+                    for w, peers in feeds:
+                        slot = nodes[w].slot
+                        if slot is None:
+                            slot = nodes[w].slot = Slot(owner=w, origin_validator=origin)
+                        counts, selected = slot.per_peer_count, slot.selected
+                        for u in peers:
+                            if u not in selected:
+                                n = counts[u] = counts.get(u, 0) + k
+                                if n >= protocol.count_threshold:
+                                    selected.add(u)
+                                    slot.squelched.pop(u, None)
+                    if feeds:
+                        steady = None
         for kind, copies in batch:
             for _ in range(copies):
                 forward(node, kind, next(msg_ids), None, at)

@@ -366,6 +366,18 @@ def test_config_invariants():
                            warmup_ms=0, message_sizes={kind: 0})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_burst_and_disconnect_times_rejected(value):
+    # NaN passes a `< 0` test, and an infinite start or rate would drop the
+    # burst or collapse it onto one instant.
+    with pytest.raises(ValueError, match="finite"):
+        TxBurst(start_ms=value, trackers=(), count=1)
+    with pytest.raises(ValueError, match="finite"):
+        TxBurst(start_ms=0.0, trackers=(), count=1, rate_per_s=value)
+    with pytest.raises(ValueError, match="finite"):
+        Disconnect(at_ms=value, node=0)
+
+
 # --- always-flood replay from per-origin templates ---------------------------------
 
 def adjacency(g):
@@ -407,8 +419,8 @@ LEAF_LEAVES = (Disconnect(at_ms=15.0, node=2),)
 @pytest.mark.parametrize("edges,disconnects,expected_in", [
     # the leaf's tree copy lands at 20 ms, after it left at 15
     (PATH3, LEAF_LEAVES, {1: 1}),
-    # a disconnect that never happens must not hide the one that does
-    (PATH3, (Disconnect(at_ms=float("nan"), node=1),) + LEAF_LEAVES, {1: 1}),
+    # a disconnect after the run ends must not hide the one within it
+    (PATH3, (Disconnect(at_ms=5000.0, node=1),) + LEAF_LEAVES, {1: 1}),
     # only the duplicate 1 -> 2 is late
     ([(0, 1), (0, 2), (1, 2)], LEAF_LEAVES, {1: 2, 2: 1}),
 ])
@@ -775,3 +787,98 @@ def test_settled_squelch_deliveries_per_message_oracle(monkeypatch, nodes, degre
         assert delivered <= bound
         if exact:
             assert delivered == bound
+
+
+# --- counting rounds replayed when no selection can fill -----------------------
+
+def draw_counting_scenario(data, st):
+    """A squelch run that spends many rounds counting: thresholds of 2-12
+    copies against 1-4 squelchable copies per round, rounds shorter and
+    longer than a flood, short squelches that reset slots, now and then a
+    squelchable transaction burst or a late disconnect."""
+    draw = data.draw
+    n = draw(st.integers(4, 14))
+    g = generate_topology(n, float(draw(st.integers(2, min(6, n - 1)))), 0.5,
+                          draw(st.sampled_from([(5.0, 50.0), (10.0, 12.0)])),
+                          seed=draw(st.integers(0, 2**16)))
+    duration = draw(st.integers(1000, 6000))
+    protocol = ProtocolConfig(count_threshold=draw(st.integers(2, 12)),
+                              max_selected=draw(st.integers(1, 3)),
+                              squelch_base_ms=draw(st.one_of(st.integers(200, 3000),
+                                                             st.integers(20_000, 300_000))),
+                              squelch_jitter_ms=draw(st.integers(0, 1000)),
+                              squelch_kinds=draw(st.sampled_from([SQUELCH_KINDS,
+                                                                  APPLICATION_KINDS])))
+    bursts = tuple(TxBurst(float(draw(st.integers(0, duration))), (), draw(st.integers(1, 8)),
+                           draw(st.sampled_from([0.0, 20.0, 333.0])))
+                   for _ in range(draw(st.integers(0, 1))))
+    disconnects = tuple(Disconnect(float(draw(st.integers(duration // 2, duration))),
+                                   draw(st.sampled_from(g.nodes)))
+                        for _ in range(draw(st.integers(0, 1))))
+    return ScenarioConfig(
+        topology=g, duration_ms=duration, relay_policy=RelayPolicy.SQUELCH,
+        ledger_round_ms=draw(st.one_of(st.integers(30, 200), st.integers(250, 1500))),
+        proposals_per_round=draw(st.integers(0, 3)), tx_plan=bursts, protocol=protocol,
+        warmup_ms=0, disconnects=disconnects,
+    )
+
+
+def test_counting_replay_matches_event_loop_on_random_scenarios(monkeypatch):
+    """Replaying counting rounds, and applying their copies to the slots at
+    the emission, yields the same bytes as simulating every copy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        cfg = draw_counting_scenario(data, st)
+        replayed = export_csv(run_scenario(cfg))
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+            simulated = export_csv(run_scenario(cfg))
+        assert replayed == simulated
+
+    check()
+
+
+def test_counting_replay_window_ends_at_next_round(monkeypatch):
+    """35 ms rounds on 5 nodes, shorter than a flood: a counting round's
+    copies still arrive after the next round's emission, which is not on the
+    heap while the round is replayed. The replay must not count past it.
+    This is the differential script's scenario 121 without its bursts and
+    disconnects."""
+    g = generate_topology(5, 2.0, 0.8, (5.0, 50.0), seed=121)
+    cfg = ScenarioConfig(topology=g, duration_ms=1000, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=35, proposals_per_round=1,
+                         protocol=ProtocolConfig(count_threshold=4, max_selected=1,
+                                                 squelch_base_ms=244_020,
+                                                 squelch_jitter_ms=138_869,
+                                                 squelch_kinds=APPLICATION_KINDS),
+                         seed=121, warmup_ms=0)
+    replayed = export_csv(run_scenario(cfg))
+    monkeypatch.setattr(engine, "_build_template", lambda adjacency, origin: None)
+    assert replayed == export_csv(run_scenario(cfg))
+
+
+def test_counting_rounds_never_feed_a_slot_on_the_heap(monkeypatch):
+    """With a threshold of 10 copies and 2 squelchable copies per 1000 ms
+    round, rounds 0-3 cannot fill any selection, so they all replay and no
+    copy reaches `on_validator_message` before t = 4000 ms. Round 4 fills
+    the selections on the event loop."""
+    times = []
+    feed = engine.on_validator_message
+
+    def spy(slot, peer, now, protocol):
+        times.append(now)
+        return feed(slot, peer, now, protocol)
+
+    monkeypatch.setattr(engine, "on_validator_message", spy)
+    g = generate_topology(30, 6.0, 0.3, (5, 50), seed=1)
+    cfg = ScenarioConfig(topology=g, duration_ms=6000, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, proposals_per_round=1,
+                         protocol=ProtocolConfig(count_threshold=10), warmup_ms=0)
+    run_scenario(cfg)
+    assert times and min(times) >= 4000.0

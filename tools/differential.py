@@ -6,14 +6,23 @@ Run it under two source trees and compare the outputs byte for byte:
     PYTHONPATH=new/src python tools/differential.py --count 3000 > new.txt
     cmp old.txt new.txt
 
+With `--event-loop` the script sets `squelchsim.engine._build_template` to
+return None, which sends every emission through the event loop. Its output
+must equal the normal run's, so one tree checks its own replay paths:
+
+    python tools/differential.py --count 300 > replayed.txt
+    python tools/differential.py --count 300 --event-loop > simulated.txt
+    cmp replayed.txt simulated.txt
+
 Scenario `seed` is drawn from `random.Random(seed)` alone, so both trees run
 the same scenarios. They mix what the engine's fast paths must reproduce or
 hand back to the event loop: small generated graphs and edge lists whose
 latencies tie (all on the default, small integers, tenths), both relay
 policies, squelchable transactions, disconnects (some on whole seconds),
 short squelches that expire and reselect, and long ones that let selection
-settle. Only the package's public API is used, and only the standard
-library, so the script runs unchanged against any tree that has it.
+settle. Only the package's public API is used, plus the engine function
+that `--event-loop` replaces, and only the standard library, so the script
+runs unchanged against any tree that has them.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from squelchsim import (
     load_topology,
     run_scenario,
 )
+from squelchsim import engine
 
 SQUELCH_KIND_SETS = (
     frozenset({MessageKind.PROPOSAL}),
@@ -94,7 +104,11 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=3000, help="number of scenarios")
     parser.add_argument("--start", type=int, default=0, help="seed of the first scenario")
+    parser.add_argument("--event-loop", action="store_true",
+                        help="never replay from a template: run every copy on the event loop")
     args = parser.parse_args(argv)
+    if args.event_loop:
+        engine._build_template = lambda adjacency, origin: None
     for seed in range(args.start, args.start + args.count):
         try:
             text = export_csv(run_scenario(scenario(seed)))
