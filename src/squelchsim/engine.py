@@ -36,6 +36,31 @@ emission goes through the event loop unchanged; so does every emission over
 a template whose own run saw an exact tie (typical of equal-latency graphs).
 A round's kinds share one replay, counted with a per-kind multiplicity.
 
+From a template's second replay on, an emission is counted from the
+template's offset summary when rounding cannot decide anything. The summary
+is the template's own run at t=0, with the replay's float additions: each
+node's first receipt `off`, each send's arrival offset, the depth K of the
+tree and the latest arrival M. Let D = `duration_ms` and u = 2**-53. While
+every arrival lands before D, every partial sum lies in [0, D), so each
+float addition is off by at most u·D. A node at depth k is reached by k
+additions from t0 and k - 1 from 0 (the first, 0 + latency, is exact), and
+a send adds one more to each side: every replayed time differs from the
+real t0 + offset by at most (2K + 2)·u·D. The margin τ = (2K + 4)·2**-52·D
+is over twice that, and what it has to spare covers the roundings of the
+tests below. The summary counts an emission at t0 when:
+
+- every non-tree send arrives more than 2τ after its receiver's first
+  receipt, in offsets (its slack), so the strict-arrival check holds;
+- t0 + M + τ < the replay's horizon, so every arrival is counted;
+- no offset lies within τ of 1000k - t0 for any whole second 1000k in
+  (t0, t0 + M + τ], so each arrival lands in the second of t0 + its offset.
+
+Then `int(t // 1000)` of every arrival is decided by offsets alone, and a
+node's count per second is a bisect of its sorted offsets at each second
+boundary; with no boundary in range, its stored totals. Otherwise the two
+passes run. An origin that emits once builds no summary, and a summary
+lives as long as its template: the origin's run or its kept result.
+
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
 policy) never touch slot or downlink state; they replay over the latency
@@ -81,12 +106,14 @@ only randomness is the seeded topology generation upstream.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import count
-from math import isfinite
+from itertools import chain, count
+from math import inf, isfinite
+from typing import NamedTuple
 
 from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind
 from .metrics import MetricsLog
@@ -173,6 +200,8 @@ class ScenarioConfig:
     config_hash: str = ""
 
     def __post_init__(self) -> None:
+        if not all(map(isfinite, (self.duration_ms, self.warmup_ms, self.ledger_round_ms))):
+            raise ValueError("duration_ms, warmup_ms and ledger_round_ms must be finite")
         if self.warmup_ms < 0 or self.duration_ms <= self.warmup_ms:
             raise ValueError("need duration_ms > warmup_ms >= 0")
         if self.ledger_round_ms <= 0:
@@ -249,6 +278,124 @@ def _build_template(adjacency: dict[int, dict[int, float]],
                 heappush(heap, (at + lat, seq, dst, p))
                 seq += 1
     return order, parent
+
+
+# (node, n) pairs, one per node with n > 0, and (node, sorted offsets) pairs.
+_Totals = list[tuple[int, int]]
+_Offsets = list[tuple[int, list[float]]]
+
+
+class _OffsetSummary(NamedTuple):
+    """A template's emission at t=0 (`_offset_summary`). `by_node` and
+    `totals` hold, in this order, each node's sends, every copy it takes
+    (first and duplicate) and its duplicates, each send at its arrival."""
+
+    depth: int  # K, the deepest first receipt's hop count
+    latest: float  # M, the latest arrival offset
+    slack: float  # least gap from a non-tree arrival back to its receiver's first receipt
+    offsets: list[float]  # every send's arrival offset, sorted
+    by_node: tuple[_Offsets, _Offsets, _Offsets]
+    totals: tuple[_Totals, _Totals, _Totals]
+
+    def margin(self, duration: float) -> float:
+        """τ: twice the most a replayed time can differ from t0 + offset."""
+        return (2 * self.depth + 4) * 2**-52 * duration
+
+
+def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
+                    origin: int) -> _OffsetSummary:
+    """The offset summary of template `tmpl` (order and parent first, as
+    `_build_template` returns them) over `adjacency`: the template's
+    emission at t=0, with the same float additions as `_build_template`."""
+    order, parent = tmpl[0], tmpl[1]
+    off = {origin: 0.0}
+    depth = {origin: 0}
+    for v in order[1:]:
+        p = parent[v]
+        off[v] = off[p] + adjacency[p][v]
+        depth[v] = depth[p] + 1
+    dup = defaultdict(list)
+    out = []
+    for u in order:
+        fu = off[u]
+        pu = parent[u]
+        sends = []
+        for w, lat in adjacency[u].items():
+            if w == pu:
+                continue
+            if parent[w] == u:
+                t = off[w]
+            else:
+                t = fu + lat
+                dup[w].append(t)
+            sends.append(t)
+        if sends:
+            sends.sort()
+            out.append((u, sends))
+    dups = {w: sorted(ts) for w, ts in dup.items()}
+    # Each node takes its first copy, the origin none, and its duplicates.
+    into = [(w, sorted([off[w], *dups.get(w, ())])) for w in order[1:]]
+    if origin in dups:
+        into.append((origin, dups[origin]))
+    by_node = (out, into, list(dups.items()))
+    offsets = sorted(chain.from_iterable(ts for _, ts in out))
+    return _OffsetSummary(
+        max(depth.values()), offsets[-1] if offsets else 0.0,
+        min((ts[0] - off[w] for w, ts in dups.items()), default=inf), offsets, by_node,
+        tuple([(n, len(ts)) for n, ts in lists] for lists in by_node))
+
+
+def _split(by_node: _Offsets, s0: int, cuts: list[float]) -> list[tuple[int, _Totals]]:
+    """(second, totals) for each node's sorted offsets, which fall in second
+    s0 before cuts[0], s0 + 1 from cuts[0] to cuts[1], and so on."""
+    buckets: list[_Totals] = [[] for _ in range(len(cuts) + 1)]
+    for node, offs in by_node:
+        lo = 0
+        for i, c in enumerate(cuts):
+            hi = bisect_left(offs, c, lo)
+            if hi > lo:
+                buckets[i].append((node, hi - lo))
+            lo = hi
+        if lo < len(offs):
+            buckets[-1].append((node, len(offs) - lo))
+    return list(enumerate(buckets, s0))
+
+
+def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
+                   duration: float, log: MetricsLog) -> bool:
+    """Count `batch`, (kind, copies) pairs emitted at t0, into `log` from
+    `summary` when its margin decides every arrival (see the module
+    docstring). Returns False, having counted nothing, otherwise."""
+    tau = summary.margin(duration)
+    reach = summary.latest + tau
+    if summary.slack <= 2 * tau or t0 + reach >= horizon:
+        return False
+    offsets = summary.offsets
+    s0 = int(t0 // 1000)
+    cuts: list[float] = []
+    while (c := 1000.0 * (s0 + 1 + len(cuts)) - t0) <= reach:
+        if bisect_left(offsets, c - tau) != bisect_right(offsets, c + tau):
+            return False
+        cuts.append(c)
+    if cuts:
+        out, into, dup = (_split(by_node, s0, cuts) for by_node in summary.by_node)
+    else:
+        # The common case: the whole flood lands in t0's second. The stored
+        # totals spare a list build per node and emission; without them the
+        # benchmark's reference_compare ran 47% longer.
+        out, into, dup = ([(s0, totals)] for totals in summary.totals)
+    counts, dups = log.counts, log.duplicates
+    for kind, copies in batch:
+        for s, totals in out:
+            for u, n in totals:
+                counts[(u, s, kind, "out")] += n * copies
+        for s, totals in into:
+            for w, n in totals:
+                counts[(w, s, kind, "in")] += n * copies
+        for s, totals in dup:
+            for w, n in totals:
+                dups[(w, s, kind)] += n * copies
+    return True
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
@@ -334,15 +481,27 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 heappush(heap, (t, seq, _DELIVER_APP, p, kind, src, msg_id))
                 seq += 1
 
-    def replay(t0: float, batch: list[tuple[MessageKind, int]],
-               tmpl: tuple[list[int], dict[int, int | None]],
+    def new_template(adjacency: dict[int, dict[int, float]]) -> list | None:
+        """The origin's template over `adjacency` as a record [order, parent,
+        replays, offset summary], or None after an exact tie. The record's
+        second replay builds its summary."""
+        tmpl = _build_template(adjacency, origin)
+        return tmpl and [*tmpl, 0, None]
+
+    def replay(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
                adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
         """Count `batch`, (kind, copies) pairs of messages that the origin
         emits at t0 and that every node sends to its peers in `adjacency`,
-        from `tmpl`, their template. Returns False, having counted nothing,
-        when the template tree is not provably the event loop's first-receipt
-        tree at t0 or an arrival lands in [horizon, duration)."""
-        order, parent = tmpl
+        from `tmpl`, their template record: from its offset summary where
+        that is exact, else in two passes. Returns False, having counted
+        nothing, when the template tree is not provably the event loop's
+        first-receipt tree at t0 or an arrival lands in [horizon, duration)."""
+        order, parent, replays, summary = tmpl
+        tmpl[2] = replays + 1
+        if replays == 1:
+            summary = tmpl[3] = _offset_summary(tmpl, adjacency, origin)
+        if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
+            return True
         first = {origin: t0}
         out_c: dict[tuple[int, int], int] = defaultdict(int)
         dup_c: dict[tuple[int, int], int] = defaultdict(int)
@@ -420,17 +579,17 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                         kept[p] = lat
                     elif x < end:
                         end = x
-            tmpl = _build_template(adjacency, origin)
+            tmpl = new_template(adjacency)
         else:
             adjacency = latency
             if template is None:
-                template = _build_template(latency, origin) or False
+                template = new_template(latency) or False
             tmpl = template
         if not tmpl:
             return tmpl, adjacency, end, ()
         # The peers whose copy reaches each node before the run ends; each
         # copy feeds the receiver's slot.
-        order, parent = tmpl
+        order, parent = tmpl[0], tmpl[1]
         first = {origin: t0}
         for v in order[1:]:
             p = parent[v]
@@ -478,7 +637,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             next_round = at + cfg.ledger_round_ms if batch is round_batch else duration
             flooded = [(kind, copies) for kind, copies in batch if copies and kind in always_flood]
             if flooded and template is None:
-                template = _build_template(latency, origin) or False
+                template = new_template(latency) or False
             if flooded and template and replay(at, flooded, template, latency, horizon):
                 batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
             pruned = [(kind, copies) for kind, copies in batch if copies and kind in squelch_kinds]
@@ -525,7 +684,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     for origin in sorted(emissions):
         nodes = {n: NodeState(n, dict(graph.neighbors(n))) for n in graph.nodes}
         latency = {n: node.latency for n, node in nodes.items()}
-        # Built on the first replay; False when a tie rules the template out.
+        # A template record (new_template), built on the first replay; False
+        # when a tie rules the template out.
         template = None
         steady = None  # settle()'s result, kept until its window ends
         heap: list[tuple] = []

@@ -378,6 +378,16 @@ def test_non_finite_burst_and_disconnect_times_rejected(value):
         Disconnect(at_ms=value, node=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["duration_ms", "warmup_ms", "ledger_round_ms"])
+def test_non_finite_scenario_times_rejected(name, value):
+    # A NaN duration ran and returned an empty log, a NaN warm-up excluded no
+    # second, and a NaN or infinite round emitted a single round.
+    times = {"duration_ms": 2000, "warmup_ms": 0, "ledger_round_ms": 1000, name: value}
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioConfig(topology=graph_from_edges(K4), relay_policy=RelayPolicy.FLOOD, **times)
+
+
 # --- always-flood replay from per-origin templates ---------------------------------
 
 def adjacency(g):
@@ -882,3 +892,106 @@ def test_counting_rounds_never_feed_a_slot_on_the_heap(monkeypatch):
                          protocol=ProtocolConfig(count_threshold=10), warmup_ms=0)
     run_scenario(cfg)
     assert times and min(times) >= 4000.0
+
+
+# --- repeat replays counted from a template's offset summary -------------------
+
+def two_pass(m):
+    """Patch the engine so that every replay walks its template in two passes."""
+    m.setattr(engine, "_offset_summary", lambda tmpl, adjacency, origin: None)
+
+
+def test_offset_replay_matches_two_pass(monkeypatch):
+    """Counting repeat replays from offset summaries yields the same bytes as
+    walking every send of the template."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        cfg = draw_replay_scenario(data, st)
+        summarized = export_csv(run_scenario(cfg))
+        with monkeypatch.context() as m:
+            two_pass(m)
+            assert export_csv(run_scenario(cfg)) == summarized
+
+    check()
+
+
+def offset_replays(monkeypatch):
+    """Spy on `_offset_replay`: a list that collects (t0, counted) per call."""
+    calls = []
+    replay = engine._offset_replay
+
+    def spy(summary, t0, *args):
+        counted = replay(summary, t0, *args)
+        calls.append((t0, counted))
+        return counted
+
+    monkeypatch.setattr(engine, "_offset_replay", spy)
+    return calls
+
+
+def assert_same_bytes_on_every_path(monkeypatch, cfg):
+    """`cfg` gives the same bytes from summaries, in two passes and on the
+    event loop; returns the offset replays of the first run."""
+    calls = offset_replays(monkeypatch)
+    summarized = export_csv(run_scenario(cfg))
+    with monkeypatch.context() as m:
+        two_pass(m)
+        assert export_csv(run_scenario(cfg)) == summarized
+        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        assert export_csv(run_scenario(cfg)) == summarized
+    return calls
+
+
+# Integer-latency triangle: 0 reaches 1 at 10 ms and 2 at 15 ms; the duplicates
+# 1 -> 2 and 2 -> 1 land at 20 and 25 ms.
+TRIANGLE = "0 1 10\n1 2 10\n0 2 15\n"
+
+
+def test_offset_replay_falls_back_on_slack(monkeypatch):
+    """The one-ulp graph: node 3's duplicate lands one ulp after its first
+    copy at t=0, inside the margin, so no emission counts from the summary."""
+    g = load_topology("0 1 0.1\n1 3 0.8\n0 2 0.3\n2 3 0.6\n", {0})
+    adj = adjacency(g)
+    summary = engine._offset_summary(engine._build_template(adj, 0), adj, 0)
+    assert 0 < summary.slack <= 2 * summary.margin(3000)
+    cfg = ScenarioConfig(topology=g, duration_ms=3000, relay_policy=RelayPolicy.FLOOD,
+                         ledger_round_ms=1000, warmup_ms=0)
+    # The first replay, at t=0, builds no summary.
+    assert assert_same_bytes_on_every_path(monkeypatch, cfg) == [(1000.0, False),
+                                                                 (2000.0, False)]
+
+
+def test_offset_replay_falls_back_on_whole_second(monkeypatch):
+    """990 ms rounds: the round at 990 ms has an arrival at exactly 1000 ms
+    and the one at 1980 ms at 2000 ms, so both walk in two passes; the round
+    at 2970 ms stays within its second and counts from the summary."""
+    cfg = ScenarioConfig(topology=load_topology(TRIANGLE, {0}), duration_ms=3000,
+                         relay_policy=RelayPolicy.FLOOD, ledger_round_ms=990, warmup_ms=0)
+    assert assert_same_bytes_on_every_path(monkeypatch, cfg) == [(990.0, False),
+                                                                 (1980.0, False),
+                                                                 (2970.0, True)]
+
+
+def test_offset_replay_falls_back_near_horizon(monkeypatch):
+    """The round at 2000 ms of a 2010 ms run has arrivals past the end, up
+    to 25 ms after its emission, so it walks in two passes."""
+    cfg = ScenarioConfig(topology=load_topology(TRIANGLE, {0}), duration_ms=2010,
+                         relay_policy=RelayPolicy.FLOOD, ledger_round_ms=1000, warmup_ms=0)
+    assert assert_same_bytes_on_every_path(monkeypatch, cfg) == [(1000.0, True),
+                                                                 (2000.0, False)]
+
+
+def test_reference_flood_arm_counts_from_summaries(monkeypatch):
+    """The offset path carries the reference config's flood arm (seed 1, all
+    120 s), so it cannot go dead without notice."""
+    calls = offset_replays(monkeypatch)
+    cfg = build_scenario(validate_config(json.loads(REFERENCE_CONFIG.read_text(encoding="utf-8"))))
+    assert (cfg.seed, cfg.relay_policy) == (1, RelayPolicy.FLOOD)
+    run_scenario(cfg)
+    assert sum(counted for _, counted in calls) >= 1000

@@ -14,15 +14,23 @@ must equal the normal run's, so one tree checks its own replay paths:
     python tools/differential.py --count 300 --event-loop > simulated.txt
     cmp replayed.txt simulated.txt
 
+With `--two-pass` the script sets `squelchsim.engine._offset_summary` to
+return None, so every replay walks its template in two passes instead of
+counting repeat emissions from the template's offset summary. Its output
+must equal the normal run's too:
+
+    python tools/differential.py --count 300 --two-pass > walked.txt
+    cmp replayed.txt walked.txt
+
 Scenario `seed` is drawn from `random.Random(seed)` alone, so both trees run
 the same scenarios. They mix what the engine's fast paths must reproduce or
 hand back to the event loop: small generated graphs and edge lists whose
 latencies tie (all on the default, small integers, tenths), both relay
 policies, squelchable transactions, disconnects (some on whole seconds),
 short squelches that expire and reselect, and long ones that let selection
-settle. Only the package's public API is used, plus the engine function
-that `--event-loop` replaces, and only the standard library, so the script
-runs unchanged against any tree that has them.
+settle. Only the package's public API is used, plus the engine functions
+that `--event-loop` and `--two-pass` replace, and only the standard library,
+so the script runs unchanged against any tree that has them.
 """
 
 from __future__ import annotations
@@ -106,9 +114,13 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--start", type=int, default=0, help="seed of the first scenario")
     parser.add_argument("--event-loop", action="store_true",
                         help="never replay from a template: run every copy on the event loop")
+    parser.add_argument("--two-pass", action="store_true",
+                        help="never count a replay from an offset summary: walk every send")
     args = parser.parse_args(argv)
     if args.event_loop:
         engine._build_template = lambda adjacency, origin: None
+    if args.two_pass:
+        engine._offset_summary = lambda tmpl, adjacency, origin: None
     for seed in range(args.start, args.start + args.count):
         try:
             text = export_csv(run_scenario(scenario(seed)))
