@@ -30,11 +30,18 @@ second walks every other send and counts it unless it arrives at or after
 `duration_ms`. The replay is exact when every non-tree arrival comes
 strictly after its receiver's first receipt: then each node's earliest copy
 is the tree copy, whatever the insertion sequence. When that check fails (a
-tie, or float rounding that reorders near-ties at `t0`), when a counted
-arrival reaches the replay's horizon, or from the first disconnect on, the
-emission goes through the event loop unchanged; so does every emission over
-a template whose own run saw an exact tie (typical of equal-latency graphs).
-A round's kinds share one replay, counted with a per-kind multiplicity.
+tie, or float rounding that reorders near-ties at `t0`) or a counted arrival
+reaches the replay's horizon, the emission goes through the event loop
+unchanged; so does every emission over a template whose own run saw an exact
+tie (typical of equal-latency graphs). A round's kinds share one replay,
+counted with a per-kind multiplicity.
+
+The horizon is `duration_ms` or the next disconnect still on the heap,
+whichever comes first: a disconnect changes the live sets. Every disconnect
+popped, also one of a node already gone, moves it on to the next one. A
+disconnect of a live node also drops the origin's template and kept result
+(below), which were built over the old latency maps; the next replay
+rebuilds them over the new ones.
 
 From a template's second replay on, an emission is counted from the
 template's offset summary when rounding cannot decide anything. The summary
@@ -75,18 +82,19 @@ check sorts those feeds:
   still squelches the sender. `on_validator_message` then returns nothing
   and changes at most an already selected peer's count, which nothing reads.
   The horizon is the earliest slot squelch expiry, downlink expiry after
-  `t0`, first disconnect or `duration_ms`, and nothing else changes that
+  `t0`, next disconnect or `duration_ms`, and nothing else changes that
   state before it. The result is kept for later emissions up to its
   horizon. No control or squelchable copy is in flight at `t0`; later ones
   come only from a slot action or an emission that falls back to the event
   loop, and either drops the kept result, as do a control delivery and a
   live expiry.
 - Counting: some fed slot is still counting (or not created yet) and the
-  sender is not among its selected peers. The emission replays only if no
-  counting slot fills its selection: its selected peers plus the fed
-  unselected peers whose count reaches `count_threshold` with the batch's
-  copies stay below `max_selected`, and every selected slot's feeds are
-  quiet. The horizon also ends at the origin's next heap event (an
+  sender is not among its selected peers, but no slot can act: no counting
+  slot fills its selection (its selected peers plus the fed unselected
+  peers whose count reaches `count_threshold` with the batch's copies stay
+  below `max_selected`), and every selected slot's feeds are quiet. A round
+  that fails this test is a round in which a slot may act (below). The
+  horizon also ends at the origin's next heap event (an
   emission, a squelch expiry, stale or not, a disconnect) and, for a
   round, at the next round's emission, pushed only after this one returns.
   Inside that window no other event of the origin runs and no feed returns
@@ -96,8 +104,45 @@ check sorts those feeds:
   as the event loop leaves them by the window's end. The result serves
   this emission alone.
 
-A round that fills a selection stays on the event loop: its squelches
-change downlinks while its copies are in flight.
+A round in which a slot acts replays too: a fill round, in which a counting
+slot fills its selection and squelches the other peers it counted, or a
+straggler round, in which a selected slot hears from a peer it has neither
+selected nor squelched. Its squelches reach peers while its copies are in
+flight, yet every first receipt stays the pruned template's, for three
+reasons:
+
+- a slot acts only on a copy of this round, so never before its node w's
+  first receipt f_w;
+- its squelch reaches a peer p only after that, one link latency later;
+- so the squelch can only stop p's later send back to w, which would
+  arrive after f_w and be a duplicate.
+
+`fill` replays such a round in one walk at `t0`, over the counting round's
+window, which ends at the origin's next heap event, the round's next
+emission, any downlink expiry after `t0` or the horizon. It sorts each
+receiver's (arrival, sender) copies and feeds them, `k` copies per arrival
+in batch order, to the real `on_validator_message`, working on copies of
+the slots; inside the window no other event of the origin runs, so each
+slot sees exactly the copies it would see on the heap, in the same order.
+A send q→w is dropped exactly when w's squelch reached q strictly before
+f_q. The walk counts the tree sends, the duplicates that remain and the
+squelch controls that arrive before `duration_ms`, and applies
+`on_squelch_received` at each arrival. The caller pushes the new squelch
+expiries after the round's next emission, in the order the slots acted:
+the event loop pushes them in that order, after that emission. The round
+falls back to the event loop, having touched no slot, downlink, heap entry
+or count, when the insertion sequence would decide an order, or an effect
+would outlast the window:
+
+- copies from two senders reach one receiver at the same time;
+- a squelch reaches p exactly at f_p, and w is not p's tree parent;
+- two nodes act at the same time;
+- a control message arrives at or after the window end, before
+  `duration_ms`;
+- a new slot squelch expires at or before the window end (its downlink
+  expiry comes one latency later);
+- as for any replay, an arrival lands in [window end, `duration_ms`) or a
+  duplicate does not arrive strictly after its receiver's first receipt.
 
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
@@ -439,11 +484,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         if disc.node not in known:
             raise ScenarioSetupError(f"disconnect names unknown node {disc.node}")
     # Only disconnects that make it onto the heap (push drops the rest).
-    first_disconnect = min((d.at_ms for d in cfg.disconnects if d.at_ms < duration),
-                           default=float("inf"))
-    # Replayed arrivals must land before this; from the first disconnect on,
-    # live sets change and only the event loop knows them.
-    horizon = min(duration, first_disconnect)
+    disconnect_times = sorted((d.at_ms for d in cfg.disconnects if d.at_ms < duration),
+                              reverse=True)
     always_flood = APPLICATION_KINDS - squelch_kinds
 
     log = MetricsLog(
@@ -556,15 +598,16 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         return True
 
     def settle(t0: float, copies: int, next_round: float):
-        """(pruned template, falsy after a tie; adjacency; window end; feeds)
-        for `copies` squelchable messages the origin emits at t0, or None
-        while they must run on the event loop. `feeds` lists (receiver,
-        senders) for each counting slot, or node without one, that a sender
-        it has not selected reaches, for the caller to apply once the replay
-        succeeds. When it is empty the result holds until its window end;
-        otherwise it serves this emission alone, and the window also ends at
-        the origin's next heap event and at `next_round`, this round's next
-        emission, which is not pushed yet."""
+        """(pruned template, falsy after a tie; adjacency; window end; feeds;
+        acts) for `copies` squelchable messages the origin emits at t0, or
+        None while they must run on the event loop. `feeds` lists (receiver,
+        senders in template order) for each counting slot, or node without
+        one, that a sender it has not selected reaches, for the caller to
+        apply once the replay succeeds. When a slot may act (`acts`), it
+        lists every receiver instead, for `fill`. When it is empty the result
+        holds until its window end; otherwise it serves this emission alone,
+        and the window also ends at the origin's next heap event and at
+        `next_round`, this round's next emission, which is not pushed yet."""
         nonlocal template
         if any(e[2] <= _DELIVER_CTRL for e in heap):
             return None
@@ -586,7 +629,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 template = new_template(latency) or False
             tmpl = template
         if not tmpl:
-            return tmpl, adjacency, end, ()
+            return tmpl, adjacency, end, (), False
         # The peers whose copy reaches each node before the run ends; each
         # copy feeds the receiver's slot.
         order, parent = tmpl[0], tmpl[1]
@@ -603,37 +646,126 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     fed[w].append(u)
         feeds = []
         threshold = protocol.count_threshold
+        window = min(end, next_round, heap[0][0] if heap else end)
         for w, peers in fed.items():
             s = nodes[w].slot
             if s is None:
                 selected, counts = set(), {}
             elif s.state is SlotState.SELECTED:
                 if not s.squelched.keys() >= set(peers) - s.selected:
-                    return None
+                    return tmpl, adjacency, window, list(fed.items()), True
                 continue
             elif s.selected.issuperset(peers):
                 continue
             else:
                 selected, counts = s.selected, s.per_peer_count
-            # A counting slot must not fill its selection.
+            # A counting slot may fill its selection: a fill round.
             if (copies + max(counts.values(), default=0) >= threshold
                     and len(selected) + sum(u not in selected and counts.get(u, 0) + copies
                                             >= threshold for u in peers)
                     >= protocol.max_selected):
-                return None
+                return tmpl, adjacency, window, list(fed.items()), True
             feeds.append((w, peers))
         if feeds:
-            return tmpl, adjacency, min(end, next_round, heap[0][0] if heap else end), feeds
+            return tmpl, adjacency, window, feeds, False
         for node in nodes.values():
             if node.slot and node.slot.squelched:
                 end = min(end, *node.slot.squelched.values())
-        return tmpl, adjacency, end, feeds
+        return tmpl, adjacency, end, feeds, False
 
-    def emit(node: NodeState, at: float, batch: tuple[tuple[MessageKind, int], ...]) -> None:
+    def fill(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
+             adjacency: dict[int, dict[int, float]], end: float,
+             fed: list[tuple[int, list[int]]]):
+        """Replay `batch`, (kind, copies) pairs of squelchable messages that
+        the origin emits at t0, in a round in which slots may act: feed each
+        receiver's copies, in arrival order, to copies of the slots, drop
+        each send that a squelch reached first, and count what remains. `fed`
+        lists (receiver, senders) for every pruned send that arrives before
+        `duration_ms`. Returns the round's squelch expiries before
+        `duration_ms`, (at, owner, peer) in the order the slots acted, for
+        the caller to push; or None, having changed nothing, when the round
+        must run on the event loop (see the module docstring)."""
+        order, parent = tmpl[0], tmpl[1]
+        k = sum(copies for _, copies in batch)
+        first = {origin: t0}
+        for v in order[1:]:
+            p = parent[v]
+            first[v] = first[p] + adjacency[p][v]
+        out_c: dict[tuple[int, int], int] = defaultdict(int)
+        in_c: dict[tuple[int, int], int] = defaultdict(int)
+        dup_c: dict[tuple[int, int], int] = defaultdict(int)
+        slots: list[tuple[NodeState, Slot]] = []
+        acted: list[tuple[float, int, list[tuple[int, ControlMessage]]]] = []
+        for w, senders in fed:
+            node = nodes[w]
+            old = node.slot
+            slot = (Slot(owner=w, origin_validator=origin) if old is None else
+                    Slot(w, origin, dict(old.per_peer_count), set(old.selected),
+                         dict(old.squelched), old.state, old.round_index))
+            slots.append((node, slot))
+            lat = node.latency
+            fw, pw = first[w], parent[w]
+            reached: dict[int, float] = {}  # peer -> when this node's squelch reaches it
+            last = -inf
+            for t, u in sorted([(first[u] + adjacency[u][w], u) for u in senders]):
+                if u in reached and reached[u] < first[u]:
+                    continue  # squelched before it relayed: never sent
+                if t >= end or t == last or (t <= fw and u != pw):
+                    return None
+                last = t
+                s = int(t // 1000)
+                out_c[(u, s)] += 1
+                in_c[(w, s)] += 1
+                if u != pw:
+                    dup_c[(w, s)] += 1
+                for _ in range(k):
+                    actions = on_validator_message(slot, u, t, protocol)
+                    if not actions:
+                        continue
+                    acted.append((t, w, actions))
+                    for q, ctrl in actions:
+                        # Its downlink expiry, at + duration, falls after the slot's.
+                        at = t + lat[q]
+                        if (t + ctrl.duration_ms <= end or end <= at < duration
+                                or at == first.get(q) and parent[q] != w):
+                            return None
+                        reached[q] = at
+        acted.sort(key=lambda a: a[0])
+        if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(acted, acted[1:])):
+            return None
+        for node, slot in slots:
+            node.slot = slot
+        for kind, copies in batch:
+            for (u, s), n in out_c.items():
+                counts[(u, s, kind, "out")] += n * copies
+            for (w, s), n in in_c.items():
+                counts[(w, s, kind, "in")] += n * copies
+            for (w, s), n in dup_c.items():
+                dups[(w, s, kind)] += n * copies
+        expiries = []
+        for t, w, actions in acted:
+            lat = latency[w]
+            for q, ctrl in actions:
+                at = t + lat[q]
+                if at < duration:
+                    s = int(at // 1000)
+                    counts[(w, s, ctrl.kind, "out")] += 1
+                    counts[(q, s, ctrl.kind, "in")] += 1
+                    on_squelch_received(nodes[q].downlink, w, ctrl, at)
+                if t + ctrl.duration_ms < duration:
+                    expiries.append((t + ctrl.duration_ms, w, q))
+        return expiries
+
+    def emit(node: NodeState, at: float,
+             batch: tuple[tuple[MessageKind, int], ...]) -> list[tuple[float, int, int]]:
         """Emit `copies` messages of each kind of `batch` from the origin at
-        `at`, replaying what its templates allow."""
+        `at`, replaying what its templates allow. Returns the squelch
+        expiries of a round that `fill` replayed, (at, owner, peer), for the
+        caller to push after the round's next emission, as the event loop
+        would."""
         nonlocal template, steady
-        if at < first_disconnect:
+        expiries = None
+        if at < horizon:
             next_round = at + cfg.ledger_round_ms if batch is round_batch else duration
             flooded = [(kind, copies) for kind, copies in batch if copies and kind in always_flood]
             if flooded and template is None:
@@ -645,28 +777,35 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if pruned and (steady is None or at >= steady[2]):
                 steady = settle(at, k, next_round)
             if pruned and steady and steady[0]:
-                tmpl, adjacency, end, feeds = steady
-                if not replay(at, pruned, tmpl, adjacency, end):
-                    steady = None  # its copies go in flight
+                tmpl, adjacency, end, feeds, acts = steady
+                if acts:
+                    steady = None  # its squelches change the downlinks
+                    expiries = fill(at, pruned, tmpl, adjacency, end, feeds)
+                    replayed = expiries is not None
                 else:
-                    batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
-                    # The copies' effect on the slots; the event loop's, in another order.
-                    for w, peers in feeds:
-                        slot = nodes[w].slot
-                        if slot is None:
-                            slot = nodes[w].slot = Slot(owner=w, origin_validator=origin)
-                        counts, selected = slot.per_peer_count, slot.selected
-                        for u in peers:
-                            if u not in selected:
-                                n = counts[u] = counts.get(u, 0) + k
-                                if n >= protocol.count_threshold:
-                                    selected.add(u)
-                                    slot.squelched.pop(u, None)
-                    if feeds:
+                    replayed = replay(at, pruned, tmpl, adjacency, end)
+                    if not replayed:
+                        steady = None  # its copies go in flight
+                    elif feeds:
                         steady = None
+                        # The copies' effect on the slots; the event loop's, in another order.
+                        for w, peers in feeds:
+                            slot = nodes[w].slot
+                            if slot is None:
+                                slot = nodes[w].slot = Slot(owner=w, origin_validator=origin)
+                            counts, selected = slot.per_peer_count, slot.selected
+                            for u in peers:
+                                if u not in selected:
+                                    n = counts[u] = counts.get(u, 0) + k
+                                    if n >= protocol.count_threshold:
+                                        selected.add(u)
+                                        slot.squelched.pop(u, None)
+                if replayed:
+                    batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
         for kind, copies in batch:
             for _ in range(copies):
                 forward(node, kind, next(msg_ids), None, at)
+        return expiries or []
 
     def send_controls(node: NodeState, actions: list[tuple[int, ControlMessage]],
                       at: float) -> None:
@@ -688,6 +827,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         # when a tie rules the template out.
         template = None
         steady = None  # settle()'s result, kept until its window ends
+        # The disconnects still on the heap, latest first: replayed arrivals
+        # must land before the next, which changes the live sets.
+        disconnects_left = list(disconnect_times)
+        horizon = disconnects_left[-1] if disconnects_left else duration
         heap: list[tuple] = []
         for at, batch in emissions[origin]:
             push(at, _EMIT, origin, None, None, batch)
@@ -697,6 +840,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         while heap:
             at, _, code, dst, kind, peer, arg = heappop(heap)
             node = nodes[dst]
+            if code == _DISCONNECT:
+                disconnects_left.pop()
+                horizon = disconnects_left[-1] if disconnects_left else duration
             if not node.live:
                 continue
             if code <= _DELIVER_CTRL:
@@ -725,9 +871,11 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                         on_unsquelch_received(node.downlink, peer, arg)
 
             elif code == _EMIT:
-                emit(node, at, arg)
+                expiries = emit(node, at, arg)
                 if arg is round_batch:
                     push(at + cfg.ledger_round_ms, _EMIT, dst, None, None, round_batch)
+                for expiry, owner, squelched in expiries:
+                    push(expiry, _SQUELCH_EXPIRY, owner, None, squelched, expiry)
 
             elif code == _SQUELCH_EXPIRY:
                 # Stale expiries (slot reset or re-squelch meanwhile) are skipped.
@@ -737,6 +885,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
 
             else:  # _DISCONNECT
                 node.live = False
+                template = steady = None
                 for nb_id in node.latency:
                     nb = nodes[nb_id]
                     del nb.latency[dst]

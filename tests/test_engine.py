@@ -877,7 +877,7 @@ def test_counting_rounds_never_feed_a_slot_on_the_heap(monkeypatch):
     """With a threshold of 10 copies and 2 squelchable copies per 1000 ms
     round, rounds 0-3 cannot fill any selection, so they all replay and no
     copy reaches `on_validator_message` before t = 4000 ms. Round 4 fills
-    the selections on the event loop."""
+    the selections, feeding the copies of its slots."""
     times = []
     feed = engine.on_validator_message
 
@@ -995,3 +995,198 @@ def test_reference_flood_arm_counts_from_summaries(monkeypatch):
     assert (cfg.seed, cfg.relay_policy) == (1, RelayPolicy.FLOOD)
     run_scenario(cfg)
     assert sum(counted for _, counted in calls) >= 1000
+
+
+# --- fill rounds replayed off the heap -----------------------------------------
+
+def popped_events(monkeypatch):
+    """Spy on the event loop's heap: a list that collects (at, code, kind)
+    of every event popped."""
+    events = []
+    pop = engine.heappop
+
+    def spy(heap):
+        entry = pop(heap)
+        if len(entry) == 7:  # not a template run's entry
+            events.append((entry[0], entry[2], entry[4]))
+        return entry
+
+    monkeypatch.setattr(engine, "heappop", spy)
+    return events
+
+
+def assert_same_bytes_as_event_loop(monkeypatch, cfg):
+    """`cfg` gives the same bytes as on the forced event loop; returns them."""
+    replayed = export_csv(run_scenario(cfg))
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        assert export_csv(run_scenario(cfg)) == replayed
+    return replayed
+
+
+def draw_fill_scenario(data, st):
+    """A squelch run whose rounds fill selections and squelch stragglers:
+    thresholds of 1-12 copies, 1-4 selected peers, 0-3 proposals per
+    250-1500 ms round, squelches of 200 ms-300 s and 0-3 disconnects, on
+    generated latencies or small integers, which tie."""
+    draw = data.draw
+    n = draw(st.integers(4, 14))
+    seed = draw(st.integers(0, 2**16))
+    g = generate_topology(n, float(draw(st.integers(2, min(6, n - 1)))), 0.5,
+                          draw(st.sampled_from([(5.0, 50.0), (10.0, 12.0)])), seed=seed)
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        g = load_topology("".join(f"{u} {v} {rng.randint(1, 6)}\n" for u, v in sorted(g.edges)),
+                          set(g.validator_set))
+    duration = draw(st.integers(2000, 8000))
+    protocol = ProtocolConfig(count_threshold=draw(st.integers(1, 12)),
+                              max_selected=draw(st.integers(1, 4)),
+                              squelch_base_ms=draw(st.one_of(st.integers(200, 3000),
+                                                             st.integers(3000, 300_000))),
+                              squelch_jitter_ms=draw(st.integers(0, 1000)),
+                              squelch_kinds=draw(st.sampled_from([SQUELCH_KINDS,
+                                                                  APPLICATION_KINDS])))
+    disconnects = tuple(Disconnect(float(draw(st.integers(0, duration))),
+                                   draw(st.sampled_from(g.nodes)))
+                        for _ in range(draw(st.integers(0, 3))))
+    return ScenarioConfig(
+        topology=g, duration_ms=duration, relay_policy=RelayPolicy.SQUELCH,
+        ledger_round_ms=draw(st.integers(250, 1500)),
+        proposals_per_round=draw(st.integers(0, 3)), protocol=protocol,
+        warmup_ms=0, disconnects=disconnects,
+    )
+
+
+def test_fill_replay_matches_event_loop_on_random_scenarios(monkeypatch):
+    """Replaying the rounds in which slots act (fill and straggler rounds)
+    yields the same bytes as simulating every copy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        assert_same_bytes_as_event_loop(monkeypatch, draw_fill_scenario(data, st))
+
+    check()
+
+
+def test_fill_round_pops_no_control_message(monkeypatch):
+    """With a threshold of 10 copies and 2 squelchable copies per 1000 ms
+    round, round 4 fills the selections. It replays off the heap: its
+    squelches are counted in second 4, yet no control message is popped."""
+    events = popped_events(monkeypatch)
+    g = generate_topology(30, 6.0, 0.3, (5, 50), seed=1)
+    cfg = ScenarioConfig(topology=g, duration_ms=6000, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, proposals_per_round=1,
+                         protocol=ProtocolConfig(count_threshold=10), warmup_ms=0)
+    log = run_scenario(cfg)
+    assert not [e for e in events if 4000 <= e[0] < 5000 and e[1] == engine._DELIVER_CTRL]
+    assert sum(n for (_, s, k, d), n in log.counts.items()
+               if s == 4 and k is MessageKind.SQUELCH and d == "in") > 0
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+def test_fill_drops_a_send_that_a_squelch_reached_first(monkeypatch):
+    """67 ms rounds, one selected peer. In the round at 2412 ms node 4
+    squelches node 0, and the squelch reaches node 0 at about 2434.0 ms,
+    0.6 ms before node 0's first copy: node 0 never sends that copy back to
+    node 4, and the replayed round must not count or feed it."""
+    cfg = ScenarioConfig(topology=generate_topology(7, 5.0, 0.2, (10.0, 12.0), seed=468),
+                         duration_ms=2500, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=67, proposals_per_round=2,
+                         protocol=ProtocolConfig(count_threshold=4, max_selected=1,
+                                                 squelch_base_ms=2108, squelch_jitter_ms=201),
+                         warmup_ms=0)
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+def test_fill_falls_back_when_a_squelch_lands_at_a_first_receipt(monkeypatch):
+    """Integer latencies, round at 2750 ms: node 3 fills its selection on
+    its first copy at 2751 ms, and its squelch reaches node 1 at 2752 ms,
+    when node 1's first copy arrives from node 2. Whether node 1 still sends
+    the message to node 3 depends on the insertion sequence, so the round
+    runs on the event loop."""
+    events = popped_events(monkeypatch)
+    g = load_topology("0 1 3\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n", {0})
+    cfg = ScenarioConfig(topology=g, duration_ms=3000, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=250, proposals_per_round=1,
+                         protocol=ProtocolConfig(count_threshold=3, max_selected=1,
+                                                 squelch_base_ms=1874, squelch_jitter_ms=163),
+                         warmup_ms=0)
+    run_scenario(cfg)
+    assert (2752.0, engine._DELIVER_CTRL, MessageKind.SQUELCH) in events
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+def test_fill_falls_back_when_two_nodes_act_at_once(monkeypatch):
+    """Nodes 3 and 4 take their first copies at 15 ms and each other's
+    duplicates at 22 ms, when both squelch the sender. Which squelch the
+    event loop sends first is up to the insertion sequence, so round 0 runs
+    on the event loop. Round 1, settled, replays."""
+    events = popped_events(monkeypatch)
+    g = load_topology("0 1 10\n0 2 10\n1 3 5\n2 4 5\n3 4 7\n", {0})
+    cfg = ScenarioConfig(topology=g, duration_ms=2000, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, proposals_per_round=0,
+                         protocol=ProtocolConfig(count_threshold=1, max_selected=1),
+                         warmup_ms=0)
+    run_scenario(cfg)
+    assert [(at, code) for at, code, _ in events if at in (22.0, 29.0)] == [
+        (22.0, engine._DELIVER_APP), (22.0, engine._DELIVER_APP),
+        (29.0, engine._DELIVER_CTRL), (29.0, engine._DELIVER_CTRL)]
+    assert [code for at, code, _ in events if at >= 1000.0] == [engine._EMIT]
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("edges,validators,duration,round_ms,proposals,protocol", [
+    # Integer latencies: two senders' copies reach one node at once.
+    ("0 1 1\n0 2 3\n0 3 1\n0 4 4\n1 2 4\n1 3 4\n1 4 6\n2 3 4\n2 4 2\n3 4 1\n",
+     {0, 2, 3}, 2116, 500, 1,
+     ProtocolConfig(count_threshold=1, max_selected=3, squelch_base_ms=2298,
+                    squelch_jitter_ms=228)),
+    # 7-10 ms squelches expire inside the flood of the round that sent them.
+    ("0 1 29\n0 2 13\n0 3 17\n0 4 7\n1 2 10\n1 3 13\n2 4 20\n3 4 37\n",
+     {0, 2, 3}, 3641, 1000, 0,
+     ProtocolConfig(count_threshold=4, max_selected=2, squelch_base_ms=7,
+                    squelch_jitter_ms=3)),
+], ids=["two_senders_at_once", "squelch_expires_in_flood"])
+def test_fill_fallbacks_match_event_loop(monkeypatch, edges, validators, duration,
+                                         round_ms, proposals, protocol):
+    cfg = ScenarioConfig(topology=load_topology(edges, validators), duration_ms=duration,
+                         relay_policy=RelayPolicy.SQUELCH, ledger_round_ms=round_ms,
+                         proposals_per_round=proposals, protocol=protocol, warmup_ms=0)
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+# --- replay after a disconnect --------------------------------------------------
+
+def disconnect_scenario(disconnects):
+    """14 nodes, validators 0, 1, 2, 6 and 12; selections fill by the second
+    round and their 5-7.5 min squelches outlast the 8 s run."""
+    return ScenarioConfig(
+        topology=generate_topology(14, 5.0, 0.3, (5.0, 50.0), seed=3), duration_ms=8000,
+        relay_policy=RelayPolicy.SQUELCH, ledger_round_ms=1000, proposals_per_round=1,
+        protocol=ProtocolConfig(count_threshold=2, max_selected=2), warmup_ms=0,
+        disconnects=tuple(Disconnect(at, node) for at, node in disconnects))
+
+
+@pytest.mark.parametrize("disconnects", [
+    ((2500.0, 5), (4500.0, 5)),  # the second finds node 5 gone
+    ((2500.0, 0),),  # an origin leaves
+    ((3000.0, 5),),  # at a round's emission
+], ids=["same_node_twice", "origin", "at_emission"])
+def test_disconnect_edge_cases_match_event_loop(monkeypatch, disconnects):
+    assert_same_bytes_as_event_loop(monkeypatch, disconnect_scenario(disconnects))
+
+
+def test_squelchable_round_after_a_disconnect_replays(monkeypatch):
+    """Node 5 leaves at 2500 ms, and again at 4500 ms when it is already
+    gone. The unsquelches of its neighbours go on the heap, but every round
+    from 3000 ms on replays: no application copy is popped after 2500 ms."""
+    events = popped_events(monkeypatch)
+    run_scenario(disconnect_scenario(((2500.0, 5), (4500.0, 5))))
+    after = [(code, kind) for at, code, kind in events if at > 2500.0]
+    assert (engine._DELIVER_CTRL, MessageKind.UNSQUELCH) in after
+    assert engine._DELIVER_APP not in {code for code, _ in after}

@@ -7,7 +7,8 @@ Run it under two source trees and compare the outputs byte for byte:
     cmp old.txt new.txt
 
 With `--event-loop` the script sets `squelchsim.engine._build_template` to
-return None, which sends every emission through the event loop. Its output
+return None, which sends every emission through the event loop, fill rounds
+included. Its output
 must equal the normal run's, so one tree checks its own replay paths:
 
     python tools/differential.py --count 300 > replayed.txt
@@ -28,14 +29,17 @@ hand back to the event loop: small generated graphs and edge lists whose
 latencies tie (all on the default, small integers, tenths), both relay
 policies, squelchable transactions, disconnects (some on whole seconds),
 short squelches that expire and reselect, and long ones that let selection
-settle. Only the package's public API is used, plus the engine functions
-that `--event-loop` and `--two-pass` replace, and only the standard library,
-so the script runs unchanged against any tree that has them.
+settle. One in five scenarios is an 8-20 s squelch run whose squelches
+outlast it, so that selections settle, and fill again after 1-3 disconnects.
+Only the package's public API is used, plus the engine functions that
+`--event-loop` and `--two-pass` replace, and only the standard library, so
+the script runs unchanged against any tree that has them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import random
 
@@ -97,7 +101,7 @@ def scenario(seed: int) -> ScenarioConfig:
                               max_selected=rng.randint(1, 3),
                               squelch_base_ms=base, squelch_jitter_ms=jitter,
                               squelch_kinds=rng.choice(SQUELCH_KIND_SETS))
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         topology=g, duration_ms=duration,
         relay_policy=rng.choice([RelayPolicy.FLOOD, RelayPolicy.SQUELCH, RelayPolicy.SQUELCH]),
         # Rounds shorter than a flood emit while copies are still in flight.
@@ -106,6 +110,18 @@ def scenario(seed: int) -> ScenarioConfig:
         tx_plan=bursts, protocol=protocol, seed=seed,
         warmup_ms=rng.randint(0, 500), disconnects=disconnects,
     )
+    if rng.random() < 0.2:
+        # A longer squelch run in which selections settle, fill again after
+        # a disconnect resets them, and outlast the run.
+        duration = rng.randint(8000, 20_000)
+        cfg = dataclasses.replace(
+            cfg, duration_ms=duration, relay_policy=RelayPolicy.SQUELCH,
+            disconnects=tuple(Disconnect(at_ms=float(rng.randint(1000, duration)),
+                                         node=rng.choice(g.nodes))
+                              for _ in range(rng.randint(1, 3))),
+            protocol=dataclasses.replace(protocol, count_threshold=rng.randint(1, 4),
+                                         squelch_base_ms=rng.randint(duration, 300_000)))
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> None:
