@@ -41,13 +41,15 @@ whichever comes first: a disconnect changes the live sets. Every disconnect
 popped, also one of a node already gone, moves it on to the next one. A
 disconnect of a live node also drops the origin's template and kept result
 (below), which were built over the old latency maps; the next replay
-rebuilds them over the new ones.
+rebuilds them over the new ones. It clears the leaving node's slot and
+downlinks too: the events of a node that has left are dropped unseen, its
+squelch expiries among them, so no window may wait on its squelches.
 
-From a template's second replay on, an emission is counted from the
-template's offset summary when rounding cannot decide anything. The summary
-is the template's own run at t=0, with the replay's float additions: each
-node's first receipt `off`, each send's arrival offset, the depth K of the
-tree and the latest arrival M. Let D = `duration_ms` and u = 2**-53. While
+Once a template has been used (replayed, or walked by a squelch round),
+a later replay is counted from the template's offset summary when rounding
+cannot decide anything. The summary is the template's own run at t=0, with
+the replay's float additions: each node's first receipt `off`, each send's
+arrival offset, the depth K of the tree and the latest arrival M. Let D = `duration_ms` and u = 2**-53. While
 every arrival lands before D, every partial sum lies in [0, D), so each
 float addition is off by at most u·D. A node at depth k is reached by k
 additions from t0 and k - 1 from 0 (the first, 0 + latency, is exact), and
@@ -65,49 +67,53 @@ tests below. The summary counts an emission at t0 when:
 Then `int(t // 1000)` of every arrival is decided by offsets alone, and a
 node's count per second is a bisect of its sorted offsets at each second
 boundary; with no boundary in range, its stored totals. Otherwise the two
-passes run. An origin that emits once builds no summary, and a summary
+passes of a walk run. An origin that emits once builds no summary, and a summary
 lives as long as its template: the origin's run or its kept result.
 
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
 policy) never touch slot or downlink state; they replay over the latency
-maps. A squelchable emission at `t0` replays over a pruned adjacency, in
-which each node keeps the peers whose downlink squelch has elapsed by `t0`
-(with none unexpired, the latency maps and their template), once none of
-the origin's deliveries or control messages is in flight. Every pruned send
-that arrives before `duration_ms` feeds its receiver's slot, and the send
-check sorts those feeds:
+maps. A squelchable emission at `t0` is a squelch round, which
+`squelch_round` replays once none of the origin's deliveries or control
+messages is in flight. It runs over a pruned adjacency, in which each node
+keeps the peers whose downlink squelch has elapsed by `t0` (with none
+unexpired, the latency maps and their template). Its horizon is the
+earliest downlink expiry after `t0`, slot squelch expiry, next disconnect
+or `duration_ms`; nothing else changes slot or downlink state before it.
+One walk of the pruned template counts every send and lists each
+receiver's senders whose copy arrives before `duration_ms`; each such copy
+feeds the receiver's slot. Each fed slot is then one of three cases:
 
-- Quiet: each fed slot has selected the sender, or filled its selection and
-  still squelches the sender. `on_validator_message` then returns nothing
-  and changes at most an already selected peer's count, which nothing reads.
-  The horizon is the earliest slot squelch expiry, downlink expiry after
-  `t0`, next disconnect or `duration_ms`, and nothing else changes that
-  state before it. The result is kept for later emissions up to its
-  horizon. No control or squelchable copy is in flight at `t0`; later ones
-  come only from a slot action or an emission that falls back to the event
-  loop, and either drops the kept result, as do a control delivery and a
-  live expiry.
-- Counting: some fed slot is still counting (or not created yet) and the
-  sender is not among its selected peers, but no slot can act: no counting
-  slot fills its selection (its selected peers plus the fed unselected
-  peers whose count reaches `count_threshold` with the batch's copies stay
-  below `max_selected`), and every selected slot's feeds are quiet. A round
-  that fails this test is a round in which a slot may act (below). The
-  horizon also ends at the origin's next heap event (an
-  emission, a squelch expiry, stale or not, a disconnect) and, for a
-  round, at the next round's emission, pushed only after this one returns.
-  Inside that window no other event of the origin runs and no feed returns
-  an action, so the relay targets stay fixed and the flood is the
-  template's. The feeds are counter increments and set inserts, which
-  commute: applied at `t0` once the replay succeeds, they leave the slots
-  as the event loop leaves them by the window's end. The result serves
-  this emission alone.
+- Quiet: it has selected every sender, or has filled its selection and
+  still squelches every other sender. `on_validator_message` then returns
+  nothing and changes at most an already selected peer's count, which
+  nothing reads, so the slot is left as it is.
+- Counting: it is still counting (or not created yet), some sender is not
+  among its selected peers, and it cannot fill its selection: its selected
+  peers plus the fed unselected peers whose count reaches
+  `count_threshold` with the batch's copies stay below `max_selected`. It
+  returns no action, and its feeds are counter increments and set inserts,
+  which commute: applied at `t0` once the round replays, they leave the
+  slot as the event loop leaves it by the window's end, in whatever order
+  its copies arrive, ties included.
+- Acting: any other slot may act in this round. A counting slot may fill
+  its selection and squelch the other peers it counted (a fill round), or
+  a selected slot hears from a peer it has neither selected nor squelched
+  (a straggler round).
 
-A round in which a slot acts replays too: a fill round, in which a counting
-slot fills its selection and squelches the other peers it counted, or a
-straggler round, in which a selected slot hears from a peer it has neither
-selected nor squelched. Its squelches reach peers while its copies are in
+A round whose slots are all quiet is kept for later emissions up to its
+horizon, which `replay` counts. No control or squelchable copy is in flight
+at `t0`; later ones come only from a slot action or an emission that falls
+back to the event loop, and either drops the kept round, as do a control
+delivery and a live expiry. Any other round serves this emission alone, and
+its window also ends at the origin's next heap event (an emission, a
+squelch expiry, stale or not, a disconnect) and, for a round, at the next
+round's emission, pushed only after this one returns. Inside that window no
+other event of the origin runs, so each slot sees exactly the copies it
+would see on the heap. Without an acting slot no feed returns an action, so
+the relay targets stay fixed and the flood is the template's.
+
+An acting slot's squelches reach peers while the round's copies are in
 flight, yet every first receipt stays the pruned template's, for three
 reasons:
 
@@ -117,24 +123,21 @@ reasons:
 - so the squelch can only stop p's later send back to w, which would
   arrive after f_w and be a duplicate.
 
-`fill` replays such a round in one walk at `t0`, over the counting round's
-window, which ends at the origin's next heap event, the round's next
-emission, any downlink expiry after `t0` or the horizon. It sorts each
-receiver's (arrival, sender) copies and feeds them, `k` copies per arrival
-in batch order, to the real `on_validator_message`, working on copies of
-the slots; inside the window no other event of the origin runs, so each
-slot sees exactly the copies it would see on the heap, in the same order.
-A send q→w is dropped exactly when w's squelch reached q strictly before
-f_q. The walk counts the tree sends, the duplicates that remain and the
-squelch controls that arrive before `duration_ms`, and applies
-`on_squelch_received` at each arrival. The caller pushes the new squelch
+Each acting slot, on a copy, is fed its node's (arrival, sender) copies in
+arrival order, `k` copies per arrival in batch order, through the real
+`on_validator_message`. A send q→w is dropped exactly when w's squelch
+reached q strictly before f_q; it is subtracted from the walk's counts, and
+it is never a tree send (w's tree parent relays before f_w, so before
+w can act). Each squelch
+control that arrives before `duration_ms` is counted, and applied with
+`on_squelch_received` at its arrival. The caller pushes the new squelch
 expiries after the round's next emission, in the order the slots acted:
 the event loop pushes them in that order, after that emission. The round
 falls back to the event loop, having touched no slot, downlink, heap entry
 or count, when the insertion sequence would decide an order, or an effect
 would outlast the window:
 
-- copies from two senders reach one receiver at the same time;
+- copies from two senders reach an acting slot's node at the same time;
 - a squelch reaches p exactly at f_p, and w is not p's tree parent;
 - two nodes act at the same time;
 - a control message arrives at or after the window end, before
@@ -525,30 +528,36 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
 
     def new_template(adjacency: dict[int, dict[int, float]]) -> list | None:
         """The origin's template over `adjacency` as a record [order, parent,
-        replays, offset summary], or None after an exact tie. The record's
-        second replay builds its summary."""
+        uses, offset summary], or None after an exact tie. Its summary is
+        built by the first replay after its first use (a replay or a squelch
+        round's walk)."""
         tmpl = _build_template(adjacency, origin)
         return tmpl and [*tmpl, 0, None]
 
-    def replay(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
-               adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
-        """Count `batch`, (kind, copies) pairs of messages that the origin
-        emits at t0 and that every node sends to its peers in `adjacency`,
-        from `tmpl`, their template record: from its offset summary where
-        that is exact, else in two passes. Returns False, having counted
-        nothing, when the template tree is not provably the event loop's
-        first-receipt tree at t0 or an arrival lands in [horizon, duration)."""
-        order, parent, replays, summary = tmpl
-        tmpl[2] = replays + 1
-        if replays == 1:
-            summary = tmpl[3] = _offset_summary(tmpl, adjacency, origin)
-        if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
-            return True
+    def walk(t0: float, tmpl: list, adjacency: dict[int, dict[int, float]],
+             horizon: float, fed: dict[int, list[int]] | None = None):
+        """Walk template `tmpl` for one message the origin emits at t0 that
+        every node sends to its peers in `adjacency`: the first receipts
+        along the tree, then every other send, each a duplicate that must
+        arrive strictly after its receiver's tree copy for the tree to be
+        the event loop's first-receipt tree at t0. Returns (first receipts,
+        sends per (sender, second), tree receipts (receiver, second),
+        duplicates per (receiver, second), latest arrival before
+        `duration_ms`), or None when that check fails or an arrival lands in
+        [horizon, duration). With `fed`, also appends the sender of every
+        send before `duration_ms` to fed[receiver]."""
+        order, parent = tmpl[0], tmpl[1]
         first = {origin: t0}
         out_c: dict[tuple[int, int], int] = defaultdict(int)
         dup_c: dict[tuple[int, int], int] = defaultdict(int)
         tree_in: list[tuple[int, int]] = []
-        # Pass 1: first receipts along the tree, and the tree sends.
+        latest = -inf
+        # Most sends land in t0's second and are counted per node there:
+        # a (node, second) key per send made a walk on the MainNet-sized
+        # graph 1.6x slower.
+        s0 = int(t0 // 1000)
+        next_second = 1000.0 * (s0 + 1)
+        dup_s0: dict[int, int] = defaultdict(int)
         for v in order[1:]:
             p = parent[v]
             t = first[p] + adjacency[p][v]
@@ -556,19 +565,20 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if t >= horizon:
                 if t >= duration:
                     continue
-                return False
+                return None
+            if t > latest:
+                latest = t
             s = int(t // 1000)
             out_c[(p, s)] += 1
             tree_in.append((v, s))
-        # Pass 2: every other send is a duplicate, and must arrive strictly
-        # after the receiver's tree copy for the tree to be the event loop's.
+            if fed is not None:
+                fed[v].append(p)
         for u in order:
             fu = first[u]
             if fu >= duration:
                 continue
             pu = parent[u]
-            su = int(fu // 1000)
-            sent_in_su = 0
+            sent_in_s0 = 0
             for w, lat in adjacency[u].items():
                 if w == pu or parent[w] == u:
                     continue
@@ -576,39 +586,77 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 if t >= horizon:
                     if t >= duration:
                         continue
-                    return False
+                    return None
                 if t <= first[w]:
-                    return False
-                s = int(t // 1000)
-                if s == su:
-                    sent_in_su += 1
+                    return None
+                if t > latest:
+                    latest = t
+                if t < next_second:
+                    sent_in_s0 += 1
+                    dup_s0[w] += 1
                 else:
+                    s = int(t // 1000)
                     out_c[(u, s)] += 1
-                dup_c[(w, s)] += 1
-            if sent_in_su:
-                out_c[(u, su)] += sent_in_su
+                    dup_c[(w, s)] += 1
+                if fed is not None:
+                    fed[w].append(u)
+            if sent_in_s0:
+                out_c[(u, s0)] += sent_in_s0
+        for w, n in dup_s0.items():
+            dup_c[(w, s0)] += n
+        return first, out_c, tree_in, dup_c, latest
+
+    def add_counts(batch, out_c, tree_in, dup_c) -> None:
+        """Add a walk's counts to the log, `copies` per send for each (kind,
+        copies) pair of `batch`. Counts that dropped sends brought to zero
+        add no key: the log's keys are its populated buckets."""
         for kind, copies in batch:
             for (u, s), n in out_c.items():
-                counts[(u, s, kind, "out")] += n * copies
+                if n:
+                    counts[(u, s, kind, "out")] += n * copies
             for (w, s) in tree_in:
                 counts[(w, s, kind, "in")] += copies
             for (w, s), n in dup_c.items():
-                counts[(w, s, kind, "in")] += n * copies
-                dups[(w, s, kind)] += n * copies
-        return True
+                if n:
+                    counts[(w, s, kind, "in")] += n * copies
+                    dups[(w, s, kind)] += n * copies
 
-    def settle(t0: float, copies: int, next_round: float):
-        """(pruned template, falsy after a tie; adjacency; window end; feeds;
-        acts) for `copies` squelchable messages the origin emits at t0, or
-        None while they must run on the event loop. `feeds` lists (receiver,
-        senders in template order) for each counting slot, or node without
-        one, that a sender it has not selected reaches, for the caller to
-        apply once the replay succeeds. When a slot may act (`acts`), it
-        lists every receiver instead, for `fill`. When it is empty the result
-        holds until its window end; otherwise it serves this emission alone,
-        and the window also ends at the origin's next heap event and at
-        `next_round`, this round's next emission, which is not pushed yet."""
-        nonlocal template
+    def replay(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
+               adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
+        """Count `batch`, (kind, copies) pairs of messages that the origin
+        emits at t0 and that every node sends to its peers in `adjacency`,
+        from `tmpl`, their template record: from its offset summary where
+        that is exact, else by a walk. Returns False, having counted
+        nothing, when the template tree is not provably the event loop's
+        first-receipt tree at t0 or an arrival lands in [horizon, duration)."""
+        uses, summary = tmpl[2], tmpl[3]
+        tmpl[2] = uses + 1
+        if uses and summary is None:
+            summary = tmpl[3] = _offset_summary(tmpl, adjacency, origin)
+        if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
+            return True
+        if walked := walk(t0, tmpl, adjacency, horizon):
+            add_counts(batch, *walked[1:4])
+        return bool(walked)
+
+    def squelch_round(t0: float, batch: list[tuple[MessageKind, int]],
+                      next_round: float) -> list[tuple[float, int, int]] | None:
+        """Replay `batch`, (kind, copies) pairs of squelchable messages that
+        the origin emits at t0, over the pruned template, and apply their
+        copies to the slots (see the module docstring). `next_round` is the
+        round's next emission, not pushed yet. Returns the round's squelch
+        expiries before `duration_ms`, (at, owner, peer) in the order the
+        slots acted, for the caller to push after that emission; or None,
+        having changed nothing, when the round must run on the event loop."""
+        nonlocal template, steady
+        if steady is not None and t0 < steady[2]:
+            if not steady[0]:
+                return None
+            if replay(t0, batch, *steady):
+                return []
+            steady = None  # its copies go in flight
+            return None
+        steady = None
         if any(e[2] <= _DELIVER_CTRL for e in heap):
             return None
         end = horizon
@@ -629,95 +677,58 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 template = new_template(latency) or False
             tmpl = template
         if not tmpl:
-            return tmpl, adjacency, end, (), False
-        # The peers whose copy reaches each node before the run ends; each
-        # copy feeds the receiver's slot.
-        order, parent = tmpl[0], tmpl[1]
-        first = {origin: t0}
-        for v in order[1:]:
-            p = parent[v]
-            first[v] = first[p] + adjacency[p][v]
-        fed: dict[int, list[int]] = defaultdict(list)
-        for u in order:
-            fu = first[u]
-            pu = parent[u]
-            for w, lat in adjacency[u].items():
-                if w != pu and fu + lat < duration:
-                    fed[w].append(u)
-        feeds = []
-        threshold = protocol.count_threshold
-        window = min(end, next_round, heap[0][0] if heap else end)
-        for w, peers in fed.items():
-            s = nodes[w].slot
-            if s is None:
-                selected, counts = set(), {}
-            elif s.state is SlotState.SELECTED:
-                if not s.squelched.keys() >= set(peers) - s.selected:
-                    return tmpl, adjacency, window, list(fed.items()), True
-                continue
-            elif s.selected.issuperset(peers):
-                continue
-            else:
-                selected, counts = s.selected, s.per_peer_count
-            # A counting slot may fill its selection: a fill round.
-            if (copies + max(counts.values(), default=0) >= threshold
-                    and len(selected) + sum(u not in selected and counts.get(u, 0) + copies
-                                            >= threshold for u in peers)
-                    >= protocol.max_selected):
-                return tmpl, adjacency, window, list(fed.items()), True
-            feeds.append((w, peers))
-        if feeds:
-            return tmpl, adjacency, window, feeds, False
+            steady = (tmpl, adjacency, end)
+            return None
         for node in nodes.values():
             if node.slot and node.slot.squelched:
                 end = min(end, *node.slot.squelched.values())
-        return tmpl, adjacency, end, feeds, False
-
-    def fill(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
-             adjacency: dict[int, dict[int, float]], end: float,
-             fed: list[tuple[int, list[int]]]):
-        """Replay `batch`, (kind, copies) pairs of squelchable messages that
-        the origin emits at t0, in a round in which slots may act: feed each
-        receiver's copies, in arrival order, to copies of the slots, drop
-        each send that a squelch reached first, and count what remains. `fed`
-        lists (receiver, senders) for every pruned send that arrives before
-        `duration_ms`. Returns the round's squelch expiries before
-        `duration_ms`, (at, owner, peer) in the order the slots acted, for
-        the caller to push; or None, having changed nothing, when the round
-        must run on the event loop (see the module docstring)."""
-        order, parent = tmpl[0], tmpl[1]
+        tmpl[2] += 1
+        fed: dict[int, list[int]] = defaultdict(list)
+        walked = walk(t0, tmpl, adjacency, end, fed)
+        if walked is None:
+            return None
+        first, out_c, tree_in, dup_c, latest = walked
         k = sum(copies for _, copies in batch)
-        first = {origin: t0}
-        for v in order[1:]:
-            p = parent[v]
-            first[v] = first[p] + adjacency[p][v]
-        out_c: dict[tuple[int, int], int] = defaultdict(int)
-        in_c: dict[tuple[int, int], int] = defaultdict(int)
-        dup_c: dict[tuple[int, int], int] = defaultdict(int)
-        slots: list[tuple[NodeState, Slot]] = []
+        threshold = protocol.count_threshold
+        # Each receiver's slot is quiet, counts without filling, or may act.
+        counting, acting = [], []
+        for w, peers in fed.items():
+            slot = nodes[w].slot or Slot(owner=w, origin_validator=origin)
+            selected, per_peer = slot.selected, slot.per_peer_count
+            if slot.state is SlotState.SELECTED:
+                if slot.squelched.keys() >= set(peers) - selected:
+                    continue
+            elif selected.issuperset(peers):
+                continue
+            elif (k + max(per_peer.values(), default=0) < threshold
+                  or len(selected) + sum(u not in selected and per_peer.get(u, 0) + k
+                                         >= threshold for u in peers)
+                  < protocol.max_selected):
+                counting.append((w, slot, peers))
+                continue
+            # It acts on a copy, which replaces it only if the round replays.
+            acting.append((w, Slot(w, origin, dict(per_peer), set(selected),
+                                   dict(slot.squelched), slot.state, slot.round_index), peers))
+        if not (counting or acting):
+            steady = (tmpl, adjacency, end)
+        elif latest >= (window := min(end, next_round, heap[0][0] if heap else end)):
+            return None
+        # An acting slot is fed its node's copies in arrival order.
         acted: list[tuple[float, int, list[tuple[int, ControlMessage]]]] = []
-        for w, senders in fed:
-            node = nodes[w]
-            old = node.slot
-            slot = (Slot(owner=w, origin_validator=origin) if old is None else
-                    Slot(w, origin, dict(old.per_peer_count), set(old.selected),
-                         dict(old.squelched), old.state, old.round_index))
-            slots.append((node, slot))
-            lat = node.latency
-            fw, pw = first[w], parent[w]
+        for w, slot, senders in acting:
+            lat = latency[w]
             reached: dict[int, float] = {}  # peer -> when this node's squelch reaches it
             last = -inf
             for t, u in sorted([(first[u] + adjacency[u][w], u) for u in senders]):
+                s = int(t // 1000)
                 if u in reached and reached[u] < first[u]:
-                    continue  # squelched before it relayed: never sent
-                if t >= end or t == last or (t <= fw and u != pw):
+                    # Squelched before it relayed: never sent, so never a tree send.
+                    out_c[(u, s)] -= 1
+                    dup_c[(w, s)] -= 1
+                    continue
+                if t == last:
                     return None
                 last = t
-                s = int(t // 1000)
-                out_c[(u, s)] += 1
-                in_c[(w, s)] += 1
-                if u != pw:
-                    dup_c[(w, s)] += 1
                 for _ in range(k):
                     actions = on_validator_message(slot, u, t, protocol)
                     if not actions:
@@ -726,22 +737,26 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     for q, ctrl in actions:
                         # Its downlink expiry, at + duration, falls after the slot's.
                         at = t + lat[q]
-                        if (t + ctrl.duration_ms <= end or end <= at < duration
-                                or at == first.get(q) and parent[q] != w):
+                        if (t + ctrl.duration_ms <= window or window <= at < duration
+                                or at == first.get(q) and tmpl[1][q] != w):
                             return None
                         reached[q] = at
         acted.sort(key=lambda a: a[0])
         if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(acted, acted[1:])):
             return None
-        for node, slot in slots:
-            node.slot = slot
-        for kind, copies in batch:
-            for (u, s), n in out_c.items():
-                counts[(u, s, kind, "out")] += n * copies
-            for (w, s), n in in_c.items():
-                counts[(w, s, kind, "in")] += n * copies
-            for (w, s), n in dup_c.items():
-                dups[(w, s, kind)] += n * copies
+        add_counts(batch, out_c, tree_in, dup_c)
+        # A slot that counts without filling takes the round's copies at
+        # once: counter increments and set inserts, which commute.
+        for w, slot, senders in counting:
+            per_peer, selected = slot.per_peer_count, slot.selected
+            for u in senders:
+                if u not in selected:
+                    n = per_peer[u] = per_peer.get(u, 0) + k
+                    if n >= threshold:
+                        selected.add(u)
+                        slot.squelched.pop(u, None)
+        for w, slot, _ in chain(acting, counting):
+            nodes[w].slot = slot
         expiries = []
         for t, w, actions in acted:
             lat = latency[w]
@@ -760,10 +775,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
              batch: tuple[tuple[MessageKind, int], ...]) -> list[tuple[float, int, int]]:
         """Emit `copies` messages of each kind of `batch` from the origin at
         `at`, replaying what its templates allow. Returns the squelch
-        expiries of a round that `fill` replayed, (at, owner, peer), for the
+        expiries of a replayed squelch round, (at, owner, peer), for the
         caller to push after the round's next emission, as the event loop
         would."""
-        nonlocal template, steady
+        nonlocal template
         expiries = None
         if at < horizon:
             next_round = at + cfg.ledger_round_ms if batch is round_batch else duration
@@ -773,35 +788,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if flooded and template and replay(at, flooded, template, latency, horizon):
                 batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
             pruned = [(kind, copies) for kind, copies in batch if copies and kind in squelch_kinds]
-            k = sum(copies for _, copies in pruned)
-            if pruned and (steady is None or at >= steady[2]):
-                steady = settle(at, k, next_round)
-            if pruned and steady and steady[0]:
-                tmpl, adjacency, end, feeds, acts = steady
-                if acts:
-                    steady = None  # its squelches change the downlinks
-                    expiries = fill(at, pruned, tmpl, adjacency, end, feeds)
-                    replayed = expiries is not None
-                else:
-                    replayed = replay(at, pruned, tmpl, adjacency, end)
-                    if not replayed:
-                        steady = None  # its copies go in flight
-                    elif feeds:
-                        steady = None
-                        # The copies' effect on the slots; the event loop's, in another order.
-                        for w, peers in feeds:
-                            slot = nodes[w].slot
-                            if slot is None:
-                                slot = nodes[w].slot = Slot(owner=w, origin_validator=origin)
-                            counts, selected = slot.per_peer_count, slot.selected
-                            for u in peers:
-                                if u not in selected:
-                                    n = counts[u] = counts.get(u, 0) + k
-                                    if n >= protocol.count_threshold:
-                                        selected.add(u)
-                                        slot.squelched.pop(u, None)
-                if replayed:
-                    batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
+            if pruned and (expiries := squelch_round(at, pruned, next_round)) is not None:
+                batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
         for kind, copies in batch:
             for _ in range(copies):
                 forward(node, kind, next(msg_ids), None, at)
@@ -826,7 +814,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         # A template record (new_template), built on the first replay; False
         # when a tie rules the template out.
         template = None
-        steady = None  # settle()'s result, kept until its window ends
+        # (template, adjacency, window end) of a quiet squelch round, kept
+        # for later emissions until its window ends.
+        steady = None
         # The disconnects still on the heap, latest first: replayed arrivals
         # must land before the next, which changes the live sets.
         disconnects_left = list(disconnect_times)
@@ -885,6 +875,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
 
             else:  # _DISCONNECT
                 node.live = False
+                # Its squelches expire unseen: no quiet window may wait on them.
+                node.slot = None
+                node.downlink.clear()
                 template = steady = None
                 for nb_id in node.latency:
                     nb = nodes[nb_id]

@@ -894,6 +894,22 @@ def test_counting_rounds_never_feed_a_slot_on_the_heap(monkeypatch):
     assert times and min(times) >= 4000.0
 
 
+def test_counting_rounds_with_tied_duplicates_replay(monkeypatch):
+    """Node 3 takes duplicates from nodes 1 and 2 at once, 2 ms after its
+    first copy. Rounds 0-3 cannot fill any selection (2 copies per round
+    against a threshold of 10), so the order of those copies decides
+    nothing: they replay, and no application copy is popped before
+    t = 4000 ms. Only a slot that may act needs its copies in one order."""
+    events = popped_events(monkeypatch)
+    g = load_topology("0 1 1\n0 2 1\n0 3 1\n1 2 5\n1 3 2\n2 3 2\n", {0})
+    cfg = ScenarioConfig(topology=g, duration_ms=6000, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, proposals_per_round=1,
+                         protocol=ProtocolConfig(count_threshold=10), warmup_ms=0)
+    run_scenario(cfg)
+    assert not [e for e in events if e[0] < 4000 and e[1] == engine._DELIVER_APP]
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
 # --- repeat replays counted from a template's offset summary -------------------
 
 def two_pass(m):
@@ -1190,3 +1206,23 @@ def test_squelchable_round_after_a_disconnect_replays(monkeypatch):
     after = [(code, kind) for at, code, kind in events if at > 2500.0]
     assert (engine._DELIVER_CTRL, MessageKind.UNSQUELCH) in after
     assert engine._DELIVER_APP not in {code for code, _ in after}
+
+
+def test_quiet_round_ignores_the_squelches_of_a_node_that_left(monkeypatch):
+    """The differential script's scenario 250: node 6 leaves at 2000 ms
+    while its slot for validator 0 squelches node 4 until about 2979 ms.
+    That expiry, like every event at a node that has left, is dropped
+    unseen. The slot goes with the node, so no quiet window waits on the
+    expiry once it has passed, and every squelchable copy replays."""
+    events = popped_events(monkeypatch)
+    cfg = ScenarioConfig(
+        topology=generate_topology(10, 5.0, 0.2, (10.0, 12.0), seed=250), duration_ms=6760,
+        relay_policy=RelayPolicy.SQUELCH, ledger_round_ms=1212, proposals_per_round=2,
+        protocol=ProtocolConfig(count_threshold=2, max_selected=3, squelch_base_ms=2560,
+                                squelch_jitter_ms=830,
+                                squelch_kinds=frozenset({MessageKind.PROPOSAL})),
+        seed=250, warmup_ms=109,
+        disconnects=(Disconnect(1361.0, 5), Disconnect(2000.0, 6), Disconnect(4477.0, 9)))
+    run_scenario(cfg)
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)

@@ -6,19 +6,23 @@ Run it under two source trees and compare the outputs byte for byte:
     PYTHONPATH=new/src python tools/differential.py --count 3000 > new.txt
     cmp old.txt new.txt
 
+CI pins the sha256 of the output of `--count 300`, so a change that alters
+any scenario's bytes fails there even when it agrees with itself.
+
 With `--event-loop` the script sets `squelchsim.engine._build_template` to
-return None, which sends every emission through the event loop, fill rounds
-included. Its output
-must equal the normal run's, so one tree checks its own replay paths:
+return None, which sends every emission through the event loop: squelch
+rounds whose slots are quiet, count or act included. Its output must equal
+the normal run's, so one tree checks its own replay paths:
 
     python tools/differential.py --count 300 > replayed.txt
     python tools/differential.py --count 300 --event-loop > simulated.txt
     cmp replayed.txt simulated.txt
 
 With `--two-pass` the script sets `squelchsim.engine._offset_summary` to
-return None, so every replay walks its template in two passes instead of
-counting repeat emissions from the template's offset summary. Its output
-must equal the normal run's too:
+return None, so every replay walks its template, one pass along the tree
+and one over the other sends, as a squelch round does, instead of counting
+repeat emissions from the template's offset summary. Its output must equal
+the normal run's too:
 
     python tools/differential.py --count 300 --two-pass > walked.txt
     cmp replayed.txt walked.txt
@@ -30,7 +34,8 @@ latencies tie (all on the default, small integers, tenths), both relay
 policies, squelchable transactions, disconnects (some on whole seconds),
 short squelches that expire and reselect, and long ones that let selection
 settle. One in five scenarios is an 8-20 s squelch run whose squelches
-outlast it, so that selections settle, and fill again after 1-3 disconnects.
+outlast it, so that selections settle, and fill again after 1-3 disconnects
+clear the slots of the nodes that leave and reset their neighbours'.
 Only the package's public API is used, plus the engine functions that
 `--event-loop` and `--two-pass` replace, and only the standard library, so
 the script runs unchanged against any tree that has them.
