@@ -161,10 +161,9 @@ def _artifact_header(config_hash: str, seed: int, policy: str) -> str:
 
 
 def _write_metrics_csv(path: Path, log: MetricsLog) -> None:
-    path.write_text(
-        _artifact_header(log.config_hash, log.seed, log.policy) + export_csv(log),
-        encoding="utf-8",
-    )
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(_artifact_header(log.config_hash, log.seed, log.policy))
+        export_csv(log, out)
 
 
 def cmd_simulate(args) -> int:
@@ -232,9 +231,11 @@ def _cumulative_series(flood: MetricsLog, squelch: MetricsLog) -> str:
     """Per-second network-wide in/out totals for both arms, plus running sums."""
     per_second: dict[int, list[int]] = {}
     for column, log in ((0, flood), (2, squelch)):
-        for (_, second, _, direction), n in log.counts.items():
-            row = per_second.setdefault(second, [0, 0, 0, 0])
-            row[column + (0 if direction == "in" else 1)] += n
+        for (second, _), (_, received, sent) in log.rows.items():
+            if any(received) or any(sent):
+                row = per_second.setdefault(second, [0, 0, 0, 0])
+                row[column] += sum(received)
+                row[column + 1] += sum(sent)
     lines = [
         "second,flood_in,flood_out,squelch_in,squelch_out,"
         "flood_in_cum,flood_out_cum,squelch_in_cum,squelch_out_cum"

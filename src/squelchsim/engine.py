@@ -66,9 +66,11 @@ tests below. The summary counts an emission at t0 when:
 
 Then `int(t // 1000)` of every arrival is decided by offsets alone, and a
 node's count per second is a bisect of its sorted offsets at each second
-boundary; with no boundary in range, its stored totals. Otherwise the two
-passes of a walk run. An origin that emits once builds no summary, and a summary
-lives as long as its template: the origin's run or its kept result.
+boundary; with no boundary in range, the summary's stored count. The counts
+of a second and direction are a vector over the log's node index, added to
+the log's row in one pass. Otherwise the two passes of a walk run. An origin
+that emits once builds no summary, and a summary lives as long as its
+template: the origin's run or its kept result.
 
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
@@ -161,6 +163,7 @@ from enum import Enum
 from heapq import heappop, heappush
 from itertools import chain, count
 from math import inf, isfinite
+from operator import add
 from typing import NamedTuple
 
 from .messages import APPLICATION_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind
@@ -328,22 +331,21 @@ def _build_template(adjacency: dict[int, dict[int, float]],
     return order, parent
 
 
-# (node, n) pairs, one per node with n > 0, and (node, sorted offsets) pairs.
-_Totals = list[tuple[int, int]]
+# (node index, sorted offsets) pairs; the index is the node's in `MetricsLog`.
 _Offsets = list[tuple[int, list[float]]]
 
 
 class _OffsetSummary(NamedTuple):
     """A template's emission at t=0 (`_offset_summary`). `by_node` and
-    `totals` hold, in this order, each node's sends, every copy it takes
-    (first and duplicate) and its duplicates, each send at its arrival."""
+    `totals` (a count per node index) hold, in the log's row order (dup,
+    in, out), each node's duplicates, copies taken and sends, by arrival."""
 
     depth: int  # K, the deepest first receipt's hop count
     latest: float  # M, the latest arrival offset
     slack: float  # least gap from a non-tree arrival back to its receiver's first receipt
     offsets: list[float]  # every send's arrival offset, sorted
     by_node: tuple[_Offsets, _Offsets, _Offsets]
-    totals: tuple[_Totals, _Totals, _Totals]
+    totals: tuple[list[int], list[int], list[int]]
 
     def margin(self, duration: float) -> float:
         """τ: twice the most a replayed time can differ from t0 + offset."""
@@ -356,6 +358,7 @@ def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
     `_build_template` returns them) over `adjacency`: the template's
     emission at t=0, with the same float additions as `_build_template`."""
     order, parent = tmpl[0], tmpl[1]
+    index = {n: i for i, n in enumerate(sorted(adjacency))}
     off = {origin: 0.0}
     depth = {origin: 0}
     for v in order[1:]:
@@ -379,34 +382,32 @@ def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
             sends.append(t)
         if sends:
             sends.sort()
-            out.append((u, sends))
+            out.append((index[u], sends))
     dups = {w: sorted(ts) for w, ts in dup.items()}
     # Each node takes its first copy, the origin none, and its duplicates.
-    into = [(w, sorted([off[w], *dups.get(w, ())])) for w in order[1:]]
+    into = [(index[w], sorted([off[w], *dups.get(w, ())])) for w in order[1:]]
     if origin in dups:
-        into.append((origin, dups[origin]))
-    by_node = (out, into, list(dups.items()))
+        into.append((index[origin], dups[origin]))
+    by_node = ([(index[w], ts) for w, ts in dups.items()], into, out)
     offsets = sorted(chain.from_iterable(ts for _, ts in out))
     return _OffsetSummary(
         max(depth.values()), offsets[-1] if offsets else 0.0,
         min((ts[0] - off[w] for w, ts in dups.items()), default=inf), offsets, by_node,
-        tuple([(n, len(ts)) for n, ts in lists] for lists in by_node))
+        tuple(_split(lists, len(index), [])[0] for lists in by_node))
 
 
-def _split(by_node: _Offsets, s0: int, cuts: list[float]) -> list[tuple[int, _Totals]]:
-    """(second, totals) for each node's sorted offsets, which fall in second
-    s0 before cuts[0], s0 + 1 from cuts[0] to cuts[1], and so on."""
-    buckets: list[_Totals] = [[] for _ in range(len(cuts) + 1)]
-    for node, offs in by_node:
+def _split(by_node: _Offsets, width: int, cuts: list[float]) -> list[list[int]]:
+    """Per-second counts of each node's sorted offsets, one count per node
+    index: before cuts[0], from cuts[0] to cuts[1], and so on."""
+    seconds = [[0] * width for _ in range(len(cuts) + 1)]
+    for i, offs in by_node:
         lo = 0
-        for i, c in enumerate(cuts):
+        for counts, c in zip(seconds, cuts):
             hi = bisect_left(offs, c, lo)
-            if hi > lo:
-                buckets[i].append((node, hi - lo))
+            counts[i] = hi - lo
             lo = hi
-        if lo < len(offs):
-            buckets[-1].append((node, len(offs) - lo))
-    return list(enumerate(buckets, s0))
+        seconds[-1][i] = len(offs) - lo
+    return seconds
 
 
 def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
@@ -425,24 +426,14 @@ def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
         if bisect_left(offsets, c - tau) != bisect_right(offsets, c + tau):
             return False
         cuts.append(c)
-    if cuts:
-        out, into, dup = (_split(by_node, s0, cuts) for by_node in summary.by_node)
-    else:
-        # The common case: the whole flood lands in t0's second. The stored
-        # totals spare a list build per node and emission; without them the
-        # benchmark's reference_compare ran 47% longer.
-        out, into, dup = ([(s0, totals)] for totals in summary.totals)
-    counts, dups = log.counts, log.duplicates
+    # Per second from s0, one count vector per row; in the common case the
+    # whole flood lands in t0's second, whose counts are the stored totals.
+    seconds = (list(zip(*(_split(by_node, len(summary.totals[0]), cuts)
+                          for by_node in summary.by_node))) if cuts else [summary.totals])
     for kind, copies in batch:
-        for s, totals in out:
-            for u, n in totals:
-                counts[(u, s, kind, "out")] += n * copies
-        for s, totals in into:
-            for w, n in totals:
-                counts[(w, s, kind, "in")] += n * copies
-        for s, totals in dup:
-            for w, n in totals:
-                dups[(w, s, kind)] += n * copies
+        for s, vectors in enumerate(seconds, s0):
+            for row, vec in zip(log.rows[s, kind], vectors):
+                row[:] = map(add, row, vec if copies == 1 else [n * copies for n in vec])
     return True
 
 
@@ -498,9 +489,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         warmup_ms=cfg.warmup_ms,
         duration_ms=cfg.duration_ms,
         message_sizes=sizes,
+        nodes=graph.nodes,
     )
-    counts = log.counts
-    dups = log.duplicates
+    rows, index = log.rows, log.index  # per (second, kind): (dup, in, out) rows
     msg_ids = count()
     seq = 0
 
@@ -608,18 +599,16 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
 
     def add_counts(batch, out_c, tree_in, dup_c) -> None:
         """Add a walk's counts to the log, `copies` per send for each (kind,
-        copies) pair of `batch`. Counts that dropped sends brought to zero
-        add no key: the log's keys are its populated buckets."""
+        copies) pair of `batch`."""
         for kind, copies in batch:
             for (u, s), n in out_c.items():
-                if n:
-                    counts[(u, s, kind, "out")] += n * copies
-            for (w, s) in tree_in:
-                counts[(w, s, kind, "in")] += copies
+                rows[s, kind][2][index[u]] += n * copies  # out
+            for w, s in tree_in:
+                rows[s, kind][1][index[w]] += copies  # in
             for (w, s), n in dup_c.items():
-                if n:
-                    counts[(w, s, kind, "in")] += n * copies
-                    dups[(w, s, kind)] += n * copies
+                dup_row, in_row, _ = rows[s, kind]
+                dup_row[index[w]] += n * copies
+                in_row[index[w]] += n * copies
 
     def replay(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
                adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
@@ -763,9 +752,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             for q, ctrl in actions:
                 at = t + lat[q]
                 if at < duration:
-                    s = int(at // 1000)
-                    counts[(w, s, ctrl.kind, "out")] += 1
-                    counts[(q, s, ctrl.kind, "in")] += 1
+                    _, in_row, out_row = rows[int(at // 1000), ctrl.kind]
+                    out_row[index[w]] += 1
+                    in_row[index[q]] += 1
                     on_squelch_received(nodes[q].downlink, w, ctrl, at)
                 if t + ctrl.duration_ms < duration:
                     expiries.append((t + ctrl.duration_ms, w, q))
@@ -836,9 +825,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if not node.live:
                 continue
             if code <= _DELIVER_CTRL:
-                second = int(at // 1000)
-                counts[(peer, second, kind, "out")] += 1
-                counts[(dst, second, kind, "in")] += 1
+                dup_row, in_row, out_row = rows[int(at // 1000), kind]
+                out_row[index[peer]] += 1
+                in_row[index[dst]] += 1
                 if code == _DELIVER_APP:
                     # The sender may have left while the copy was in flight.
                     if kind in squelch_kinds and peer in node.latency:
@@ -850,7 +839,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                             send_controls(node, actions, at)
                             steady = None
                     if arg in node.seen:
-                        dups[(dst, second, kind)] += 1
+                        dup_row[index[dst]] += 1
                     else:
                         forward(node, kind, arg, peer, at)
                 else:

@@ -2,9 +2,13 @@
 
 A transmission is recorded when it completes: the receiving second gets one
 `in` count at the destination and one `out` count at the source, so the
-global in and out totals reconcile exactly per second. Duplicate receipts
-are wire traffic and therefore included in `in`, with a separate duplicate
-counter on the side.
+global in and out totals reconcile exactly per second. A duplicate receipt
+is wire traffic: it counts in `in`, and in `dup` too.
+
+The counts are one dense table. The nodes are indexed once, in ascending id
+order, and each (second, kind) holds one row over that index per direction,
+`dup`, `in` and `out`. Zero cells are never exported, and a second whose
+rows are all zero is not a populated bucket.
 
 Averages are taken over the populated, non-excluded seconds of a run
 (buckets before the warmup boundary are kept but flagged excluded). All
@@ -15,16 +19,17 @@ to the combined figure.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
+from io import StringIO
+from types import MappingProxyType
+from typing import TextIO
 
-from .messages import (
-    APPLICATION_KINDS,
-    CONTROL_KINDS,
-    DEFAULT_MESSAGE_SIZES,
-    MessageKind,
-)
+from .messages import APPLICATION_KINDS, CONTROL_KINDS, DEFAULT_MESSAGE_SIZES, MessageKind
 
 CSV_HEADER = "node,second,kind,direction,messages,bytes,excluded"
+# The order of a (second, kind)'s rows in `MetricsLog.rows`, and in the CSV.
+DIRECTIONS = ("dup", "in", "out")
 
 _KIND_BY_NAME = {k.value: k for k in MessageKind}
 
@@ -36,36 +41,45 @@ class EmptyWindowError(ValueError):
 class MetricsLog:
     """Raw counters for one scenario run plus run metadata."""
 
-    __slots__ = (
-        "policy",
-        "seed",
-        "config_hash",
-        "warmup_ms",
-        "duration_ms",
-        "message_sizes",
-        "counts",
-        "duplicates",
-    )
+    __slots__ = ("policy", "seed", "config_hash", "warmup_ms", "duration_ms",
+                 "message_sizes", "nodes", "index", "rows")
 
-    def __init__(
-        self,
-        policy: str = "",
-        seed: int = 0,
-        config_hash: str = "",
-        warmup_ms: int = 0,
-        duration_ms: int = 0,
-        message_sizes: dict[MessageKind, int] | None = None,
-    ):
+    def __init__(self, policy: str = "", seed: int = 0, config_hash: str = "",
+                 warmup_ms: int = 0, duration_ms: int = 0,
+                 message_sizes: dict[MessageKind, int] | None = None,
+                 nodes: Iterable[int] = ()):
         self.policy = policy
         self.seed = seed
         self.config_hash = config_hash
         self.warmup_ms = warmup_ms
         self.duration_ms = duration_ms
         self.message_sizes = dict(message_sizes or DEFAULT_MESSAGE_SIZES)
-        # (node, second, kind, "in"/"out") -> message count
-        self.counts: dict[tuple[int, int, MessageKind, str], int] = defaultdict(int)
-        # (node, second, kind) -> duplicate receipts
-        self.duplicates: dict[tuple[int, int, MessageKind], int] = defaultdict(int)
+        self.nodes = sorted(nodes)
+        self.index = {node: i for i, node in enumerate(self.nodes)}
+        width = len(self.nodes)
+        # (second, kind) -> its (dup, in, out) rows, created zero on first use
+        self.rows: defaultdict[tuple[int, MessageKind], tuple[list[int], ...]] = defaultdict(
+            lambda: ([0] * width, [0] * width, [0] * width))
+
+    def add(self, node: int, second: int, kind: MessageKind, direction: str,
+            n: int = 1) -> None:
+        """Add `n` to one cell; `direction` is one of DIRECTIONS."""
+        self.rows[second, kind][DIRECTIONS.index(direction)][self.index[node]] += n
+
+    def _cells(self, direction: str):
+        d = DIRECTIONS.index(direction)
+        return (((node, second, kind), n) for (second, kind), rows in self.rows.items()
+                for node, n in zip(self.nodes, rows[d]) if n)
+
+    @property
+    def counts(self) -> MappingProxyType:
+        """Read-only {(node, second, kind, "in"/"out"): messages}, nonzero cells."""
+        return MappingProxyType({(*key, d): n for d in ("in", "out") for key, n in self._cells(d)})
+
+    @property
+    def duplicates(self) -> MappingProxyType:
+        """Read-only {(node, second, kind): duplicate receipts}, nonzero cells."""
+        return MappingProxyType(dict(self._cells("dup")))
 
     def excluded(self, second: int) -> bool:
         """A bucket is excluded if any part of it precedes the warmup boundary."""
@@ -101,11 +115,15 @@ def summarize(log: MetricsLog, include_control: bool = True) -> RunSummary:
     """Reduce a log to per-second averages over non-excluded populated buckets."""
     observed: set[int] = set()
     totals: dict[tuple[MessageKind, str], int] = defaultdict(int)
-    for (node, second, kind, direction), n in log.counts.items():
-        if n == 0 or log.excluded(second):
+    dup_total = 0
+    for (second, kind), (dup, *sent) in log.rows.items():
+        if log.excluded(second):
             continue
-        observed.add(second)
-        totals[(kind, direction)] += n
+        dup_total += sum(dup)
+        for direction, row in zip(("in", "out"), sent):
+            if n := sum(row):
+                observed.add(second)
+                totals[(kind, direction)] += n
     if not observed:
         raise EmptyWindowError("no populated bucket past the warmup boundary")
 
@@ -119,10 +137,6 @@ def summarize(log: MetricsLog, include_control: bool = True) -> RunSummary:
     for (kind, direction), n in sorted(totals.items(), key=lambda kv: (kv[0][0].value, kv[0][1])):
         avg_per_kind.setdefault(kind.value, {})[direction] = n / window
         per_kind_totals.setdefault(kind.value, {})[direction] = n
-
-    dup_total = sum(
-        n for (_, second, _), n in log.duplicates.items() if not log.excluded(second)
-    )
 
     return RunSummary(
         avg_total_msgs_per_sec=grand_total / window,
@@ -153,27 +167,26 @@ def _average_of(value: RunSummary | float) -> float:
     return float(value)
 
 
-def export_csv(log: MetricsLog) -> str:
-    """Deterministic CSV of every bucket row, plus duplicate rows keyed by
-    the pseudo-direction "dup". Round-trips through import_csv byte-exactly."""
-    rows: list[tuple[int, int, str, str, int, int, bool]] = []
-    for (node, second, kind, direction), n in log.counts.items():
-        if n == 0:
-            continue
-        size = log.message_sizes.get(kind, 0)
-        rows.append((node, second, kind.value, direction, n, n * size, log.excluded(second)))
-    for (node, second, kind), n in log.duplicates.items():
-        if n == 0:
-            continue
-        size = log.message_sizes.get(kind, 0)
-        rows.append((node, second, kind.value, "dup", n, n * size, log.excluded(second)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    lines = [CSV_HEADER]
-    for node, second, kind, direction, msgs, bytes_, excluded in rows:
-        lines.append(
-            f"{node},{second},{kind},{direction},{msgs},{bytes_},{'true' if excluded else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+def export_csv(log: MetricsLog, out: TextIO | None = None) -> str | None:
+    """Deterministic CSV of every nonzero cell, in (node, second, kind,
+    direction) order, duplicates under the pseudo-direction "dup". Written
+    to the text file `out` one node at a time, or returned as a string
+    without `out`. Round-trips through import_csv byte-exactly."""
+    if out is None:
+        export_csv(log, text := StringIO())
+        return text.getvalue()
+    # (line text between node and count, row, size, flag) per nonzero row
+    rows = []
+    for second, kind in sorted(log.rows, key=lambda key: (key[0], key[1].value)):
+        flag = "true" if log.excluded(second) else "false"
+        for direction, row in zip(DIRECTIONS, log.rows[second, kind]):
+            if any(row):
+                rows.append((f",{second},{kind.value},{direction},", row,
+                             log.message_sizes.get(kind, 0), flag))
+    out.write(CSV_HEADER + "\n")
+    for i, node in enumerate(log.nodes):
+        out.write("".join([f"{node}{tail}{n},{n * size},{flag}\n"
+                           for tail, row, size, flag in rows if (n := row[i])]))
 
 
 def import_csv(text: str) -> MetricsLog:
@@ -183,10 +196,9 @@ def import_csv(text: str) -> MetricsLog:
     too. The warmup boundary is recovered from the excluded flags; message
     sizes are recovered per kind from the bytes column.
     """
-    log = MetricsLog()
+    cells: list[tuple[int, int, MessageKind, str, int]] = []
     sizes: dict[MessageKind, int] = {}
     max_excluded = -1
-    max_second = -1
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -205,24 +217,22 @@ def import_csv(text: str) -> MetricsLog:
         if kind is None:
             raise ValueError(f"line {lineno}: unknown kind {parts[2]!r}")
         direction = parts[3]
-        if direction not in ("in", "out", "dup"):
+        if direction not in DIRECTIONS:
             raise ValueError(f"line {lineno}: unknown direction {direction!r}")
         msgs, bytes_ = int(parts[4]), int(parts[5])
         if parts[6] not in ("true", "false"):
             raise ValueError(f"line {lineno}: bad excluded flag {parts[6]!r}")
         if msgs > 0:
             sizes[kind] = bytes_ // msgs
-        if direction == "dup":
-            log.duplicates[(node, second, kind)] += msgs
-        else:
-            log.counts[(node, second, kind, direction)] += msgs
+        cells.append((node, second, kind, direction, msgs))
         if parts[6] == "true":
             max_excluded = max(max_excluded, second)
-        max_second = max(max_second, second)
     if not header_seen and text.strip():
         raise ValueError("missing CSV header")
-    log.warmup_ms = (max_excluded + 1) * 1000 if max_excluded >= 0 else 0
-    log.duration_ms = (max_second + 1) * 1000 if max_second >= 0 else 0
-    for kind, size in sizes.items():
-        log.message_sizes[kind] = size
+    log = MetricsLog(warmup_ms=(max_excluded + 1) * 1000,
+                     duration_ms=(max([-1] + [cell[1] for cell in cells]) + 1) * 1000,
+                     nodes={cell[0] for cell in cells})
+    log.message_sizes.update(sizes)
+    for cell in cells:
+        log.add(*cell)
     return log

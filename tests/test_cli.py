@@ -404,10 +404,12 @@ REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "referen
 PINNED_EDGES = "0 1 5\n1 2 7.5\n2 3\n3 0 9\n2 4 1\n5 6 3\n6 7 2\n"
 
 # sha256 of CLI outputs: `compare` on the reference testbed cut to 32
-# simulated seconds (seed 1), `topo-stats` on PINNED_EDGES, and
-# `fit --gain 200 0.28905` on the shipped data. Any change is a change of the
-# JSON or CSV bytes the CLI writes.
+# simulated seconds (seed 1), `simulate` on the reference testbed as shipped,
+# `topo-stats` on PINNED_EDGES, and `fit --gain 200 0.28905` on the shipped
+# data. Any change is a change of the JSON or CSV bytes the CLI writes.
 PINNED_CLI_SHA256 = {
+    "simulate metrics.csv": "703797b6cc3c88993c14697911e008cfe8535191472cdb31523b48aaf1a737e8",
+    "simulate summary.json": "91ac66537a02b3e678fbd50e328e0f5c8562e23899f57bc7c1e959b77cc41948",
     "compare.json": "8ccbef8532d728c96849e7b9895d8c11e709fafc6488f8858e01c4a0c0dee256",
     "cumulative.csv": "544c7fd558602fd6af82e3e35db0be6fafb530a62d5e557089e54f868d09c018",
     "topo-stats": "9db5283a726a8bf95f5d7db071b49114ba2c22cf57b61225e786799886da158d",
@@ -425,6 +427,17 @@ def test_compare_artifact_bytes_pinned(tmp_path, capsys):
     assert code == 0
     for name in ("compare.json", "cumulative.csv"):
         assert _sha256((tmp_path / name).read_bytes()) == PINNED_CLI_SHA256[name], name
+
+
+def test_simulate_artifact_bytes_pinned(tmp_path, capsys):
+    # A longer file in the way must be truncated, not overwritten in place.
+    (tmp_path / "metrics.csv").write_text("stale\n" * 100_000)
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(REFERENCE_CONFIG),
+                         "--out", str(tmp_path))
+    assert code == 0
+    for name in ("metrics.csv", "summary.json"):
+        digest = _sha256((tmp_path / name).read_bytes())
+        assert digest == PINNED_CLI_SHA256[f"simulate {name}"], name
 
 
 def test_topo_stats_stdout_pinned(tmp_path, capsys):

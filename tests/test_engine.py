@@ -612,9 +612,9 @@ def test_run_is_sum_of_single_origin_runs(seed, policy):
     total = parts[0]
     for part in parts[1:]:
         for key, n in part.counts.items():
-            total.counts[key] += n
+            total.add(*key, n)
         for key, n in part.duplicates.items():
-            total.duplicates[key] += n
+            total.add(*key, "dup", n)
     assert export_csv(total) == export_csv(run_scenario(cfg))
 
 

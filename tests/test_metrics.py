@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from squelchsim.messages import MessageKind
+from squelchsim.cli import _cumulative_series
+from squelchsim.engine import RelayPolicy, ScenarioConfig, TxBurst, run_scenario
+from squelchsim.messages import APPLICATION_KINDS, MessageKind
 from squelchsim.metrics import (
     CSV_HEADER,
+    DIRECTIONS,
     EmptyWindowError,
     MetricsLog,
     ZeroFloodAverageError,
@@ -16,11 +20,13 @@ from squelchsim.metrics import (
     savings,
     summarize,
 )
+from squelchsim.squelch import ProtocolConfig
+from squelchsim.topology import load_topology
 
 
 def make_log(warmup_ms=0, duration_ms=10_000):
     return MetricsLog(policy="flood", seed=1, config_hash="abc",
-                      warmup_ms=warmup_ms, duration_ms=duration_ms)
+                      warmup_ms=warmup_ms, duration_ms=duration_ms, nodes=range(4))
 
 
 def fill_random(log, seed, nodes=4, seconds=12):
@@ -32,9 +38,9 @@ def fill_random(log, seed, nodes=4, seconds=12):
         kind = rng.choice(kinds)
         direction = rng.choice(["in", "out"])
         for _ in range(rng.randint(1, 5)):
-            log.counts[(node, second, kind, direction)] += 1
+            log.add(node, second, kind, direction)
     for _ in range(40):
-        log.duplicates[(rng.randrange(nodes), rng.randrange(seconds), rng.choice(kinds))] += 1
+        log.add(rng.randrange(nodes), rng.randrange(seconds), rng.choice(kinds), "dup")
     return log
 
 
@@ -42,19 +48,15 @@ def fill_random(log, seed, nodes=4, seconds=12):
 
 def test_single_bucket_average():
     log = make_log()
-    for _ in range(10):
-        log.counts[(0, 3, MessageKind.PROPOSAL, "in")] += 1
-    for _ in range(5):
-        log.counts[(0, 3, MessageKind.PROPOSAL, "out")] += 1
+    log.add(0, 3, MessageKind.PROPOSAL, "in", 10)
+    log.add(0, 3, MessageKind.PROPOSAL, "out", 5)
     assert summarize(log).avg_total_msgs_per_sec == 15.0
 
 
 def test_two_bucket_mean():
     log = make_log()
-    for _ in range(10):
-        log.counts[(1, 2, MessageKind.VALIDATION, "in")] += 1
-    for _ in range(20):
-        log.counts[(1, 7, MessageKind.VALIDATION, "in")] += 1
+    log.add(1, 2, MessageKind.VALIDATION, "in", 10)
+    log.add(1, 7, MessageKind.VALIDATION, "in", 20)
     assert summarize(log).avg_total_msgs_per_sec == 15.0
 
 
@@ -87,19 +89,17 @@ def test_per_kind_averages_sum_exactly():
 
 def test_warmup_exclusion_and_empty_window():
     log = make_log(warmup_ms=10_000)
-    log.counts[(0, 4, MessageKind.PROPOSAL, "in")] += 1
+    log.add(0, 4, MessageKind.PROPOSAL, "in")
     with pytest.raises(EmptyWindowError):
         summarize(log)
-    log.counts[(0, 10, MessageKind.PROPOSAL, "in")] += 1
+    log.add(0, 10, MessageKind.PROPOSAL, "in")
     assert summarize(log).avg_total_msgs_per_sec == 1.0
 
 
 def test_control_split_and_flag():
     log = make_log()
-    for _ in range(6):
-        log.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
-    for _ in range(2):
-        log.counts[(0, 1, MessageKind.SQUELCH, "out")] += 1
+    log.add(0, 1, MessageKind.PROPOSAL, "in", 6)
+    log.add(0, 1, MessageKind.SQUELCH, "out", 2)
     with_control = summarize(log, include_control=True)
     without = summarize(log, include_control=False)
     assert with_control.avg_total_msgs_per_sec == 8.0
@@ -138,10 +138,8 @@ def test_savings_antitone_in_squelch_average():
 def test_savings_accepts_run_summaries():
     log_a = make_log()
     log_b = make_log()
-    for _ in range(20):
-        log_a.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
-    for _ in range(10):
-        log_b.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
+    log_a.add(0, 1, MessageKind.PROPOSAL, "in", 20)
+    log_b.add(0, 1, MessageKind.PROPOSAL, "in", 10)
     report = savings(summarize(log_a), summarize(log_b))
     assert report.saved_percent == 50.0
 
@@ -154,8 +152,8 @@ def test_export_empty_log():
 
 def test_export_one_bucket_rows():
     log = make_log()
-    log.counts[(2, 5, MessageKind.VALIDATION, "in")] += 1
-    log.counts[(2, 5, MessageKind.VALIDATION, "out")] += 1
+    log.add(2, 5, MessageKind.VALIDATION, "in")
+    log.add(2, 5, MessageKind.VALIDATION, "out")
     text = export_csv(log)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -166,9 +164,9 @@ def test_export_one_bucket_rows():
 
 def test_export_sorted_and_flags():
     log = make_log(warmup_ms=6000)
-    log.counts[(1, 9, MessageKind.PROPOSAL, "out")] += 1
-    log.counts[(0, 2, MessageKind.TRANSACTION, "in")] += 1
-    log.duplicates[(0, 2, MessageKind.TRANSACTION)] += 1
+    log.add(1, 9, MessageKind.PROPOSAL, "out")
+    log.add(0, 2, MessageKind.TRANSACTION, "in")
+    log.add(0, 2, MessageKind.TRANSACTION, "dup")
     lines = export_csv(log).strip().split("\n")[1:]
     assert lines == [
         "0,2,transaction,dup,1,600,true",
@@ -191,7 +189,7 @@ def test_round_trip_summary_identical():
 
 def test_import_skips_comment_lines():
     log = make_log()
-    log.counts[(0, 1, MessageKind.PROPOSAL, "in")] += 1
+    log.add(0, 1, MessageKind.PROPOSAL, "in")
     annotated = "# config_hash=deadbeef\n# seed=5\n" + export_csv(log)
     assert export_csv(import_csv(annotated)) == export_csv(log)
 
@@ -208,8 +206,94 @@ def test_import_rejects_garbage():
 def test_bytes_match_message_sizes():
     log = make_log()
     sizes = log.message_sizes
-    for _ in range(7):
-        log.counts[(3, 2, MessageKind.TRANSACTION, "out")] += 1
+    log.add(3, 2, MessageKind.TRANSACTION, "out", 7)
     for line in export_csv(log).strip().split("\n")[1:]:
         node, second, kind, direction, msgs, bytes_, excluded = line.split(",")
         assert int(bytes_) == int(msgs) * sizes[MessageKind(kind)]
+
+
+def test_streamed_export_equals_string(tmp_path):
+    log = fill_random(make_log(warmup_ms=4000), seed=17)
+    out = io.StringIO()
+    assert export_csv(log, out) is None
+    assert out.getvalue() == export_csv(log)
+    path = tmp_path / "metrics.csv"
+    with open(path, "w", encoding="utf-8") as f:
+        export_csv(log, f)
+    assert path.read_text(encoding="utf-8") == export_csv(log)
+
+
+def test_count_views_are_read_only():
+    log = fill_random(make_log(), seed=3)
+    key = next(iter(log.counts))
+    with pytest.raises(TypeError):
+        log.counts[key] += 1
+    with pytest.raises(TypeError):
+        log.duplicates[(0, 1, MessageKind.PROPOSAL)] = 1
+    assert log.counts == import_csv(export_csv(log)).counts
+
+
+# --- the dense table over node ids that are not contiguous ------------------------
+
+SPARSE_EDGES = "3 17 10\n17 100 12.5\n100 1000 7\n1000 3 21\n3 100 15\n17 1000 30\n"
+
+
+def sparse_log():
+    graph = load_topology(SPARSE_EDGES, {3, 100})
+    return run_scenario(ScenarioConfig(
+        topology=graph, duration_ms=6000, relay_policy=RelayPolicy.SQUELCH,
+        ledger_round_ms=500, tx_plan=(TxBurst(1200.0, (17, 1000), 12, 8.0),),
+        protocol=ProtocolConfig(count_threshold=2, max_selected=1, squelch_base_ms=1000,
+                                squelch_jitter_ms=500),
+        warmup_ms=2000))
+
+
+def recount(text, include_control=True):
+    """(seconds observed, total messages, duplicates) past the warmup, read
+    straight off the CSV lines."""
+    seconds, total, dups = set(), 0, 0
+    for line in text.splitlines()[1:]:
+        node, second, kind, direction, msgs, _, excluded = line.split(",")
+        if excluded == "true":
+            continue
+        if direction == "dup":
+            dups += int(msgs)
+        else:
+            seconds.add(int(second))
+            if include_control or MessageKind(kind) in APPLICATION_KINDS:
+                total += int(msgs)
+    return seconds, total, dups
+
+
+def test_sparse_node_ids_export_in_numeric_order():
+    log = sparse_log()
+    assert log.nodes == [3, 17, 100, 1000]
+    text = export_csv(log)
+    keys = [line.split(",") for line in text.splitlines()[1:]]
+    assert {int(k[0]) for k in keys} == {3, 17, 100, 1000}
+    assert {k[2] for k in keys} >= {"proposal", "validation", "transaction", "squelch"}
+    # Numeric node order (1000 after 100), then second, kind and direction.
+    order = [(int(k[0]), int(k[1]), k[2], DIRECTIONS.index(k[3])) for k in keys]
+    assert order == sorted(order) and len(set(order)) == len(order)
+    assert export_csv(import_csv(text)) == text
+
+
+@pytest.mark.parametrize("include_control", [True, False])
+def test_sparse_node_ids_summarize_matches_recount(include_control):
+    log = sparse_log()
+    summary = summarize(log, include_control=include_control)
+    seconds, total, dups = recount(export_csv(log), include_control)
+    assert summary.seconds_observed == len(seconds) > 0
+    assert summary.avg_total_msgs_per_sec == pytest.approx(total / len(seconds))
+    assert summary.total_duplicates == dups
+
+
+def test_all_zero_row_adds_no_second():
+    log = sparse_log()
+    before = (summarize(log), export_csv(log), _cumulative_series(log, log))
+    last = max(second for second, _ in log.rows)
+    # Reading a row creates it at zero; so does a count brought back to zero.
+    log.rows[last + 3, MessageKind.PROPOSAL]
+    log.add(1000, last + 5, MessageKind.VALIDATION, "in", 4)
+    log.add(1000, last + 5, MessageKind.VALIDATION, "in", -4)
+    assert (summarize(log), export_csv(log), _cumulative_series(log, log)) == before
