@@ -49,14 +49,15 @@ Once a template has been used (replayed, or walked by a squelch round),
 a later replay is counted from the template's offset summary when rounding
 cannot decide anything. The summary is the template's own run at t=0, with
 the replay's float additions: each node's first receipt `off`, each send's
-arrival offset, the depth K of the tree and the latest arrival M. Let D = `duration_ms` and u = 2**-53. While
-every arrival lands before D, every partial sum lies in [0, D), so each
-float addition is off by at most u·D. A node at depth k is reached by k
-additions from t0 and k - 1 from 0 (the first, 0 + latency, is exact), and
-a send adds one more to each side: every replayed time differs from the
-real t0 + offset by at most (2K + 2)·u·D. The margin τ = (2K + 4)·2**-52·D
-is over twice that, and what it has to spare covers the roundings of the
-tests below. The summary counts an emission at t0 when:
+arrival offset, the depth K of the tree and the latest arrival M. Let
+D = `duration_ms` and u = 2**-53. While every arrival lands before D, every
+partial sum lies in [0, D), so each float addition is off by at most u·D.
+A node at depth k is reached by k additions from t0 and k - 1 from 0 (the
+first, 0 + latency, is exact), and a send adds one more to each side: every
+replayed time differs from the real t0 + offset by at most (2K + 2)·u·D.
+The margin τ = (2K + 4)·2**-52·D is over twice that, and what it has to
+spare covers the roundings of the tests below. The summary counts an
+emission at t0 when:
 
 - every non-tree send arrives more than 2τ after its receiver's first
   receipt, in offsets (its slack), so the strict-arrival check holds;
@@ -66,11 +67,12 @@ tests below. The summary counts an emission at t0 when:
 
 Then `int(t // 1000)` of every arrival is decided by offsets alone, and a
 node's count per second is a bisect of its sorted offsets at each second
-boundary; with no boundary in range, the summary's stored count. The counts
-of a second and direction are a vector over the log's node index, added to
-the log's row in one pass. Otherwise the two passes of a walk run. An origin
-that emits once builds no summary, and a summary lives as long as its
-template: the origin's run or its kept result.
+boundary; with no boundary in range, the summary's stored count. Otherwise
+the two passes of a walk run, and count each send into the vectors of its
+arrival second. Either way the counts of a second and direction are a
+vector over the log's node index, which `_add_vectors` adds to the log's
+row in one pass. An origin that emits once builds no summary, and a summary
+lives as long as its template: the origin's run or its kept result.
 
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
@@ -128,16 +130,15 @@ reasons:
 Each acting slot, on a copy, is fed its node's (arrival, sender) copies in
 arrival order, `k` copies per arrival in batch order, through the real
 `on_validator_message`. A send q→w is dropped exactly when w's squelch
-reached q strictly before f_q; it is subtracted from the walk's counts, and
-it is never a tree send (w's tree parent relays before f_w, so before
-w can act). Each squelch
-control that arrives before `duration_ms` is counted, and applied with
-`on_squelch_received` at its arrival. The caller pushes the new squelch
-expiries after the round's next emission, in the order the slots acted:
-the event loop pushes them in that order, after that emission. The round
-falls back to the event loop, having touched no slot, downlink, heap entry
-or count, when the insertion sequence would decide an order, or an effect
-would outlast the window:
+reached q strictly before f_q; it is subtracted from the walk's counts of
+its arrival second, and it is never a tree send (w's tree parent relays
+before f_w, so before w can act). Each squelch control that arrives before
+`duration_ms` is counted, and applied with `on_squelch_received` at its
+arrival. The caller pushes the new squelch expiries after the round's next
+emission, in the order the slots acted: the event loop pushes them in that
+order, after that emission. The round falls back to the event loop, having
+touched no slot, downlink, heap entry or count, when the insertion sequence
+would decide an order, or an effect would outlast the window:
 
 - copies from two senders reach an acting slot's node at the same time;
 - a squelch reaches p exactly at f_p, and w is not p's tree parent;
@@ -428,13 +429,20 @@ def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
         cuts.append(c)
     # Per second from s0, one count vector per row; in the common case the
     # whole flood lands in t0's second, whose counts are the stored totals.
-    seconds = (list(zip(*(_split(by_node, len(summary.totals[0]), cuts)
-                          for by_node in summary.by_node))) if cuts else [summary.totals])
-    for kind, copies in batch:
-        for s, vectors in enumerate(seconds, s0):
+    seconds = (zip(*(_split(by_node, len(summary.totals[0]), cuts)
+                     for by_node in summary.by_node)) if cuts else [summary.totals])
+    _add_vectors(log, enumerate(seconds, s0), batch)
+    return True
+
+
+def _add_vectors(log: MetricsLog, seconds, batch) -> None:
+    """Add one emission's counts, (second, (dup, in, out) count vectors over
+    the log's node index) pairs, to `log`, `copies` times for each (kind,
+    copies) pair of `batch`."""
+    for s, vectors in seconds:
+        for kind, copies in batch:
             for row, vec in zip(log.rows[s, kind], vectors):
                 row[:] = map(add, row, vec if copies == 1 else [n * copies for n in vec])
-    return True
 
 
 def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
@@ -532,23 +540,19 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         along the tree, then every other send, each a duplicate that must
         arrive strictly after its receiver's tree copy for the tree to be
         the event loop's first-receipt tree at t0. Returns (first receipts,
-        sends per (sender, second), tree receipts (receiver, second),
-        duplicates per (receiver, second), latest arrival before
-        `duration_ms`), or None when that check fails or an arrival lands in
-        [horizon, duration). With `fed`, also appends the sender of every
-        send before `duration_ms` to fed[receiver]."""
+        {second: (dup, in, out) count vectors over the log's node index},
+        latest arrival before `duration_ms`), or None when that check fails
+        or an arrival lands in [horizon, duration). With `fed`, also appends
+        the sender of every send before `duration_ms` to fed[receiver]."""
         order, parent = tmpl[0], tmpl[1]
         first = {origin: t0}
-        out_c: dict[tuple[int, int], int] = defaultdict(int)
-        dup_c: dict[tuple[int, int], int] = defaultdict(int)
-        tree_in: list[tuple[int, int]] = []
+        seconds = defaultdict(rows.default_factory)
         latest = -inf
-        # Most sends land in t0's second and are counted per node there:
-        # a (node, second) key per send made a walk on the MainNet-sized
-        # graph 1.6x slower.
+        # Most sends land in t0's second: its vectors are bound once, so a
+        # send there looks up no second.
         s0 = int(t0 // 1000)
         next_second = 1000.0 * (s0 + 1)
-        dup_s0: dict[int, int] = defaultdict(int)
+        vectors_s0 = seconds[s0]
         for v in order[1:]:
             p = parent[v]
             t = first[p] + adjacency[p][v]
@@ -559,9 +563,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 return None
             if t > latest:
                 latest = t
-            s = int(t // 1000)
-            out_c[(p, s)] += 1
-            tree_in.append((v, s))
+            _, in_s, out_s = seconds[int(t // 1000)]
+            out_s[index[p]] += 1
+            in_s[index[v]] += 1
             if fed is not None:
                 fed[v].append(p)
         for u in order:
@@ -569,7 +573,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if fu >= duration:
                 continue
             pu = parent[u]
-            sent_in_s0 = 0
+            iu = index[u]
             for w, lat in adjacency[u].items():
                 if w == pu or parent[w] == u:
                     continue
@@ -582,33 +586,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     return None
                 if t > latest:
                     latest = t
-                if t < next_second:
-                    sent_in_s0 += 1
-                    dup_s0[w] += 1
-                else:
-                    s = int(t // 1000)
-                    out_c[(u, s)] += 1
-                    dup_c[(w, s)] += 1
+                dup_s, in_s, out_s = vectors_s0 if t < next_second else seconds[int(t // 1000)]
+                out_s[iu] += 1
+                iw = index[w]
+                dup_s[iw] += 1
+                in_s[iw] += 1
                 if fed is not None:
                     fed[w].append(u)
-            if sent_in_s0:
-                out_c[(u, s0)] += sent_in_s0
-        for w, n in dup_s0.items():
-            dup_c[(w, s0)] += n
-        return first, out_c, tree_in, dup_c, latest
-
-    def add_counts(batch, out_c, tree_in, dup_c) -> None:
-        """Add a walk's counts to the log, `copies` per send for each (kind,
-        copies) pair of `batch`."""
-        for kind, copies in batch:
-            for (u, s), n in out_c.items():
-                rows[s, kind][2][index[u]] += n * copies  # out
-            for w, s in tree_in:
-                rows[s, kind][1][index[w]] += copies  # in
-            for (w, s), n in dup_c.items():
-                dup_row, in_row, _ = rows[s, kind]
-                dup_row[index[w]] += n * copies
-                in_row[index[w]] += n * copies
+        return first, seconds, latest
 
     def replay(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
                adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
@@ -625,7 +610,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
             return True
         if walked := walk(t0, tmpl, adjacency, horizon):
-            add_counts(batch, *walked[1:4])
+            _add_vectors(log, walked[1].items(), batch)
         return bool(walked)
 
     def squelch_round(t0: float, batch: list[tuple[MessageKind, int]],
@@ -676,7 +661,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         walked = walk(t0, tmpl, adjacency, end, fed)
         if walked is None:
             return None
-        first, out_c, tree_in, dup_c, latest = walked
+        first, seconds, latest = walked
         k = sum(copies for _, copies in batch)
         threshold = protocol.count_threshold
         # Each receiver's slot is quiet, counts without filling, or may act.
@@ -709,11 +694,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             reached: dict[int, float] = {}  # peer -> when this node's squelch reaches it
             last = -inf
             for t, u in sorted([(first[u] + adjacency[u][w], u) for u in senders]):
-                s = int(t // 1000)
                 if u in reached and reached[u] < first[u]:
                     # Squelched before it relayed: never sent, so never a tree send.
-                    out_c[(u, s)] -= 1
-                    dup_c[(w, s)] -= 1
+                    dup_s, in_s, out_s = seconds[int(t // 1000)]
+                    out_s[index[u]] -= 1
+                    dup_s[index[w]] -= 1
+                    in_s[index[w]] -= 1
                     continue
                 if t == last:
                     return None
@@ -733,7 +719,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         acted.sort(key=lambda a: a[0])
         if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(acted, acted[1:])):
             return None
-        add_counts(batch, out_c, tree_in, dup_c)
+        _add_vectors(log, seconds.items(), batch)
         # A slot that counts without filling takes the round's copies at
         # once: counter increments and set inserts, which commute.
         for w, slot, senders in counting:

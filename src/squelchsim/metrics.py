@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from io import StringIO
 from types import MappingProxyType
 from typing import TextIO
@@ -36,6 +37,11 @@ _KIND_BY_NAME = {k.value: k for k in MessageKind}
 
 class EmptyWindowError(ValueError):
     """Summarizing a log with no populated bucket past the warmup boundary."""
+
+
+def _zero_rows(width: int) -> tuple[list[int], list[int], list[int]]:
+    """The (dup, in, out) rows of a (second, kind) before its first count."""
+    return [0] * width, [0] * width, [0] * width
 
 
 class MetricsLog:
@@ -56,10 +62,9 @@ class MetricsLog:
         self.message_sizes = dict(message_sizes or DEFAULT_MESSAGE_SIZES)
         self.nodes = sorted(nodes)
         self.index = {node: i for i, node in enumerate(self.nodes)}
-        width = len(self.nodes)
         # (second, kind) -> its (dup, in, out) rows, created zero on first use
         self.rows: defaultdict[tuple[int, MessageKind], tuple[list[int], ...]] = defaultdict(
-            lambda: ([0] * width, [0] * width, [0] * width))
+            partial(_zero_rows, len(self.nodes)))
 
     def add(self, node: int, second: int, kind: MessageKind, direction: str,
             n: int = 1) -> None:

@@ -1119,6 +1119,27 @@ def test_fill_drops_a_send_that_a_squelch_reached_first(monkeypatch):
     assert_same_bytes_as_event_loop(monkeypatch, cfg)
 
 
+def test_fill_drops_a_send_in_its_own_arrival_second(monkeypatch):
+    """83 ms rounds of one validation, one selected peer. Origin 3's round
+    at 2988 ms fills the slots of nodes 0, 2, 4 and 6, and the squelches of
+    2, 4 and 6 reach node 1 before its first copy at about 3022 ms. Node 1's
+    sends to them would arrive at about 3032-3034 ms: each is subtracted in
+    second 3, where the walk counted it, not in t0's second 2. The round
+    replays, so it pops nothing but its emission and the next one."""
+    events = popped_events(monkeypatch)
+    cfg = ScenarioConfig(topology=generate_topology(7, 4.0, 0.2, (10.0, 12.0), seed=1477),
+                         duration_ms=4239, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=83, proposals_per_round=0,
+                         protocol=ProtocolConfig(count_threshold=7, max_selected=1,
+                                                 squelch_base_ms=1761, squelch_jitter_ms=282),
+                         warmup_ms=0)
+    run_scenario(cfg)
+    assert sorted(cfg.topology.validator_set) == [3, 4]
+    assert [(at, code) for at, code, _ in events if 2988.0 <= at <= 3071.0] == [
+        (2988.0, engine._EMIT), (3071.0, engine._EMIT)] * 2
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
 def test_fill_falls_back_when_a_squelch_lands_at_a_first_receipt(monkeypatch):
     """Integer latencies, round at 2750 ms: node 3 fills its selection on
     its first copy at 2751 ms, and its squelch reaches node 1 at 2752 ms,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import pickle
 import random
 from fractions import Fraction
 
@@ -297,3 +298,14 @@ def test_all_zero_row_adds_no_second():
     log.add(1000, last + 5, MessageKind.VALIDATION, "in", 4)
     log.add(1000, last + 5, MessageKind.VALIDATION, "in", -4)
     assert (summarize(log), export_csv(log), _cumulative_series(log, log)) == before
+
+
+def test_squelch_run_log_round_trips_through_pickle():
+    log = sparse_log()
+    copy = pickle.loads(pickle.dumps(log))
+    assert export_csv(copy) == export_csv(log) and copy.index == log.index
+    last = max(second for second, _ in copy.rows)
+    assert copy.rows[last + 1, MessageKind.SQUELCH] == ([0] * 4, [0] * 4, [0] * 4)
+    copy.add(1000, last + 1, MessageKind.SQUELCH, "out", 2)
+    assert copy.rows[last + 1, MessageKind.SQUELCH] == ([0] * 4, [0] * 4, [0, 0, 0, 2])
+    assert (last + 1, MessageKind.SQUELCH) not in log.rows
