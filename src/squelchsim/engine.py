@@ -81,41 +81,66 @@ maps. A squelchable emission at `t0` is a squelch round, which
 `squelch_round` replays once none of the origin's deliveries or control
 messages is in flight. It runs over a pruned adjacency, in which each node
 keeps the peers whose downlink squelch has elapsed by `t0` (with none
-unexpired, the latency maps and their template). Its horizon is the
-earliest downlink expiry after `t0`, slot squelch expiry, next disconnect
-or `duration_ms`; nothing else changes slot or downlink state before it.
-One walk of the pruned template counts every send and lists each
-receiver's senders whose copy arrives before `duration_ms`; each such copy
-feeds the receiver's slot. Each fed slot is then one of three cases:
+unexpired, the latency maps and their template). One walk of the pruned
+template counts every send and lists each receiver's senders whose copy
+arrives before `duration_ms`; each such copy feeds the receiver's slot.
+Two kinds of expiry may fall inside the round's flood:
+
+- A downlink expiry is not an event: `relay_targets` compares it at send
+  time, and one that equals `now` has elapsed. So a pruned link q→w whose
+  downlink expiry x is after `t0` is a conditional send, sent exactly when
+  x ≤ f_q, q's first receipt, unless w is q's tree parent, to which q never
+  sends. Before f_q only a squelch of this round can change q's downlink,
+  which the drop rule below covers. A sent copy must arrive strictly after
+  f_w: then it is a duplicate and the tree stays the template's. It is
+  counted in its arrival second and feeds w's slot like the walk's sends.
+- A slot expiry is a heap event at its owner w, at x. Its one effect, when
+  it is live (w's slot still squelches that peer until x), is to reset w's
+  slot, which changes only how the slot takes the copies that reach w
+  after x; a stale one is skipped, as on the heap. The expiries due by the
+  round's last arrival are a prefix of the origin's heap, read in order
+  without popping (`_in_order`). Each joins its owner's feed at x, and the
+  replay pops them. They were pushed before the emission and every copy of
+  the round after it, so an expiry at the time of a copy goes first, as on
+  the heap. Expiries at different nodes touch different slots and commute,
+  and one at a node that has left is consumed unseen. Later expiries stay
+  on the heap, after every copy of the round.
+
+Each slot that is fed or has an expiry due is then one of three cases:
 
 - Quiet: it has selected every sender, or has filled its selection and
-  still squelches every other sender. `on_validator_message` then returns
-  nothing and changes at most an already selected peer's count, which
-  nothing reads, so the slot is left as it is.
+  still squelches every other sender (a squelch that ends by a copy's
+  arrival has its expiry due, so that slot acts). `on_validator_message`
+  then returns nothing and changes at most an already selected peer's
+  count, which nothing reads, so the slot is left as it is.
 - Counting: it is still counting (or not created yet), some sender is not
   among its selected peers, and it cannot fill its selection: its selected
   peers plus the fed unselected peers whose count reaches
   `count_threshold` with the batch's copies stay below `max_selected`. It
   returns no action, and its feeds are counter increments and set inserts,
   which commute: applied at `t0` once the round replays, they leave the
-  slot as the event loop leaves it by the window's end, in whatever order
+  slot as the event loop leaves it after its last copy, in whatever order
   its copies arrive, ties included.
-- Acting: any other slot may act in this round. A counting slot may fill
-  its selection and squelch the other peers it counted (a fill round), or
-  a selected slot hears from a peer it has neither selected nor squelched
-  (a straggler round).
+- Acting: any other slot may act in this round, and so does every slot with
+  an expiry due. A counting slot may fill its selection and squelch the
+  other peers it counted (a fill round), a selected slot hears from a peer
+  it has neither selected nor squelched (a straggler round), or a reset
+  slot counts again.
 
-A round whose slots are all quiet is kept for later emissions up to its
-horizon, which `replay` counts. No control or squelchable copy is in flight
-at `t0`; later ones come only from a slot action or an emission that falls
-back to the event loop, and either drops the kept round, as do a control
-delivery and a live expiry. Any other round serves this emission alone, and
-its window also ends at the origin's next heap event (an emission, a
-squelch expiry, stale or not, a disconnect) and, for a round, at the next
-round's emission, pushed only after this one returns. Inside that window no
-other event of the origin runs, so each slot sees exactly the copies it
-would see on the heap. Without an acting slot no feed returns an action, so
-the relay targets stay fixed and the flood is the template's.
+A round whose slots are all quiet, and whose copies all arrive before the
+earliest downlink expiry after `t0`, slot squelch expiry and the horizon,
+is kept for later emissions up to that time, which `replay` counts. No
+control or squelchable copy is in flight at `t0`; later ones come only from
+a slot action or an emission that falls back to the event loop, and either
+drops the kept round, as do a control delivery and a live expiry. Any other
+round serves this emission alone, and its copies must arrive before its
+window ends: at the round's next emission, pushed only after this one
+returns, the horizon, or the origin's first heap event that is not a slot
+expiry (an emission or a disconnect). Inside that window no other event of
+the origin runs but the expiries above, so each slot sees exactly the
+copies and resets it would see on the heap. Without an acting slot no feed
+returns an action, so the relay targets stay fixed and the flood is the
+template's, with its conditional sends.
 
 An acting slot's squelches reach peers while the round's copies are in
 flight, yet every first receipt stays the pruned template's, for three
@@ -127,18 +152,19 @@ reasons:
 - so the squelch can only stop p's later send back to w, which would
   arrive after f_w and be a duplicate.
 
-Each acting slot, on a copy, is fed its node's (arrival, sender) copies in
-arrival order, `k` copies per arrival in batch order, through the real
-`on_validator_message`. A send q→w is dropped exactly when w's squelch
-reached q strictly before f_q; it is subtracted from the walk's counts of
-its arrival second, and it is never a tree send (w's tree parent relays
-before f_w, so before w can act). Each squelch control that arrives before
-`duration_ms` is counted, and applied with `on_squelch_received` at its
-arrival. The caller pushes the new squelch expiries after the round's next
-emission, in the order the slots acted: the event loop pushes them in that
-order, after that emission. The round falls back to the event loop, having
-touched no slot, downlink, heap entry or count, when the insertion sequence
-would decide an order, or an effect would outlast the window:
+Each acting slot, on a copy, is fed its node's (arrival, sender) copies,
+`k` copies per arrival in batch order, and its expiries due, in time order,
+through the real `on_validator_message` and `on_squelch_expired`. A send
+q→w, conditional or not, is dropped exactly when w's squelch reached q
+strictly before f_q; it is subtracted from the walk's counts of its arrival
+second, and it is never a tree send (w's tree parent relays before f_w, so
+before w can act). Each squelch control that arrives before `duration_ms`
+is counted, and applied with `on_squelch_received` at its arrival. The
+caller pushes the new squelch expiries after the round's next emission, in
+the order the slots acted: the event loop pushes them in that order, after
+that emission. The round falls back to the event loop, having touched no
+slot, downlink, heap entry or count, when the insertion sequence would
+decide an order, or an effect would outlast the window:
 
 - copies from two senders reach an acting slot's node at the same time;
 - a squelch reaches p exactly at f_p, and w is not p's tree parent;
@@ -147,7 +173,11 @@ would decide an order, or an effect would outlast the window:
   `duration_ms`;
 - a new slot squelch expires at or before the window end (its downlink
   expiry comes one latency later);
-- as for any replay, an arrival lands in [window end, `duration_ms`) or a
+- a conditional send is sent and arrives at or before its receiver's first
+  receipt;
+- a round that is not kept has a copy that arrives at or after its window
+  end;
+- as for any replay, an arrival lands in [horizon, `duration_ms`) or a
   duplicate does not arrive strictly after its receiver's first receipt.
 
 Identical config and seed produce a bit-identical metrics log: the loop is
@@ -445,6 +475,18 @@ def _add_vectors(log: MetricsLog, seconds, batch) -> None:
                 row[:] = map(add, row, vec if copies == 1 else [n * copies for n in vec])
 
 
+def _in_order(heap: list):
+    """The entries of `heap` in the order `heappop` returns them, popping
+    none: a walk of the heap's tree that always takes the least entry next."""
+    frontier = [(heap[0], 0)] if heap else []
+    while frontier:
+        entry, i = heappop(frontier)
+        yield entry
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < len(heap):
+                heappush(frontier, (heap[child], child))
+
+
 def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     """Execute the event loop until duration_ms and return the metrics log."""
     graph = cfg.topology
@@ -502,28 +544,34 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     rows, index = log.rows, log.index  # per (second, kind): (dup, in, out) rows
     msg_ids = count()
     seq = 0
+    # Deliveries and control messages pushed and not yet popped.
+    in_flight = 0
 
     # The helpers act on the current origin's `origin`, `nodes`, `heap`, `template`.
 
     def push(at: float, code: int, node: int, kind, peer, arg) -> None:
-        nonlocal seq
+        nonlocal seq, in_flight
         if at < duration:
             heappush(heap, (at, seq, code, node, kind, peer, arg))
             seq += 1
+            if code <= _DELIVER_CTRL:
+                in_flight += 1
 
     def forward(node: NodeState, kind: MessageKind, msg_id: int,
                 arrived_from: int | None, at: float) -> None:
         """`node` takes message `msg_id` and sends it on to its relay targets;
         the origin passes arrived_from=None."""
-        nonlocal seq
+        nonlocal seq, in_flight
         node.seen.add(msg_id)
         src = node.node_id
         lat = node.latency
+        sent = seq
         for p in relay_targets(node, kind, arrived_from, at, squelch_kinds):
             t = at + lat[p]
             if t < duration:
                 heappush(heap, (t, seq, _DELIVER_APP, p, kind, src, msg_id))
                 seq += 1
+        in_flight += seq - sent
 
     def new_template(adjacency: dict[int, dict[int, float]]) -> list | None:
         """The origin's template over `adjacency` as a record [order, parent,
@@ -613,37 +661,37 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             _add_vectors(log, walked[1].items(), batch)
         return bool(walked)
 
+    def kept_end(t0: float) -> float:
+        """The end of a quiet round's window: the earliest downlink expiry
+        after t0, slot squelch expiry or the horizon."""
+        return min(chain([horizon], *(node.slot.squelched.values() for node in nodes.values()
+                                      if node.slot),
+                         (x for node in nodes.values() for x in node.downlink.values() if x > t0)))
+
     def squelch_round(t0: float, batch: list[tuple[MessageKind, int]],
                       next_round: float) -> list[tuple[float, int, int]] | None:
         """Replay `batch`, (kind, copies) pairs of squelchable messages that
         the origin emits at t0, over the pruned template, and apply their
-        copies to the slots (see the module docstring). `next_round` is the
-        round's next emission, not pushed yet. Returns the round's squelch
-        expiries before `duration_ms`, (at, owner, peer) in the order the
-        slots acted, for the caller to push after that emission; or None,
-        having changed nothing, when the round must run on the event loop."""
+        copies and the slot expiries due meanwhile to the slots (see the
+        module docstring). `next_round` is the round's next emission, not
+        pushed yet. Returns the round's squelch expiries before
+        `duration_ms`, (at, owner, peer) in the order the slots acted, for
+        the caller to push after that emission; or None, having changed
+        nothing, when the round must run on the event loop."""
         nonlocal template, steady
         if steady is not None and t0 < steady[2]:
             if not steady[0]:
                 return None
             if replay(t0, batch, *steady):
                 return []
-            steady = None  # its copies go in flight
-            return None
         steady = None
-        if any(e[2] <= _DELIVER_CTRL for e in heap):
+        if in_flight:
             return None
-        end = horizon
-        if any(x > t0 for node in nodes.values() for x in node.downlink.values()):
-            adjacency: dict[int, dict[int, float]] = {}
-            for n, node in nodes.items():
-                kept = adjacency[n] = {}
-                for p, lat in node.latency.items():
-                    x = node.downlink.get(p, t0)
-                    if x <= t0:
-                        kept[p] = lat
-                    elif x < end:
-                        end = x
+        pruned = any(x > t0 for node in nodes.values() for x in node.downlink.values())
+        if pruned:
+            adjacency = {n: {p: lat for p, lat in node.latency.items()
+                             if node.downlink.get(p, t0) <= t0}
+                         for n, node in nodes.items()}
             tmpl = new_template(adjacency)
         else:
             adjacency = latency
@@ -651,49 +699,94 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 template = new_template(latency) or False
             tmpl = template
         if not tmpl:
-            steady = (tmpl, adjacency, end)
+            steady = (tmpl, adjacency, kept_end(t0))
             return None
-        for node in nodes.values():
-            if node.slot and node.slot.squelched:
-                end = min(end, *node.slot.squelched.values())
         tmpl[2] += 1
         fed: dict[int, list[int]] = defaultdict(list)
-        walked = walk(t0, tmpl, adjacency, end, fed)
+        walked = walk(t0, tmpl, adjacency, horizon, fed)
         if walked is None:
             return None
         first, seconds, latest = walked
+        parent = tmpl[1]
+        # A pruned link q -> w is sent when its squelch has elapsed at q's
+        # first receipt: a duplicate at w, counted and fed like the walk's.
+        for q, fq in first.items() if pruned else ():
+            if fq >= duration:
+                continue
+            lat = latency[q]
+            for w, x in nodes[q].downlink.items():
+                if t0 < x <= fq and w in lat and parent[q] != w:
+                    t = fq + lat[w]
+                    if t >= duration:
+                        continue
+                    if t >= horizon or t <= first.get(w, inf):
+                        return None
+                    latest = max(latest, t)
+                    dup_s, in_s, out_s = seconds[int(t // 1000)]
+                    out_s[index[q]] += 1
+                    dup_s[index[w]] += 1
+                    in_s[index[w]] += 1
+                    fed[w].append(q)
+        # The window ends at the round's next emission, the horizon or the
+        # origin's first heap event that is not a slot expiry. The expiries
+        # due by the last arrival, a prefix of the heap, join their owners'
+        # feeds; those of a node that has left are consumed unseen.
+        window = min(next_round, horizon)
+        due: dict[int, list[tuple[float, int, int]]] = defaultdict(list)
+        used = 0
+        for e in _in_order(heap):
+            if e[0] >= window:
+                break
+            if e[2] != _SQUELCH_EXPIRY:
+                window = e[0]
+                break
+            if e[0] <= latest:
+                used += 1
+                if nodes[e[3]].live:
+                    due[e[3]].append((e[0], 0, e[5]))
+                    fed.setdefault(e[3], [])  # its slot acts, fed or not
         k = sum(copies for _, copies in batch)
         threshold = protocol.count_threshold
-        # Each receiver's slot is quiet, counts without filling, or may act.
+        # Each slot fed or with an expiry due is quiet, counts without
+        # filling, or may act; one with an expiry due acts.
         counting, acting = [], []
         for w, peers in fed.items():
             slot = nodes[w].slot or Slot(owner=w, origin_validator=origin)
             selected, per_peer = slot.selected, slot.per_peer_count
-            if slot.state is SlotState.SELECTED:
-                if slot.squelched.keys() >= set(peers) - selected:
+            if w not in due:
+                if slot.state is SlotState.SELECTED:
+                    if slot.squelched.keys() >= set(peers) - selected:
+                        continue
+                elif selected.issuperset(peers):
                     continue
-            elif selected.issuperset(peers):
-                continue
-            elif (k + max(per_peer.values(), default=0) < threshold
-                  or len(selected) + sum(u not in selected and per_peer.get(u, 0) + k
-                                         >= threshold for u in peers)
-                  < protocol.max_selected):
-                counting.append((w, slot, peers))
-                continue
+                elif (k + max(per_peer.values(), default=0) < threshold
+                      or len(selected) + sum(u not in selected and per_peer.get(u, 0) + k
+                                             >= threshold for u in peers)
+                      < protocol.max_selected):
+                    counting.append((w, slot, peers))
+                    continue
             # It acts on a copy, which replaces it only if the round replays.
             acting.append((w, Slot(w, origin, dict(per_peer), set(selected),
                                    dict(slot.squelched), slot.state, slot.round_index), peers))
-        if not (counting or acting):
+        if not (counting or acting) and latest < (end := kept_end(t0)):
             steady = (tmpl, adjacency, end)
-        elif latest >= (window := min(end, next_round, heap[0][0] if heap else end)):
+        elif latest >= window:
             return None
-        # An acting slot is fed its node's copies in arrival order.
+        # An acting slot is fed its node's copies, (arrival, 1, sender), and
+        # its expiries due, (at, 0, peer), in time order. An expiry goes
+        # before a copy at the same time: it was pushed before the emission.
         acted: list[tuple[float, int, list[tuple[int, ControlMessage]]]] = []
         for w, slot, senders in acting:
             lat = latency[w]
             reached: dict[int, float] = {}  # peer -> when this node's squelch reaches it
             last = -inf
-            for t, u in sorted([(first[u] + adjacency[u][w], u) for u in senders]):
+            for t, is_copy, u in sorted([(first[u] + latency[u][w], 1, u) for u in senders]
+                                        + due.get(w, [])):
+                if not is_copy:
+                    # Stale (reset or re-squelched meanwhile): skipped, as on the heap.
+                    if slot.squelched.get(u) == t:
+                        on_squelch_expired(slot, u, t)
+                    continue
                 if u in reached and reached[u] < first[u]:
                     # Squelched before it relayed: never sent, so never a tree send.
                     dup_s, in_s, out_s = seconds[int(t // 1000)]
@@ -713,13 +806,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                         # Its downlink expiry, at + duration, falls after the slot's.
                         at = t + lat[q]
                         if (t + ctrl.duration_ms <= window or window <= at < duration
-                                or at == first.get(q) and tmpl[1][q] != w):
+                                or at == first.get(q) and parent[q] != w):
                             return None
                         reached[q] = at
         acted.sort(key=lambda a: a[0])
         if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(acted, acted[1:])):
             return None
         _add_vectors(log, seconds.items(), batch)
+        for _ in range(used):
+            heappop(heap)
         # A slot that counts without filling takes the round's copies at
         # once: counter increments and set inserts, which commute.
         for w, slot, senders in counting:
@@ -805,7 +900,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         while heap:
             at, _, code, dst, kind, peer, arg = heappop(heap)
             node = nodes[dst]
-            if code == _DISCONNECT:
+            if code <= _DELIVER_CTRL:
+                in_flight -= 1
+            elif code == _DISCONNECT:
                 disconnects_left.pop()
                 horizon = disconnects_left[-1] if disconnects_left else duration
             if not node.live:

@@ -552,7 +552,7 @@ def test_reference_export_csv_bytes_pinned(seed, policy):
 
 def churn_scenario(seed):
     """Squelch policy with 2-3 s squelches, two disconnects and a transaction
-    burst: slot expiry, reselection and uplink loss all run on the event loop."""
+    burst: slot expiry, reselection and uplink loss."""
     g = generate_topology(25, 6.0, 0.3, (5, 50), seed=seed)
     protocol = ProtocolConfig(count_threshold=3, max_selected=2,
                               squelch_base_ms=2000, squelch_jitter_ms=1000)
@@ -733,8 +733,8 @@ def test_settled_squelch_replay_matches_event_loop_on_random_scenarios(monkeypat
 
 def short_squelch_scenario():
     """2-2.2 s squelches and 200 ms rounds on 14 nodes: slots reset between
-    settled rounds, so a replay window must end at the first slot squelch
-    expiry."""
+    settled rounds, so a kept round's window must end at the first slot
+    squelch expiry, and later rounds take expiries inside their floods."""
     return ScenarioConfig(
         topology=generate_topology(14, 6.0, 0.3, (5.0, 50.0), seed=2), duration_ms=8000,
         relay_policy=RelayPolicy.SQUELCH, ledger_round_ms=200, proposals_per_round=0,
@@ -1246,4 +1246,193 @@ def test_quiet_round_ignores_the_squelches_of_a_node_that_left(monkeypatch):
         disconnects=(Disconnect(1361.0, 5), Disconnect(2000.0, 6), Disconnect(4477.0, 9)))
     run_scenario(cfg)
     assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+# --- rounds that a squelch expiry cuts short, replayed off the heap ------------
+
+def draw_wave_scenario(data, st):
+    """A squelch run in which expiries keep cutting rounds short: squelches
+    of 0.3-2.5 s whose jitter is shorter than the time a reset slot takes
+    to count up to its threshold, so each slot's squelches expire close
+    together, and a run long enough for two waves of expiries and
+    reselection. Generated latencies or small integers, which tie, now and
+    then squelchable transactions or a disconnect."""
+    draw = data.draw
+    n = draw(st.integers(4, 12))
+    seed = draw(st.integers(0, 2**16))
+    g = generate_topology(n, float(draw(st.integers(2, min(5, n - 1)))), 0.4,
+                          draw(st.sampled_from([(5.0, 50.0), (10.0, 12.0)])), seed=seed)
+    if draw(st.booleans()):
+        rng = random.Random(seed)
+        g = load_topology("".join(f"{u} {v} {rng.randint(1, 6)}\n" for u, v in sorted(g.edges)),
+                          set(g.validator_set))
+    round_ms = draw(st.integers(200, 1000))
+    proposals = draw(st.integers(0, 2))
+    threshold = draw(st.integers(1, 4))
+    counting_ms = -(-threshold // (proposals + 1)) * round_ms
+    base = draw(st.integers(300, 2500))
+    jitter = draw(st.integers(0, counting_ms - 1))
+    duration = 2 * (base + jitter + counting_ms) + round_ms
+    protocol = ProtocolConfig(count_threshold=threshold, max_selected=draw(st.integers(1, 3)),
+                              squelch_base_ms=base, squelch_jitter_ms=jitter,
+                              squelch_kinds=draw(st.sampled_from([SQUELCH_KINDS,
+                                                                  APPLICATION_KINDS])))
+    bursts = tuple(TxBurst(float(draw(st.integers(0, duration))), (), draw(st.integers(1, 6)),
+                           draw(st.sampled_from([0.0, 20.0])))
+                   for _ in range(draw(st.integers(0, 1))))
+    disconnects = tuple(Disconnect(float(draw(st.integers(0, duration))),
+                                   draw(st.sampled_from(g.nodes)))
+                        for _ in range(draw(st.integers(0, 1))))
+    return ScenarioConfig(
+        topology=g, duration_ms=duration, relay_policy=RelayPolicy.SQUELCH,
+        ledger_round_ms=round_ms, proposals_per_round=proposals, tx_plan=bursts,
+        protocol=protocol, warmup_ms=0, disconnects=disconnects,
+    )
+
+
+def test_expiry_waves_match_event_loop_on_random_scenarios(monkeypatch):
+    """Replaying rounds that slot expiries and expired downlinks cut short
+    yields the same bytes as simulating every copy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        assert_same_bytes_as_event_loop(monkeypatch, draw_wave_scenario(data, st))
+
+    check()
+
+
+def slot_calls(monkeypatch):
+    """Spy on the engine's `on_squelch_expired` and `on_validator_message`:
+    a list that collects ("expired" or "fed", owner, origin, peer, now) of
+    every call to either, in call order."""
+    calls = []
+    for name, tag in (("on_squelch_expired", "expired"), ("on_validator_message", "fed")):
+        def spy(slot, peer, now, *args, tag=tag, real=getattr(engine, name)):
+            calls.append((tag, slot.owner, slot.origin_validator, peer, now))
+            return real(slot, peer, now, *args)
+
+        monkeypatch.setattr(engine, name, spy)
+    return calls
+
+
+def wave_scenario(disconnects=()):
+    """6 nodes, validators 3 and 4, one validation per 1000 ms round, one
+    selected peer after 2 copies, squelches of 1914-1961 ms: squelches
+    expire two rounds after they were sent, inside the flood of that
+    round."""
+    return ScenarioConfig(
+        topology=generate_topology(6, 4.0, 0.2, (5.0, 50.0), seed=1), duration_ms=6128,
+        relay_policy=RelayPolicy.SQUELCH, ledger_round_ms=1000, proposals_per_round=0,
+        protocol=ProtocolConfig(count_threshold=2, max_selected=1, squelch_base_ms=1914,
+                                squelch_jitter_ms=48),
+        warmup_ms=0, disconnects=disconnects)
+
+
+def test_round_with_a_slot_expiry_in_its_flood_replays(monkeypatch):
+    """In origin 2's round at 4000 ms, node 3 takes a copy at about
+    4010.6 ms; its squelch of node 4 then expires at about 4012.5 ms and
+    resets its slot, which counts the copies that reach it later in the same
+    flood. The round replays with the expiry applied between those copies,
+    and pops no application copy. Applying the reset before the round's
+    first copy instead changes the bytes."""
+    events = popped_events(monkeypatch)
+    calls = slot_calls(monkeypatch)
+    cfg = ScenarioConfig(
+        topology=generate_topology(6, 3.0, 0.2, (5.0, 50.0), seed=21), duration_ms=5600,
+        relay_policy=RelayPolicy.SQUELCH, ledger_round_ms=1000, proposals_per_round=1,
+        protocol=ProtocolConfig(count_threshold=2, max_selected=1, squelch_base_ms=1872,
+                                squelch_jitter_ms=51),
+        warmup_ms=0)
+    run_scenario(cfg)
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    at_3 = [(tag, peer, now) for tag, owner, origin, peer, now in calls
+            if (owner, origin) == (3, 2) and 4000.0 < now < 5000.0]
+    [x] = [now for tag, peer, now in at_3 if (tag, peer) == ("expired", 4)]
+    copies = [now for tag, _, now in at_3 if tag == "fed"]
+    assert min(copies) < x < max(copies)
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+def test_round_with_an_expired_downlink_replays(monkeypatch):
+    """Before origin 3's round at 3000 ms, node 1 squelched node 4 until
+    about 3005.7 ms, when node 4's downlink squelch expires. Node 4's first
+    copy of the round arrives after that, so node 4 sends it on to node 1
+    as well, at about 3056.1 ms, as the event loop shows: a pruned link that
+    the replay counts and feeds to node 1's slot, popping no application
+    copy."""
+    received = []
+    real = engine.on_squelch_received
+
+    def spy(downlink, peer, msg, now):
+        received.append((peer, msg.origin_validator, now + msg.duration_ms))
+        return real(downlink, peer, msg, now)
+
+    monkeypatch.setattr(engine, "on_squelch_received", spy)
+    deliveries = []
+    pop = engine.heappop
+
+    def delivery_spy(heap):
+        entry = pop(heap)
+        if len(entry) == 7 and entry[2] == engine._DELIVER_APP:
+            deliveries.append((entry[0], entry[5], entry[3]))  # (at, sender, receiver)
+        return entry
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "heappop", delivery_spy)
+        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        simulated = export_csv(run_scenario(wave_scenario()))
+    assert [x for peer, origin, x in received if (peer, origin) == (1, 3) and 3000.0 < x < 3010.0]
+    assert [at for at, sender, receiver in deliveries
+            if (sender, receiver) == (4, 1) and 3050.0 < at < 3060.0]
+    events = popped_events(monkeypatch)
+    assert export_csv(run_scenario(wave_scenario())) == simulated
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+
+
+def test_stale_expiry_in_a_round_is_consumed_without_reset(monkeypatch):
+    """Node 3 leaves at 4182 ms. Node 1's slot for origin 4 had node 3
+    selected, so it unsquelches its peers and resets: its squelch of node 4,
+    due at about 6002.7 ms, is gone, and that expiry is stale. Origin 4's
+    round at 6000 ms replays, consumes the stale expiry off the heap and
+    resets nothing."""
+    events = popped_events(monkeypatch)
+    calls = slot_calls(monkeypatch)
+    cfg = wave_scenario((Disconnect(4182.0, 3),))
+    run_scenario(cfg)
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    [x] = [at for at, code, _ in events if code == engine._SQUELCH_EXPIRY and 6002 < at < 6003]
+    assert ("expired", 1, 4, 4, x) not in calls
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+def test_copy_at_an_expiry_replays_after_the_expiry(monkeypatch):
+    """Integer latencies and 1991 ms squelches. In the round at 2000 ms,
+    node 2's copy reaches node 3 at 2008 ms, exactly when node 3's squelch
+    of node 4 expires. The expiry was pushed before the round's emission,
+    so the event loop resets the slot first and then takes the copy; the
+    replay does the same and pops no application copy."""
+    events = popped_events(monkeypatch)
+    calls = slot_calls(monkeypatch)
+    g = load_topology("0 1 2\n0 2 5\n2 3 1\n2 4 4\n3 4 6\n", {1})
+    cfg = ScenarioConfig(topology=g, duration_ms=5859, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, proposals_per_round=1,
+                         protocol=ProtocolConfig(count_threshold=1, max_selected=1,
+                                                 squelch_base_ms=1991, squelch_jitter_ms=0),
+                         warmup_ms=0)
+    expected = [("expired", 3, 1, 4, 2008.0), ("fed", 3, 1, 2, 2008.0)]
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        run_scenario(cfg)
+    assert [c for c in calls if c[1] == 3 and c[4] == 2008.0][:2] == expected
+    calls.clear()
+    events.clear()
+    run_scenario(cfg)
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    assert [c for c in calls if c[1] == 3 and c[4] == 2008.0][:2] == expected
     assert_same_bytes_as_event_loop(monkeypatch, cfg)
