@@ -15,41 +15,52 @@ and fresh node state, adding into one metrics log. This is exact: every
 event but a disconnect belongs to one origin (its message's emission or
 delivery, its slot's control message or squelch expiry) and touches only
 that origin's state, a node's slot, downlink squelches and held message ids.
-Only disconnects change the shared latency maps, and each origin's run
-replays them all. Dropping the other origins' events keeps the relative
-(time, insertion sequence) order of the rest, so the counts add.
+Only disconnects change the latency maps, and each origin's run starts from
+the graph's maps and replays them all. Dropping the other origins' events
+keeps the relative (time, insertion sequence) order of the rest, so the
+counts add.
 
 Messages whose copies change no state leave the heap by the same argument.
 Their counts come from a template over an adjacency {node: {peer:
 latency}}: the first-receipt order and first sender (parent) of every node
-for one message flooded alone at t=0. An emission at `t0` is replayed from
-it in two passes. The first recomputes each node's first receipt as its
-parent's plus the link latency, the same float additions in the same order
-as the event loop, so every per-second bucket comes out identical. The
+for one message flooded alone. A template is built at its first emission's
+`t0` by one heap run in the event loop's (time, insertion sequence) order,
+which counts that emission while it builds the tree (`_build_template`).
+A later emission at `t0` is replayed from it in two passes (a walk). The
+first recomputes each node's first receipt as its parent's plus the link
+latency, the same float additions in the same order as the event loop and
+the building run, so every per-second bucket comes out identical. The
 second walks every other send and counts it unless it arrives at or after
-`duration_ms`. The replay is exact when every non-tree arrival comes
+`duration_ms`. Either count is exact when every non-tree arrival comes
 strictly after its receiver's first receipt: then each node's earliest copy
 is the tree copy, whatever the insertion sequence. When that check fails (a
 tie, or float rounding that reorders near-ties at `t0`) or a counted arrival
 reaches the replay's horizon, the emission goes through the event loop
-unchanged; so does every emission over a template whose own run saw an exact
-tie (typical of equal-latency graphs). A round's kinds share one replay,
-counted with a per-kind multiplicity.
+unchanged, and the building run still finishes its tree; every emission
+over a template whose building run saw an exact tie goes there too (typical
+of equal-latency graphs). A round's kinds share one replay, counted with a
+per-kind multiplicity.
 
 The horizon is `duration_ms` or the next disconnect still on the heap,
 whichever comes first: a disconnect changes the live sets. Every disconnect
 popped, also one of a node already gone, moves it on to the next one. A
-disconnect of a live node also drops the origin's template and kept result
-(below), which were built over the old latency maps; the next replay
-rebuilds them over the new ones. It clears the leaving node's slot and
-downlinks too: the events of a node that has left are dropped unseen, its
-squelch expiries among them, so no window may wait on its squelches.
+disconnect of a live node gives each neighbour a copy of its latency map
+without the leaving node (the graph's maps are never changed) and drops the
+node's links from the pruned adjacency (below). It also drops the origin's
+template and kept result, which were built over the old latency maps; the
+next emission rebuilds them over the new ones. It clears the leaving node's
+slot and downlinks too: the events of a node that has left are dropped
+unseen, its squelch expiries among them, so no window may wait on its
+squelches.
 
-Once a template has been used (replayed, or walked by a squelch round),
-a later replay is counted from the template's offset summary when rounding
-cannot decide anything. The summary is the template's own run at t=0, with
-the replay's float additions: each node's first receipt `off`, each send's
-arrival offset, the depth K of the tree and the latest arrival M. Let
+A template's first use is the emission it is built at. A later replay is
+counted from the template's offset summary when rounding cannot decide
+anything. The summary is the template's emission at t=0, its offsets
+recomputed from 0 along the tree with the walk's float additions: each
+node's first receipt `off`, each send's arrival offset, the depth K of the
+tree and the latest arrival M. Its slack test below rejects a tree that is
+not the first-receipt tree at t=0, so a template built at a later `t0`
+stays exact. Let
 D = `duration_ms` and u = 2**-53. While every arrival lands before D, every
 partial sum lies in [0, D), so each float addition is off by at most u·D.
 A node at depth k is reached by k additions from t0 and k - 1 from 0 (the
@@ -79,21 +90,30 @@ them under the flood policy, transactions by default under the squelch
 policy) never touch slot or downlink state; they replay over the latency
 maps. A squelchable emission at `t0` is a squelch round, which
 `squelch_round` replays once none of the origin's deliveries or control
-messages is in flight. It runs over a pruned adjacency, in which each node
-keeps the peers whose downlink squelch has elapsed by `t0` (with none
-unexpired, the latency maps and their template). One walk of the pruned
-template counts every send and lists each receiver's senders whose copy
-arrives before `duration_ms`; each such copy feeds the receiver's slot.
-Two kinds of expiry may fall inside the round's flood:
+messages is in flight. It runs over the pruned adjacency, in which each
+node keeps the peers whose downlink squelch has elapsed by `t0`. That
+adjacency is kept live, one link at a time: taking a squelch cuts the link
+q→w and pushes (x, q, w), its expiry, onto a heap of pending downlink
+expiries; an unsquelch mends the link; and a round first pops the entries
+due by `t0` and mends their links. An entry is stale, and only popped,
+unless q's downlink still holds x for w. With no live link cut, the round
+runs over the latency maps and their template. A pruned template is built
+fresh at `t0`; the latency maps' template is built by its first emission
+and then walked. Either run counts every send and lists each receiver's
+senders whose copy arrives before `duration_ms`; each such copy feeds the
+receiver's slot. Two kinds of expiry may fall inside the round's flood:
 
 - A downlink expiry is not an event: `relay_targets` compares it at send
   time, and one that equals `now` has elapsed. So a pruned link q→w whose
   downlink expiry x is after `t0` is a conditional send, sent exactly when
   x ≤ f_q, q's first receipt, unless w is q's tree parent, to which q never
   sends. Before f_q only a squelch of this round can change q's downlink,
-  which the drop rule below covers. A sent copy must arrive strictly after
-  f_w: then it is a duplicate and the tree stays the template's. It is
-  counted in its arrival second and feeds w's slot like the walk's sends.
+  which the drop rule below covers. The live entries of the pending-expiry
+  heap, read in order without popping up to the round's latest arrival,
+  name these sends; equal entries, one squelch taken twice, send once. A
+  sent copy must arrive strictly after f_w: then it is a duplicate and the
+  tree stays the template's. It is counted in its arrival second and feeds
+  w's slot like the walk's sends.
 - A slot expiry is a heap event at its owner w, at x. Its one effect, when
   it is live (w's slot still squelches that peer until x), is to reset w's
   slot, which changes only how the slot takes the copies that reach w
@@ -128,19 +148,20 @@ Each slot that is fed or has an expiry due is then one of three cases:
   slot counts again.
 
 A round whose slots are all quiet, and whose copies all arrive before the
-earliest downlink expiry after `t0`, slot squelch expiry and the horizon,
-is kept for later emissions up to that time, which `replay` counts. No
-control or squelchable copy is in flight at `t0`; later ones come only from
-a slot action or an emission that falls back to the event loop, and either
-drops the kept round, as do a control delivery and a live expiry. Any other
-round serves this emission alone, and its copies must arrive before its
-window ends: at the round's next emission, pushed only after this one
-returns, the horizon, or the origin's first heap event that is not a slot
-expiry (an emission or a disconnect). Inside that window no other event of
-the origin runs but the expiries above, so each slot sees exactly the
-copies and resets it would see on the heap. Without an acting slot no feed
-returns an action, so the relay targets stay fixed and the flood is the
-template's, with its conditional sends.
+earliest downlink expiry after `t0` (the pending-expiry heap's top), slot
+squelch expiry and the horizon, is kept for later emissions up to that
+time, which `replay` counts. No control or squelchable copy is in flight at
+`t0`; later ones come only from a slot action or an emission that falls
+back to the event loop, and either drops the kept round, as do a control
+delivery and a live expiry. Any other round serves this emission alone, and
+its copies must arrive before its window ends: at the round's next
+emission, pushed only after this one returns, the horizon, or the origin's
+first heap event that is not a slot expiry (an emission or a disconnect).
+Inside that window no other event of the origin runs but the expiries
+above, so each slot sees exactly the copies and resets it would see on the
+heap. Without an acting slot no feed returns an action, so the relay
+targets stay fixed and the flood is the template's, with its conditional
+sends.
 
 An acting slot's squelches reach peers while the round's copies are in
 flight, yet every first receipt stays the pruned template's, for three
@@ -301,9 +322,11 @@ class NodeState:
 
     def __init__(self, node_id: int, latency: dict[int, float]):
         self.node_id = node_id
-        # Live neighbours, in ascending id order, and the latency to each. A
-        # disconnect deletes the leaving node here before any later event, so
-        # a live node's `latency` names live nodes only. Sends go to its keys,
+        # Live neighbours, in ascending id order, and the latency to each:
+        # the graph's own map, shared by every origin's run, until a
+        # disconnect replaces it with a copy without the leaving node, before
+        # any later event. So a live node's `latency` names live nodes only,
+        # and it is never changed in place. Sends go to its keys,
         # control actions to peers that fed a slot while in it
         # (`on_uplink_lost` forgets a lost peer): no send tests liveness.
         self.latency = latency
@@ -327,39 +350,87 @@ def relay_targets(node: NodeState, kind: MessageKind, arrived_from: int | None,
     return [p for p in node.latency if p != arrived_from]
 
 
-def _build_template(adjacency: dict[int, dict[int, float]],
-                    origin: int) -> tuple[list[int], dict[int, int | None]] | None:
-    """First-receipt order (origin first) and first sender of every node
-    reached by one message flooded alone from `origin` at t=0, each node
-    sending to its peers in `adjacency` ({node: {peer: latency}}), in the
-    event loop's (time, insertion sequence) order. None when an exact arrival
-    tie makes that order depend on the insertion sequence.
+def _build_template(adjacency: dict[int, dict[int, float]], origin: int, t0: float,
+                    horizon: float, duration: float, log: MetricsLog,
+                    fed: dict[int, list[int]] | None = None):
+    """Build the template of one message flooded alone from `origin` at t0,
+    each node sending to its peers in `adjacency` ({node: {peer: latency}})
+    in the event loop's (time, insertion sequence) order, and count that
+    emission on the way. Returns (order, parent, walked): the first-receipt
+    order (origin first), the first sender of every node reached, and the
+    emission's counts in the form `walk` returns them, (first receipts,
+    {second: (dup, in, out) count vectors over the log's node index}, latest
+    arrival before `duration`). `walked` is None, the tree still finished,
+    when an arrival lands in [horizon, duration) or a duplicate does not
+    arrive strictly after its receiver's first receipt. With `fed`, every
+    counted send's sender is appended to fed[receiver]. None when an exact
+    arrival tie makes the order depend on the insertion sequence.
 
-    Sends to nodes that already hold the message are never pushed: they are
-    duplicates, and leaving them out keeps the relative sequence of the rest.
+    A send is pushed only when it may be its receiver's first copy: when it
+    arrives no later than every copy pushed to that node so far (`best`).
+    Any other send is a duplicate that arrives strictly after its receiver's
+    first receipt, and leaving it out keeps the relative sequence of the
+    rest. Every send is counted when it is sent, and a pushed one that is
+    not first adds its `dup` when it is popped.
     """
-    first = {origin: 0.0}
-    parent: dict[int, int | None] = {origin: None}
-    order = [origin]
-    heap: list[tuple[float, int, int, int]] = []
+    index = log.index
+    seconds = defaultdict(log.rows.default_factory)
+    # Most sends land in t0's second: its vectors are bound once.
+    next_second = 1000.0 * (int(t0 // 1000) + 1)
+    vectors_t0 = seconds[int(t0 // 1000)]
+    first: dict[int, float] = {}
+    parent: dict[int, int | None] = {}
+    order: list[int] = []
+    best = dict.fromkeys(adjacency, inf)  # each node's earliest copy pushed so far
+    best[origin] = t0
+    latest = -inf
+    # Sends arriving before `limit` are counted; -inf once the counts are
+    # discarded, as a send in [horizon, duration) discards them.
+    limit = min(horizon, duration)
+    heap: list[tuple[float, int, int | None, int]] = [(t0, -1, None, origin)]
     seq = 0
-    for p, lat in adjacency[origin].items():
-        heappush(heap, (lat, seq, origin, p))
-        seq += 1
     while heap:
         at, _, src, dst = heappop(heap)
         if dst in first:
             if at == first[dst]:
                 return None
+            if at < limit:
+                (vectors_t0 if at < next_second else seconds[int(at // 1000)])[0][index[dst]] += 1
             continue
         first[dst] = at
         parent[dst] = src
         order.append(dst)
-        for p, lat in adjacency[dst].items():
-            if p not in first:
-                heappush(heap, (at + lat, seq, dst, p))
+        i = index[dst]
+        for w, lat in adjacency[dst].items():
+            if w == src:
+                continue
+            t = at + lat
+            b = best[w]
+            if t < b:
+                best[w] = t
+                heappush(heap, (t, seq, dst, w))
                 seq += 1
-    return order, parent
+            elif t == b:
+                if w in first:
+                    # A duplicate at its receiver's first receipt: not strictly after.
+                    limit = -inf
+                    continue
+                heappush(heap, (t, seq, dst, w))
+                seq += 1
+            if t < limit:
+                if t > latest:
+                    latest = t
+                dup_s, in_s, out_s = vectors_t0 if t < next_second else seconds[int(t // 1000)]
+                out_s[i] += 1
+                iw = index[w]
+                in_s[iw] += 1
+                if t > b:
+                    dup_s[iw] += 1
+                if fed is not None:
+                    fed[w].append(dst)
+            elif t < duration:
+                limit = -inf
+    return order, parent, (first, seconds, latest) if limit > -inf else None
 
 
 # (node index, sorted offsets) pairs; the index is the node's in `MetricsLog`.
@@ -387,7 +458,8 @@ def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
                     origin: int) -> _OffsetSummary:
     """The offset summary of template `tmpl` (order and parent first, as
     `_build_template` returns them) over `adjacency`: the template's
-    emission at t=0, with the same float additions as `_build_template`."""
+    emission at t=0, its offsets recomputed from 0 along the tree with the
+    same float additions as a walk."""
     order, parent = tmpl[0], tmpl[1]
     index = {n: i for i, n in enumerate(sorted(adjacency))}
     off = {origin: 0.0}
@@ -573,13 +645,39 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 seq += 1
         in_flight += seq - sent
 
-    def new_template(adjacency: dict[int, dict[int, float]]) -> list | None:
-        """The origin's template over `adjacency` as a record [order, parent,
-        uses, offset summary], or None after an exact tie. Its summary is
-        built by the first replay after its first use (a replay or a squelch
-        round's walk)."""
-        tmpl = _build_template(adjacency, origin)
-        return tmpl and [*tmpl, 0, None]
+    def new_template(t0: float, adjacency: dict[int, dict[int, float]],
+                     fed: dict[int, list[int]] | None = None):
+        """Build the origin's template over `adjacency` while counting its
+        emission at t0 (`_build_template`). Returns (record, walked): the
+        record [order, parent, offset summary], or False after an exact tie;
+        and the emission's counts as `walk` returns them, or None. The
+        summary is built by the template's first `replay`."""
+        built = _build_template(adjacency, origin, t0, horizon, duration, log, fed)
+        if built is None:
+            return False, None
+        order, parent, walked = built
+        return [order, parent, None], walked
+
+    def take_squelch(q: NodeState, w: int, ctrl: ControlMessage, at: float) -> None:
+        """`q` takes `w`'s squelch at `at`: the link q -> w is cut from the
+        pruned adjacency, and its expiry goes on the pending-expiry heap."""
+        on_squelch_received(q.downlink, w, ctrl, at)
+        heappush(expiring, (q.downlink[w], q.node_id, w))
+        own = links[q.node_id]
+        if w in own:
+            if own is q.latency:
+                own = links[q.node_id] = dict(own)
+                cut.add(q.node_id)
+            del own[w]
+
+    def mend(q: int, w: int) -> None:
+        """Put the live link q -> w back into the pruned adjacency."""
+        own, lat = links[q], latency[q]
+        if w in lat and w not in own:
+            own[w] = lat[w]
+            if len(own) == len(lat):
+                links[q] = lat
+                cut.discard(q)
 
     def walk(t0: float, tmpl: list, adjacency: dict[int, dict[int, float]],
              horizon: float, fed: dict[int, list[int]] | None = None):
@@ -647,26 +745,26 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
         """Count `batch`, (kind, copies) pairs of messages that the origin
         emits at t0 and that every node sends to its peers in `adjacency`,
-        from `tmpl`, their template record: from its offset summary where
-        that is exact, else by a walk. Returns False, having counted
-        nothing, when the template tree is not provably the event loop's
-        first-receipt tree at t0 or an arrival lands in [horizon, duration)."""
-        uses, summary = tmpl[2], tmpl[3]
-        tmpl[2] = uses + 1
-        if uses and summary is None:
-            summary = tmpl[3] = _offset_summary(tmpl, adjacency, origin)
+        from `tmpl`, their template record, already used by the emission it
+        was built at: from its offset summary where that is exact, else by a
+        walk. Returns False, having counted nothing, when the template tree
+        is not provably the event loop's first-receipt tree at t0 or an
+        arrival lands in [horizon, duration)."""
+        summary = tmpl[2]
+        if summary is None:
+            summary = tmpl[2] = _offset_summary(tmpl, adjacency, origin)
         if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
             return True
         if walked := walk(t0, tmpl, adjacency, horizon):
             _add_vectors(log, walked[1].items(), batch)
         return bool(walked)
 
-    def kept_end(t0: float) -> float:
+    def kept_end() -> float:
         """The end of a quiet round's window: the earliest downlink expiry
-        after t0, slot squelch expiry or the horizon."""
-        return min(chain([horizon], *(node.slot.squelched.values() for node in nodes.values()
-                                      if node.slot),
-                         (x for node in nodes.values() for x in node.downlink.values() if x > t0)))
+        after its t0 (the pending-expiry heap's top, once the round has
+        mended its links), slot squelch expiry or the horizon."""
+        return min(chain([horizon, expiring[0][0] if expiring else inf],
+                         *(node.slot.squelched.values() for node in nodes.values() if node.slot)))
 
     def squelch_round(t0: float, batch: list[tuple[MessageKind, int]],
                       next_round: float) -> list[tuple[float, int, int]] | None:
@@ -687,46 +785,61 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         steady = None
         if in_flight:
             return None
-        pruned = any(x > t0 for node in nodes.values() for x in node.downlink.values())
-        if pruned:
-            adjacency = {n: {p: lat for p, lat in node.latency.items()
-                             if node.downlink.get(p, t0) <= t0}
-                         for n, node in nodes.items()}
-            tmpl = new_template(adjacency)
+        # Links whose squelch has elapsed by t0 are mended; stale entries
+        # (the squelch was renewed or lifted meanwhile) are dropped.
+        while expiring:
+            x, q, w = expiring[0]
+            live = nodes[q].downlink.get(w) == x
+            if live and x > t0:
+                break
+            heappop(expiring)
+            if live:
+                mend(q, w)
+        fed: dict[int, list[int]] = defaultdict(list)
+        if cut:
+            adjacency = links
+            tmpl, walked = new_template(t0, links, fed)
         else:
             adjacency = latency
             if template is None:
-                template = new_template(latency) or False
+                template, walked = new_template(t0, latency, fed)
+            else:
+                walked = template and walk(t0, template, latency, horizon, fed)
             tmpl = template
         if not tmpl:
-            steady = (tmpl, adjacency, kept_end(t0))
+            steady = (tmpl, adjacency, kept_end())
             return None
-        tmpl[2] += 1
-        fed: dict[int, list[int]] = defaultdict(list)
-        walked = walk(t0, tmpl, adjacency, horizon, fed)
         if walked is None:
             return None
         first, seconds, latest = walked
         parent = tmpl[1]
         # A pruned link q -> w is sent when its squelch has elapsed at q's
         # first receipt: a duplicate at w, counted and fed like the walk's.
-        for q, fq in first.items() if pruned else ():
-            if fq >= duration:
+        # Its pending entry falls after t0 and by the latest arrival; equal
+        # entries, one squelch taken twice, are adjacent and send once.
+        bound, prev = latest, None
+        for entry in _in_order(expiring) if cut else ():
+            x, q, w = entry
+            if x > bound:
+                break
+            if entry == prev:
                 continue
+            prev = entry
+            fq = first.get(q, inf)
             lat = latency[q]
-            for w, x in nodes[q].downlink.items():
-                if t0 < x <= fq and w in lat and parent[q] != w:
-                    t = fq + lat[w]
-                    if t >= duration:
-                        continue
-                    if t >= horizon or t <= first.get(w, inf):
-                        return None
-                    latest = max(latest, t)
-                    dup_s, in_s, out_s = seconds[int(t // 1000)]
-                    out_s[index[q]] += 1
-                    dup_s[index[w]] += 1
-                    in_s[index[w]] += 1
-                    fed[w].append(q)
+            if (x <= fq < duration and w in lat and parent[q] != w
+                    and nodes[q].downlink.get(w) == x):
+                t = fq + lat[w]
+                if t >= duration:
+                    continue
+                if t >= horizon or t <= first.get(w, inf):
+                    return None
+                latest = max(latest, t)
+                dup_s, in_s, out_s = seconds[int(t // 1000)]
+                out_s[index[q]] += 1
+                dup_s[index[w]] += 1
+                in_s[index[w]] += 1
+                fed[w].append(q)
         # The window ends at the round's next emission, the horizon or the
         # origin's first heap event that is not a slot expiry. The expiries
         # due by the last arrival, a prefix of the heap, join their owners'
@@ -768,7 +881,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             # It acts on a copy, which replaces it only if the round replays.
             acting.append((w, Slot(w, origin, dict(per_peer), set(selected),
                                    dict(slot.squelched), slot.state, slot.round_index), peers))
-        if not (counting or acting) and latest < (end := kept_end(t0)):
+        if not (counting or acting) and latest < (end := kept_end()):
             steady = (tmpl, adjacency, end)
         elif latest >= window:
             return None
@@ -836,7 +949,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     _, in_row, out_row = rows[int(at // 1000), ctrl.kind]
                     out_row[index[w]] += 1
                     in_row[index[q]] += 1
-                    on_squelch_received(nodes[q].downlink, w, ctrl, at)
+                    take_squelch(nodes[q], w, ctrl, at)
                 if t + ctrl.duration_ms < duration:
                     expiries.append((t + ctrl.duration_ms, w, q))
         return expiries
@@ -853,10 +966,15 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         if at < horizon:
             next_round = at + cfg.ledger_round_ms if batch is round_batch else duration
             flooded = [(kind, copies) for kind, copies in batch if copies and kind in always_flood]
-            if flooded and template is None:
-                template = new_template(latency) or False
-            if flooded and template and replay(at, flooded, template, latency, horizon):
-                batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
+            if flooded:
+                if template is None:
+                    template, walked = new_template(at, latency)
+                    if walked:
+                        _add_vectors(log, walked[1].items(), flooded)
+                else:
+                    walked = template and replay(at, flooded, template, latency, horizon)
+                if walked:
+                    batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
             pruned = [(kind, copies) for kind, copies in batch if copies and kind in squelch_kinds]
             if pruned and (expiries := squelch_round(at, pruned, next_round)) is not None:
                 batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
@@ -879,10 +997,19 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 push(expiry, _SQUELCH_EXPIRY, src, None, peer, expiry)
 
     for origin in sorted(emissions):
-        nodes = {n: NodeState(n, dict(graph.neighbors(n))) for n in graph.nodes}
+        # The nodes share the graph's latency maps; a disconnect replaces
+        # its neighbours' maps with filtered copies.
+        nodes = {n: NodeState(n, graph.neighbors(n)) for n in graph.nodes}
         latency = {n: node.latency for n, node in nodes.items()}
-        # A template record (new_template), built on the first replay; False
-        # when a tie rules the template out.
+        # The pruned adjacency, kept live: a node's latency map, or a copy
+        # without the peers whose squelch it holds (the nodes in `cut`).
+        links = dict(latency)
+        cut: set[int] = set()
+        # (expiry, node, peer) of every squelch taken; an entry is stale
+        # once the node's downlink no longer holds that expiry for the peer.
+        expiring: list[tuple[float, int, int]] = []
+        # The template record over `latency` (new_template), built at the
+        # first emission that replays; False when a tie rules it out.
         template = None
         # (template, adjacency, window end) of a quiet squelch round, kept
         # for later emissions until its window ends.
@@ -928,9 +1055,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 else:
                     steady = None
                     if kind is MessageKind.SQUELCH:
-                        on_squelch_received(node.downlink, peer, arg, at)
+                        take_squelch(node, peer, arg, at)
                     else:
                         on_unsquelch_received(node.downlink, peer, arg)
+                        mend(dst, peer)
 
             elif code == _EMIT:
                 expiries = emit(node, at, arg)
@@ -951,9 +1079,17 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 node.slot = None
                 node.downlink.clear()
                 template = steady = None
+                cut.discard(dst)
                 for nb_id in node.latency:
                     nb = nodes[nb_id]
-                    del nb.latency[dst]
+                    nb.latency = latency[nb_id] = {p: lat for p, lat in nb.latency.items()
+                                                   if p != dst}
+                    own = links[nb_id]
+                    if nb_id in cut:
+                        own.pop(dst, None)
+                    if nb_id not in cut or len(own) == len(nb.latency):
+                        links[nb_id] = nb.latency
+                        cut.discard(nb_id)
                     if nb.slot is not None:
                         send_controls(nb, on_uplink_lost(nb.slot, dst, at), at)
 

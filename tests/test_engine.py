@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from squelchsim.engine import (
     run_scenario,
 )
 from squelchsim.messages import APPLICATION_KINDS, CONTROL_KINDS, MessageKind
-from squelchsim.metrics import export_csv
+from squelchsim.metrics import MetricsLog, export_csv
 from squelchsim.squelch import ProtocolConfig
 from squelchsim.topology import TopologyGraph, generate_topology, load_topology
 
@@ -394,12 +395,18 @@ def adjacency(g):
     return {n: dict(g.neighbors(n)) for n in g.nodes}
 
 
+def build_template(adj, origin):
+    """(order, parent) of the template over `adj` built at t=0, or None."""
+    built = engine._build_template(adj, origin, 0.0, math.inf, math.inf, MetricsLog(nodes=adj))
+    return built and built[:2]
+
+
 def test_template_is_first_receipt_tree():
-    order, parent = engine._build_template(adjacency(graph_from_edges(PATH3)), 0)
+    order, parent = build_template(adjacency(graph_from_edges(PATH3)), 0)
     assert order == [0, 1, 2]
     assert parent == {0: None, 1: 0, 2: 1}
     # Equal latencies on K4: duplicates arrive later than first receipts, no tie.
-    order, parent = engine._build_template(adjacency(graph_from_edges(K4)), 0)
+    order, parent = build_template(adjacency(graph_from_edges(K4)), 0)
     assert order == [0, 1, 2, 3]
     assert parent == {0: None, 1: 0, 2: 0, 3: 0}
 
@@ -407,7 +414,7 @@ def test_template_is_first_receipt_tree():
 def test_template_declines_exact_tie():
     # Node 2 of the 4-cycle gets both copies at 20 ms: order is up to the sequence.
     cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    assert engine._build_template(adjacency(graph_from_edges(cycle)), 0) is None
+    assert build_template(adjacency(graph_from_edges(cycle)), 0) is None
 
 
 def test_replay_falls_back_when_rounding_ties_at_emission_time(monkeypatch):
@@ -415,11 +422,11 @@ def test_replay_falls_back_when_rounding_ties_at_emission_time(monkeypatch):
     # (0.1 + 0.8) by one ulp; at t=1000 both land on 1000.9 and the event loop
     # takes node 1's, sent first. The round at 1000 must not use the template.
     g = load_topology("0 1 0.1\n1 3 0.8\n0 2 0.3\n2 3 0.6\n", {0})
-    assert engine._build_template(adjacency(g), 0)[1][3] == 2
+    assert build_template(adjacency(g), 0)[1][3] == 2
     cfg = ScenarioConfig(topology=g, duration_ms=2000, relay_policy=RelayPolicy.FLOOD,
                          ledger_round_ms=1000, warmup_ms=0)
     replayed = export_csv(run_scenario(cfg))
-    monkeypatch.setattr(engine, "_build_template", lambda nodes, origin: None)
+    monkeypatch.setattr(engine, "_build_template", lambda *args: None)
     assert replayed == export_csv(run_scenario(cfg))
 
 
@@ -513,7 +520,7 @@ def test_replay_matches_event_loop(monkeypatch):
         cfg = draw_replay_scenario(data, st)
         replayed = export_csv(run_scenario(cfg))
         with monkeypatch.context() as m:
-            m.setattr(engine, "_build_template", lambda nodes, origin: None)
+            m.setattr(engine, "_build_template", lambda *args: None)
             simulated = export_csv(run_scenario(cfg))
         assert replayed == simulated
 
@@ -724,7 +731,7 @@ def test_settled_squelch_replay_matches_event_loop_on_random_scenarios(monkeypat
         cfg = draw_settling_scenario(data, st)
         replayed = export_csv(run_scenario(cfg))
         with monkeypatch.context() as m:
-            m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+            m.setattr(engine, "_build_template", lambda *args: None)
             simulated = export_csv(run_scenario(cfg))
         assert replayed == simulated
 
@@ -761,7 +768,7 @@ def test_settled_squelch_replay_matches_event_loop(monkeypatch, make_cfg):
     cfg = make_cfg()
     replayed = export_csv(run_scenario(cfg))
     replayed_feeds, feeds[0] = feeds[0], 0
-    monkeypatch.setattr(engine, "_build_template", lambda adjacency, origin: None)
+    monkeypatch.setattr(engine, "_build_template", lambda *args: None)
     assert export_csv(run_scenario(cfg)) == replayed
     assert replayed_feeds < feeds[0]
 
@@ -779,7 +786,7 @@ def test_settled_squelch_deliveries_per_message_oracle(monkeypatch, nodes, degre
     only: at most N x max_selected deliveries per message, and exactly that
     on this dense graph. The event loop runs every copy, so the check does
     not depend on the replay."""
-    monkeypatch.setattr(engine, "_build_template", lambda adjacency, origin: None)
+    monkeypatch.setattr(engine, "_build_template", lambda *args: None)
     g = generate_topology(nodes, degree, 0.1, (5, 50), seed=1)
     cfg = ScenarioConfig(topology=g, duration_ms=8000, relay_policy=RelayPolicy.SQUELCH,
                          ledger_round_ms=1000, warmup_ms=0,
@@ -847,7 +854,7 @@ def test_counting_replay_matches_event_loop_on_random_scenarios(monkeypatch):
         cfg = draw_counting_scenario(data, st)
         replayed = export_csv(run_scenario(cfg))
         with monkeypatch.context() as m:
-            m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+            m.setattr(engine, "_build_template", lambda *args: None)
             simulated = export_csv(run_scenario(cfg))
         assert replayed == simulated
 
@@ -869,7 +876,7 @@ def test_counting_replay_window_ends_at_next_round(monkeypatch):
                                                  squelch_kinds=APPLICATION_KINDS),
                          seed=121, warmup_ms=0)
     replayed = export_csv(run_scenario(cfg))
-    monkeypatch.setattr(engine, "_build_template", lambda adjacency, origin: None)
+    monkeypatch.setattr(engine, "_build_template", lambda *args: None)
     assert replayed == export_csv(run_scenario(cfg))
 
 
@@ -959,7 +966,7 @@ def assert_same_bytes_on_every_path(monkeypatch, cfg):
     with monkeypatch.context() as m:
         two_pass(m)
         assert export_csv(run_scenario(cfg)) == summarized
-        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        m.setattr(engine, "_build_template", lambda *args: None)
         assert export_csv(run_scenario(cfg)) == summarized
     return calls
 
@@ -974,7 +981,7 @@ def test_offset_replay_falls_back_on_slack(monkeypatch):
     copy at t=0, inside the margin, so no emission counts from the summary."""
     g = load_topology("0 1 0.1\n1 3 0.8\n0 2 0.3\n2 3 0.6\n", {0})
     adj = adjacency(g)
-    summary = engine._offset_summary(engine._build_template(adj, 0), adj, 0)
+    summary = engine._offset_summary(build_template(adj, 0), adj, 0)
     assert 0 < summary.slack <= 2 * summary.margin(3000)
     cfg = ScenarioConfig(topology=g, duration_ms=3000, relay_policy=RelayPolicy.FLOOD,
                          ledger_round_ms=1000, warmup_ms=0)
@@ -1035,7 +1042,7 @@ def assert_same_bytes_as_event_loop(monkeypatch, cfg):
     """`cfg` gives the same bytes as on the forced event loop; returns them."""
     replayed = export_csv(run_scenario(cfg))
     with monkeypatch.context() as m:
-        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        m.setattr(engine, "_build_template", lambda *args: None)
         assert export_csv(run_scenario(cfg)) == replayed
     return replayed
 
@@ -1218,6 +1225,20 @@ def test_disconnect_edge_cases_match_event_loop(monkeypatch, disconnects):
     assert_same_bytes_as_event_loop(monkeypatch, disconnect_scenario(disconnects))
 
 
+def test_disconnects_leave_the_graph_unchanged(monkeypatch):
+    """Every origin's nodes share the graph's latency maps; a disconnect
+    gives each neighbour of the leaving node a filtered copy. The graph
+    keeps its maps, so a second run of the same config, on templates or on
+    the event loop, gives the same bytes."""
+    cfg = disconnect_scenario(((2500.0, 5), (3000.0, 0), (4500.0, 5)))
+    before = {n: dict(cfg.topology.neighbors(n)) for n in cfg.topology.nodes}
+    first = export_csv(run_scenario(cfg))
+    assert {n: cfg.topology.neighbors(n) for n in cfg.topology.nodes} == before
+    assert export_csv(run_scenario(cfg)) == first
+    assert assert_same_bytes_as_event_loop(monkeypatch, cfg) == first
+    assert {n: cfg.topology.neighbors(n) for n in cfg.topology.nodes} == before
+
+
 def test_squelchable_round_after_a_disconnect_replays(monkeypatch):
     """Node 5 leaves at 2500 ms, and again at 4500 ms when it is already
     gone. The unsquelches of its neighbours go on the heap, but every round
@@ -1385,7 +1406,7 @@ def test_round_with_an_expired_downlink_replays(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(engine, "heappop", delivery_spy)
-        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        m.setattr(engine, "_build_template", lambda *args: None)
         simulated = export_csv(run_scenario(wave_scenario()))
     assert [x for peer, origin, x in received if (peer, origin) == (1, 3) and 3000.0 < x < 3010.0]
     assert [at for at, sender, receiver in deliveries
@@ -1427,7 +1448,7 @@ def test_copy_at_an_expiry_replays_after_the_expiry(monkeypatch):
                          warmup_ms=0)
     expected = [("expired", 3, 1, 4, 2008.0), ("fed", 3, 1, 2, 2008.0)]
     with monkeypatch.context() as m:
-        m.setattr(engine, "_build_template", lambda adjacency, origin: None)
+        m.setattr(engine, "_build_template", lambda *args: None)
         run_scenario(cfg)
     assert [c for c in calls if c[1] == 3 and c[4] == 2008.0][:2] == expected
     calls.clear()
@@ -1436,3 +1457,84 @@ def test_copy_at_an_expiry_replays_after_the_expiry(monkeypatch):
     assert engine._DELIVER_APP not in {code for _, code, _ in events}
     assert [c for c in calls if c[1] == 3 and c[4] == 2008.0][:2] == expected
     assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+def test_resquelched_link_sends_once_per_pending_expiry(monkeypatch):
+    """Every squelch a slot sends goes out twice: to an even peer with the
+    same duration, to an odd one 500 ms longer. So nodes take squelches on
+    links whose last squelch is still pending, once with the same expiry
+    and once with a new one, and node 3's leaving at 4182 ms makes a slot
+    unsquelch links that it squelches again later (uplink loss). The
+    pending-expiry heap then holds equal entries for one squelch and stale
+    entries for lifted or renewed ones; each squelch may be sent on once,
+    when it expires during a round's flood. The rounds replay with the same
+    bytes as the event loop."""
+    real = engine.on_validator_message
+
+    def twice(slot, peer, now, config):
+        actions = []
+        for q, ctrl in real(slot, peer, now, config):
+            actions.append((q, ctrl))
+            if ctrl.kind is MessageKind.SQUELCH:
+                actions.append((q, ctrl if q % 2 == 0 else dataclasses.replace(
+                    ctrl, duration_ms=ctrl.duration_ms + 500)))
+        return actions
+
+    monkeypatch.setattr(engine, "on_validator_message", twice)
+    # ("take", downlink, peer, expiry before, expiry after, now) per squelch
+    # taken, ("lift", downlink, peer) per squelch lifted, in call order
+    calls = []
+    take, lift = engine.on_squelch_received, engine.on_unsquelch_received
+
+    def take_spy(downlink, peer, msg, now):
+        before = downlink.get(peer)
+        take(downlink, peer, msg, now)
+        calls.append(("take", downlink, peer, before, downlink[peer], now))
+
+    def lift_spy(downlink, peer, msg):
+        if peer in downlink:
+            calls.append(("lift", downlink, peer))
+        lift(downlink, peer, msg)
+
+    monkeypatch.setattr(engine, "on_squelch_received", take_spy)
+    monkeypatch.setattr(engine, "on_unsquelch_received", lift_spy)
+    events = popped_events(monkeypatch)
+    cfg = dataclasses.replace(wave_scenario((Disconnect(4182.0, 3),)), duration_ms=9000)
+    replayed = export_csv(run_scenario(cfg))
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    renewed = [(c[3], c[4]) for c in calls if c[0] == "take" and c[3] is not None and c[3] > c[5]]
+    assert any(before == after for before, after in renewed)
+    assert any(before != after for before, after in renewed)
+    # A link unsquelched and squelched again: the same downlink and peer.
+    assert any(a[0] == "lift" and b[0] == "take" and a[1] is b[1] and a[2] == b[2]
+               for i, a in enumerate(calls) for b in calls[i + 1:])
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_build_template", lambda *args: None)
+        assert export_csv(run_scenario(cfg)) == replayed
+
+
+# --- one heap run per fresh template -------------------------------------------
+
+@pytest.mark.parametrize("policy", list(RelayPolicy))
+def test_one_emission_per_origin_builds_one_template(monkeypatch, policy):
+    """Every validator emits one validation, and nothing else is emitted:
+    each arm builds one template per origin, at its emission, and counts
+    that emission while building it; no application copy is popped."""
+    built = []
+    build = engine._build_template
+
+    def spy(adjacency, origin, *args):
+        built.append(origin)
+        return build(adjacency, origin, *args)
+
+    monkeypatch.setattr(engine, "_build_template", spy)
+    events = popped_events(monkeypatch)
+    g = generate_topology(40, 6.0, 0.3, (5.0, 50.0), seed=11)
+    cfg = ScenarioConfig(topology=g, duration_ms=900, relay_policy=policy,
+                         ledger_round_ms=1000, proposals_per_round=0, warmup_ms=0)
+    replayed = export_csv(run_scenario(cfg))
+    assert sorted(built) == sorted(g.validator_set)
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_build_template", lambda *args: None)
+        assert export_csv(run_scenario(cfg)) == replayed

@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> None:
                         help="never count a replay from an offset summary: walk every send")
     args = parser.parse_args(argv)
     if args.event_loop:
-        engine._build_template = lambda adjacency, origin: None
+        engine._build_template = lambda *args: None
     if args.two_pass:
         engine._offset_summary = lambda tmpl, adjacency, origin: None
     for seed in range(args.start, args.start + args.count):

@@ -15,8 +15,8 @@ The script prints the run's wall time, its peak RSS (`ru_maxrss`), the
 number of events popped off the engine's heaps in simulated seconds below
 300, 300-459 and 460 and up, counted by a spy on the engine's `heappop`,
 and the sha256 of `export_csv`, which must not change when the engine
-does. Only the package and the standard library are used, so the script
-runs unchanged against any tree that has them:
+does; CI checks it for `600 4`. Only the package and the standard library
+are used, so the script runs unchanged against any tree that has them:
 
     PYTHONPATH=old/src python tools/waves.py 600 4
     PYTHONPATH=new/src python tools/waves.py 600 4
