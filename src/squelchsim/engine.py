@@ -24,22 +24,43 @@ Messages whose copies change no state leave the heap by the same argument.
 Their counts come from a template over an adjacency {node: {peer:
 latency}}: the first-receipt order and first sender (parent) of every node
 for one message flooded alone. A template is built at its first emission's
-`t0` by one heap run in the event loop's (time, insertion sequence) order,
-which counts that emission while it builds the tree (`_build_template`).
-A later emission at `t0` is replayed from it in two passes (a walk). The
-first recomputes each node's first receipt as its parent's plus the link
-latency, the same float additions in the same order as the event loop and
-the building run, so every per-second bucket comes out identical. The
-second walks every other send and counts it unless it arrives at or after
-`duration_ms`. Either count is exact when every non-tree arrival comes
-strictly after its receiver's first receipt: then each node's earliest copy
-is the tree copy, whatever the insertion sequence. When that check fails (a
-tie, or float rounding that reorders near-ties at `t0`) or a counted arrival
-reaches the replay's horizon, the emission goes through the event loop
-unchanged, and the building run still finishes its tree; every emission
-over a template whose building run saw an exact tie goes there too (typical
-of equal-latency graphs). A round's kinds share one replay, counted with a
-per-kind multiplicity.
+`t0` by one heap run in the event loop's (time, insertion sequence) order
+(`_build_template`). The run is a tree search and counts nothing. The
+emission is counted from the finished tree, in one of two ways.
+
+- The closed form (`_tree_counts`): over the latency maps, which are
+  symmetric, when every send lands before t0's next whole second and the
+  horizon (below), which is at most `duration_ms`. Then every copy counts
+  in t0's second: each node reached sends to every peer but its parent
+  (`out = deg - [not origin]`), takes a copy from every peer that is not
+  its child (`in = deg - children`), and every copy but its first is a
+  duplicate (`dup = in - [not origin]`). A squelch round's sender lists
+  are each node's peers minus its children. Ties do not matter here: the
+  run sends to the peers in the order of their latency maps, as the event
+  loop does, so where two copies reach a node first at the same time the
+  insertion sequence picks the same parent in both, and a duplicate that
+  meets its receiver's first receipt is a duplicate in both.
+- Any other build (a pruned adjacency, which is not symmetric and whose
+  peer order a mended link changes, or a flood that crosses a second or
+  reaches the horizon) is counted by `_walk`, the one per-send counter.
+
+A later emission at `t0` is replayed from the template by the same walk,
+in two passes. The first recomputes each node's first receipt as its
+parent's plus the link latency, the same float additions in the same order
+as the event loop and the building run, so every per-second bucket comes
+out identical. The second walks every other send and counts it unless it
+arrives at or after `duration_ms`. The walk is exact when every non-tree
+arrival comes strictly after its receiver's first receipt: then each
+node's earliest copy is the tree copy, whatever the insertion sequence, and
+it checks this on every send. When that check fails (a tie, or float
+rounding that reorders near-ties at `t0`) or a counted arrival reaches the
+replay's horizon, the emission goes through the event loop unchanged, and
+the template is kept. A building run whose insertion sequence picked a
+parent (two copies reach a node first at the same time, typical of
+equal-latency graphs) keeps no template: its emission is counted from the
+closed form where that applies, and every other emission of the origin
+goes through the event loop. A round's kinds share one replay, counted
+with a per-kind multiplicity.
 
 The horizon is `duration_ms` or the next disconnect still on the heap,
 whichever comes first: a disconnect changes the live sets. Every disconnect
@@ -99,9 +120,12 @@ due by `t0` and mends their links. An entry is stale, and only popped,
 unless q's downlink still holds x for w. With no live link cut, the round
 runs over the latency maps and their template. A pruned template is built
 fresh at `t0`; the latency maps' template is built by its first emission
-and then walked. Either run counts every send and lists each receiver's
-senders whose copy arrives before `duration_ms`; each such copy feeds the
-receiver's slot. Two kinds of expiry may fall inside the round's flood:
+and then walked. Either way every send is counted, by the closed form or
+the walk, with each receiver's senders whose copy arrives before
+`duration_ms`; each such copy feeds the receiver's slot. The closed form
+lists them in another order than the walk; no order is needed, since an
+acting slot sorts its copies by arrival and a counting slot's increments
+commute. Two kinds of expiry may fall inside the round's flood:
 
 - A downlink expiry is not an event: `relay_targets` compares it at send
   time, and one that equals `now` has elapsed. So a pruned link q→w whose
@@ -198,8 +222,9 @@ decide an order, or an effect would outlast the window:
   receipt;
 - a round that is not kept has a copy that arrives at or after its window
   end;
-- as for any replay, an arrival lands in [horizon, `duration_ms`) or a
-  duplicate does not arrive strictly after its receiver's first receipt.
+- as for any walk, an arrival lands in [horizon, `duration_ms`) or a
+  duplicate does not arrive strictly after its receiver's first receipt;
+- the building run's insertion sequence picked a parent.
 
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
@@ -337,6 +362,21 @@ class NodeState:
         self.live = True
 
 
+class _Nodes(dict):
+    """{node id: NodeState} of one origin's run, each state made on first
+    touch over the node's current map in `latency`."""
+
+    __slots__ = ("latency",)
+
+    def __init__(self, latency: dict[int, dict[int, float]]):
+        super().__init__()
+        self.latency = latency
+
+    def __missing__(self, node_id: int) -> NodeState:
+        node = self[node_id] = NodeState(node_id, self.latency[node_id])
+        return node
+
+
 def relay_targets(node: NodeState, kind: MessageKind, arrived_from: int | None,
                   now: float, squelch_kinds: frozenset[MessageKind]) -> list[int]:
     """All live neighbors except the sender (None at the origin), minus the
@@ -350,87 +390,146 @@ def relay_targets(node: NodeState, kind: MessageKind, arrived_from: int | None,
     return [p for p in node.latency if p != arrived_from]
 
 
-def _build_template(adjacency: dict[int, dict[int, float]], origin: int, t0: float,
-                    horizon: float, duration: float, log: MetricsLog,
-                    fed: dict[int, list[int]] | None = None):
+def _build_template(adjacency: dict[int, dict[int, float]], origin: int, t0: float):
     """Build the template of one message flooded alone from `origin` at t0,
     each node sending to its peers in `adjacency` ({node: {peer: latency}})
-    in the event loop's (time, insertion sequence) order, and count that
-    emission on the way. Returns (order, parent, walked): the first-receipt
-    order (origin first), the first sender of every node reached, and the
-    emission's counts in the form `walk` returns them, (first receipts,
-    {second: (dup, in, out) count vectors over the log's node index}, latest
-    arrival before `duration`). `walked` is None, the tree still finished,
-    when an arrival lands in [horizon, duration) or a duplicate does not
-    arrive strictly after its receiver's first receipt. With `fed`, every
-    counted send's sender is appended to fed[receiver]. None when an exact
-    arrival tie makes the order depend on the insertion sequence.
+    in the event loop's (time, insertion sequence) order. Returns (order,
+    parent, first, latest, tied): the first-receipt order (origin first),
+    the first sender and first receipt of every node reached, the latest
+    arrival of any send, and whether two copies reach a node first at the
+    same time, so that the insertion sequence picks its parent. Nothing is
+    counted here: `_walk`, or the closed form of a latency-map flood
+    (`_tree_counts`), counts the emission over the finished tree.
 
     A send is pushed only when it may be its receiver's first copy: when it
-    arrives no later than every copy pushed to that node so far (`best`).
-    Any other send is a duplicate that arrives strictly after its receiver's
-    first receipt, and leaving it out keeps the relative sequence of the
-    rest. Every send is counted when it is sent, and a pushed one that is
-    not first adds its `dup` when it is popped.
+    arrives no later than every copy pushed to that node so far (`best`),
+    and the node has no first receipt yet. Any other send is a duplicate,
+    and leaving it out keeps the relative sequence of the rest.
     """
-    index = log.index
-    seconds = defaultdict(log.rows.default_factory)
-    # Most sends land in t0's second: its vectors are bound once.
-    next_second = 1000.0 * (int(t0 // 1000) + 1)
-    vectors_t0 = seconds[int(t0 // 1000)]
     first: dict[int, float] = {}
     parent: dict[int, int | None] = {}
     order: list[int] = []
     best = dict.fromkeys(adjacency, inf)  # each node's earliest copy pushed so far
     best[origin] = t0
     latest = -inf
-    # Sends arriving before `limit` are counted; -inf once the counts are
-    # discarded, as a send in [horizon, duration) discards them.
-    limit = min(horizon, duration)
+    tied = False
     heap: list[tuple[float, int, int | None, int]] = [(t0, -1, None, origin)]
     seq = 0
     while heap:
         at, _, src, dst = heappop(heap)
         if dst in first:
-            if at == first[dst]:
-                return None
-            if at < limit:
-                (vectors_t0 if at < next_second else seconds[int(at // 1000)])[0][index[dst]] += 1
+            tied = tied or at == first[dst]
             continue
         first[dst] = at
         parent[dst] = src
         order.append(dst)
-        i = index[dst]
         for w, lat in adjacency[dst].items():
             if w == src:
                 continue
             t = at + lat
+            if t > latest:
+                latest = t
             b = best[w]
             if t < b:
                 best[w] = t
                 heappush(heap, (t, seq, dst, w))
                 seq += 1
-            elif t == b:
-                if w in first:
-                    # A duplicate at its receiver's first receipt: not strictly after.
-                    limit = -inf
-                    continue
+            elif t == b and w not in first:
                 heappush(heap, (t, seq, dst, w))
                 seq += 1
-            if t < limit:
-                if t > latest:
-                    latest = t
-                dup_s, in_s, out_s = vectors_t0 if t < next_second else seconds[int(t // 1000)]
-                out_s[i] += 1
-                iw = index[w]
-                in_s[iw] += 1
-                if t > b:
-                    dup_s[iw] += 1
-                if fed is not None:
-                    fed[w].append(dst)
-            elif t < duration:
-                limit = -inf
-    return order, parent, (first, seconds, latest) if limit > -inf else None
+    return order, parent, first, latest, tied
+
+
+def _tree_counts(order: list[int], parent: dict[int, int | None],
+                 adjacency: dict[int, dict[int, float]], index: dict[int, int],
+                 fed: dict[int, list[int]] | None = None,
+                 ) -> tuple[list[int], list[int], list[int]]:
+    """The (dup, in, out) count vectors over `index` of one flood along the
+    tree (`order`, `parent`) over a symmetric `adjacency`, every send
+    counted: each node reached sends to every peer but its parent, takes a
+    copy from every peer that is not its child, and all but its first copy
+    (all of them at the origin) are duplicates. With `fed`, also sets
+    fed[node] to those senders, for each node that has any."""
+    width = len(index)
+    dup, into, out = [0] * width, [0] * width, [0] * width
+    children = dict.fromkeys(order, 0)
+    for v in order[1:]:
+        children[parent[v]] += 1
+    for v in order:
+        i = index[v]
+        peers = adjacency[v]
+        relayed = parent[v] is not None
+        out[i] = len(peers) - relayed
+        into[i] = len(peers) - children[v]
+        dup[i] = into[i] - relayed
+        if fed is not None and into[i]:
+            fed[v] = [u for u in peers if parent[u] != v]
+    return dup, into, out
+
+
+def _walk(tmpl, adjacency: dict[int, dict[int, float]], t0: float, horizon: float,
+          duration: float, log: MetricsLog, fed: dict[int, list[int]] | None = None):
+    """Count one message that the origin of template `tmpl` emits at t0
+    and every node sends to its peers in `adjacency`, send by send: the
+    engine's one per-send counter. It recomputes the first receipts along
+    the tree, then walks every other send, each a duplicate that must
+    arrive strictly after its receiver's tree copy for the tree to be the
+    event loop's first-receipt tree at t0. Returns (first receipts,
+    {second: (dup, in, out) count vectors over `log`'s node index}, latest
+    arrival before `duration`), or None when that check fails or an arrival
+    lands in [horizon, duration). With `fed`, also appends the sender of
+    every send before `duration` to fed[receiver]."""
+    order, parent = tmpl[0], tmpl[1]
+    index = log.index
+    first = {order[0]: t0}
+    seconds = defaultdict(log.rows.default_factory)
+    latest = -inf
+    # Most sends land in t0's second: its vectors are bound once, so a
+    # send there looks up no second.
+    s0 = int(t0 // 1000)
+    next_second = 1000.0 * (s0 + 1)
+    vectors_s0 = seconds[s0]
+    for v in order[1:]:
+        p = parent[v]
+        t = first[p] + adjacency[p][v]
+        first[v] = t
+        if t >= horizon:
+            if t >= duration:
+                continue
+            return None
+        if t > latest:
+            latest = t
+        _, in_s, out_s = seconds[int(t // 1000)]
+        out_s[index[p]] += 1
+        in_s[index[v]] += 1
+        if fed is not None:
+            fed[v].append(p)
+    for u in order:
+        fu = first[u]
+        if fu >= duration:
+            continue
+        pu = parent[u]
+        iu = index[u]
+        for w, lat in adjacency[u].items():
+            if w == pu or parent[w] == u:
+                continue
+            t = fu + lat
+            if t >= horizon:
+                if t >= duration:
+                    continue
+                return None
+            if t <= first[w]:
+                return None
+            if t > latest:
+                latest = t
+            dup_s, in_s, out_s = vectors_s0 if t < next_second else seconds[int(t // 1000)]
+            out_s[iu] += 1
+            iw = index[w]
+            dup_s[iw] += 1
+            in_s[iw] += 1
+            if fed is not None:
+                fed[w].append(u)
+    return first, seconds, latest
 
 
 # (node index, sorted offsets) pairs; the index is the node's in `MetricsLog`.
@@ -645,19 +744,6 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 seq += 1
         in_flight += seq - sent
 
-    def new_template(t0: float, adjacency: dict[int, dict[int, float]],
-                     fed: dict[int, list[int]] | None = None):
-        """Build the origin's template over `adjacency` while counting its
-        emission at t0 (`_build_template`). Returns (record, walked): the
-        record [order, parent, offset summary], or False after an exact tie;
-        and the emission's counts as `walk` returns them, or None. The
-        summary is built by the template's first `replay`."""
-        built = _build_template(adjacency, origin, t0, horizon, duration, log, fed)
-        if built is None:
-            return False, None
-        order, parent, walked = built
-        return [order, parent, None], walked
-
     def take_squelch(q: NodeState, w: int, ctrl: ControlMessage, at: float) -> None:
         """`q` takes `w`'s squelch at `at`: the link q -> w is cut from the
         pruned adjacency, and its expiry goes on the pending-expiry heap."""
@@ -679,67 +765,31 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 links[q] = lat
                 cut.discard(q)
 
-    def walk(t0: float, tmpl: list, adjacency: dict[int, dict[int, float]],
-             horizon: float, fed: dict[int, list[int]] | None = None):
-        """Walk template `tmpl` for one message the origin emits at t0 that
-        every node sends to its peers in `adjacency`: the first receipts
-        along the tree, then every other send, each a duplicate that must
-        arrive strictly after its receiver's tree copy for the tree to be
-        the event loop's first-receipt tree at t0. Returns (first receipts,
-        {second: (dup, in, out) count vectors over the log's node index},
-        latest arrival before `duration_ms`), or None when that check fails
-        or an arrival lands in [horizon, duration). With `fed`, also appends
-        the sender of every send before `duration_ms` to fed[receiver]."""
-        order, parent = tmpl[0], tmpl[1]
-        first = {origin: t0}
-        seconds = defaultdict(rows.default_factory)
-        latest = -inf
-        # Most sends land in t0's second: its vectors are bound once, so a
-        # send there looks up no second.
+    def new_template(t0: float, adjacency: dict[int, dict[int, float]],
+                     fed: dict[int, list[int]] | None = None):
+        """Build the origin's template over `adjacency` at its emission at t0
+        (`_build_template`) and count that emission. Returns (record,
+        walked): the record [order, parent, offset summary], or False when
+        the insertion sequence picked a parent; and the emission's counts as
+        `_walk` returns them, or None. A flood over the latency maps whose
+        every send lands before t0's next whole second and the horizon (at
+        most `duration_ms`) is counted from the tree (`_tree_counts`), tied
+        or not; with `fed`, each node's senders are its peers but its
+        children. Any other untied build is walked. The summary is built by
+        the template's first `replay`."""
+        built = _build_template(adjacency, origin, t0)
+        if built is None:  # as a patched builder returns, to force the event loop
+            return False, None
+        order, parent, first, latest, tied = built
+        tmpl = False if tied else [order, parent, None]
         s0 = int(t0 // 1000)
-        next_second = 1000.0 * (s0 + 1)
-        vectors_s0 = seconds[s0]
-        for v in order[1:]:
-            p = parent[v]
-            t = first[p] + adjacency[p][v]
-            first[v] = t
-            if t >= horizon:
-                if t >= duration:
-                    continue
-                return None
-            if t > latest:
-                latest = t
-            _, in_s, out_s = seconds[int(t // 1000)]
-            out_s[index[p]] += 1
-            in_s[index[v]] += 1
-            if fed is not None:
-                fed[v].append(p)
-        for u in order:
-            fu = first[u]
-            if fu >= duration:
-                continue
-            pu = parent[u]
-            iu = index[u]
-            for w, lat in adjacency[u].items():
-                if w == pu or parent[w] == u:
-                    continue
-                t = fu + lat
-                if t >= horizon:
-                    if t >= duration:
-                        continue
-                    return None
-                if t <= first[w]:
-                    return None
-                if t > latest:
-                    latest = t
-                dup_s, in_s, out_s = vectors_s0 if t < next_second else seconds[int(t // 1000)]
-                out_s[iu] += 1
-                iw = index[w]
-                dup_s[iw] += 1
-                in_s[iw] += 1
-                if fed is not None:
-                    fed[w].append(u)
-        return first, seconds, latest
+        if adjacency is latency and latest < min(1000.0 * (s0 + 1), horizon):
+            seconds = defaultdict(rows.default_factory)
+            seconds[s0] = _tree_counts(order, parent, adjacency, index, fed)
+            return tmpl, (first, seconds, latest)
+        if tied:
+            return False, None
+        return tmpl, _walk(tmpl, adjacency, t0, horizon, duration, log, fed)
 
     def replay(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
                adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
@@ -755,7 +805,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             summary = tmpl[2] = _offset_summary(tmpl, adjacency, origin)
         if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
             return True
-        if walked := walk(t0, tmpl, adjacency, horizon):
+        if walked := _walk(tmpl, adjacency, t0, horizon, duration, log):
             _add_vectors(log, walked[1].items(), batch)
         return bool(walked)
 
@@ -804,7 +854,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             if template is None:
                 template, walked = new_template(t0, latency, fed)
             else:
-                walked = template and walk(t0, template, latency, horizon, fed)
+                walked = template and _walk(template, latency, t0, horizon, duration, log, fed)
             tmpl = template
         if not tmpl:
             steady = (tmpl, adjacency, kept_end())
@@ -864,7 +914,17 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         # filling, or may act; one with an expiry due acts.
         counting, acting = [], []
         for w, peers in fed.items():
-            slot = nodes[w].slot or Slot(owner=w, origin_validator=origin)
+            slot = nodes[w].slot
+            if slot is None:
+                # A fresh slot (never one with an expiry due) counts, unless
+                # the round's copies bring every sender to the threshold and
+                # they fill its selection.
+                fresh = Slot(owner=w, origin_validator=origin)
+                if k < threshold or len(peers) < protocol.max_selected:
+                    counting.append((w, fresh, peers))
+                else:
+                    acting.append((w, fresh, peers))
+                continue
             selected, per_peer = slot.selected, slot.per_peer_count
             if w not in due:
                 if slot.state is SlotState.SELECTED:
@@ -996,11 +1056,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 expiry = at + ctrl.duration_ms
                 push(expiry, _SQUELCH_EXPIRY, src, None, peer, expiry)
 
+    graph_latency = {n: graph.neighbors(n) for n in graph.nodes}
     for origin in sorted(emissions):
         # The nodes share the graph's latency maps; a disconnect replaces
         # its neighbours' maps with filtered copies.
-        nodes = {n: NodeState(n, graph.neighbors(n)) for n in graph.nodes}
-        latency = {n: node.latency for n, node in nodes.items()}
+        latency = dict(graph_latency)
+        nodes = _Nodes(latency)
         # The pruned adjacency, kept live: a node's latency map, or a copy
         # without the peers whose squelch it holds (the nodes in `cut`).
         links = dict(latency)

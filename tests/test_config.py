@@ -157,6 +157,20 @@ def test_parse_config_text_rejects_non_object():
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference_testbed.json"
 
 
+MAINNET_CONFIG = REFERENCE_CONFIG.with_name("mainnet_scale.json")
+
+
+def test_mainnet_scale_config_builds_the_yardstick():
+    """The shipped MainNet config generates the paper's 892-node network at
+    average degree 20.62: 9197 edges and 152 validators, with one proposal
+    per 1000 ms round, a 10 s warm-up and no transactions."""
+    cfg = build_scenario(validate_config(json.loads(MAINNET_CONFIG.read_text())))
+    g = cfg.topology
+    assert (len(g.nodes), g.edge_count, len(g.validator_set)) == (892, 9197, 152)
+    assert (cfg.seed, cfg.ledger_round_ms, cfg.proposals_per_round, cfg.warmup_ms,
+            cfg.tx_plan) == (7, 1000, 1, 10_000, ())
+
+
 @pytest.mark.parametrize("seed,expected", [
     (1, "74e2dab5750a0c03"), (2, "1aecd80073cfc895"), (3, "b4949bfad34292e8"),
 ])

@@ -396,9 +396,10 @@ def adjacency(g):
 
 
 def build_template(adj, origin):
-    """(order, parent) of the template over `adj` built at t=0, or None."""
-    built = engine._build_template(adj, origin, 0.0, math.inf, math.inf, MetricsLog(nodes=adj))
-    return built and built[:2]
+    """(order, parent) of the template over `adj` built at t=0, or None when
+    its build pops an exact tie, after which the engine keeps no template."""
+    built = engine._build_template(adj, origin, 0.0)
+    return None if built[4] else built[:2]
 
 
 def test_template_is_first_receipt_tree():
@@ -1519,7 +1520,8 @@ def test_resquelched_link_sends_once_per_pending_expiry(monkeypatch):
 def test_one_emission_per_origin_builds_one_template(monkeypatch, policy):
     """Every validator emits one validation, and nothing else is emitted:
     each arm builds one template per origin, at its emission, and counts
-    that emission while building it; no application copy is popped."""
+    that emission over the built tree, with no second heap run; no
+    application copy is popped."""
     built = []
     build = engine._build_template
 
@@ -1538,3 +1540,133 @@ def test_one_emission_per_origin_builds_one_template(monkeypatch, policy):
     with monkeypatch.context() as m:
         m.setattr(engine, "_build_template", lambda *args: None)
         assert export_csv(run_scenario(cfg)) == replayed
+
+
+# --- a fresh template counted from its tree -------------------------------------
+
+def test_tree_counts_equal_the_walk():
+    """On random graphs, some with a node gone as after a disconnect, and
+    random t0, the closed form's count vectors and sender lists equal the
+    per-send walk's over the same tree, summed over its seconds, and so do
+    the build's first receipts and latest arrival."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        n = draw(st.integers(4, 30))
+        g = generate_topology(n, float(draw(st.integers(2, min(8, n - 1)))), 0.3,
+                              draw(st.sampled_from([(5.0, 50.0), (1.0, 2.0), (10.0, 12.0)])),
+                              seed=draw(st.integers(0, 2**16)))
+        adj = adjacency(g)
+        origins = list(g.nodes)
+        if draw(st.booleans()):
+            gone = draw(st.sampled_from(g.nodes))
+            for p in adj[gone]:
+                adj[p] = {q: lat for q, lat in adj[p].items() if q != gone}
+            origins.remove(gone)
+        origin = draw(st.sampled_from(origins))
+        t0 = draw(st.floats(0.0, 1e6))
+        built = engine._build_template(adj, origin, t0)
+        if built[4]:  # tied: the walk rejects the tree, and the event loop counts it
+            return
+        order, parent, first, latest, _ = built
+        log = MetricsLog(nodes=g.nodes)
+        fed_tree, fed_walk = {}, {n: [] for n in g.nodes}
+        counts = engine._tree_counts(order, parent, adj, log.index, fed_tree)
+        walked = engine._walk([order, parent, None], adj, t0, math.inf, math.inf, log,
+                              fed_walk)
+        assert walked[0] == first and walked[2] == latest
+        assert list(counts) == [[sum(col) for col in zip(*(vectors[d] for vectors in
+                                                          walked[1].values()))]
+                                for d in range(3)]
+        assert ({v: sorted(senders) for v, senders in fed_tree.items()}
+                == {v: sorted(senders) for v, senders in fed_walk.items() if senders})
+        if latest < 1000.0 * (int(t0 // 1000) + 1):
+            assert dict(walked[1]) == {int(t0 // 1000): counts}
+
+    check()
+
+
+def build_counters(monkeypatch):
+    """Spy on fresh template builds: a list that collects, per build, [t0,
+    adjacency, counter], where counter names what counted the build's
+    emission, "_tree_counts" or "_walk" ("pending" when neither did)."""
+    builds = []
+    build = engine._build_template
+
+    def build_spy(adjacency, origin, t0):
+        built = build(adjacency, origin, t0)
+        builds.append([t0, adjacency, "pending"])
+        return built
+
+    def counter_spy(name):
+        real = getattr(engine, name)
+
+        def spy(*args):
+            if builds and builds[-1][2] == "pending":
+                builds[-1][2] = name
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(engine, "_build_template", build_spy)
+    for name in ("_tree_counts", "_walk"):
+        monkeypatch.setattr(engine, name, counter_spy(name))
+    return builds
+
+
+@pytest.mark.parametrize("t0,duration,disconnects,counter", [
+    # the flood lands in t0's second, before the end and any disconnect
+    (100.0, 2000, (), "_tree_counts"),
+    # t0 just below a whole second: the flood crosses it
+    (985.0, 2000, (), "_walk"),
+    # duration_ms inside the flood: the copies at 25 ms are not counted
+    (0.0, 22, (), "_walk"),
+    # a disconnect inside the flood: its horizon hands the emission to the event loop
+    (0.0, 1000, (Disconnect(22.0, 2),), "_walk"),
+])
+def test_fresh_latency_map_build_counter(monkeypatch, t0, duration, disconnects, counter):
+    """One transaction from node 0 of the triangle, whose flood lasts 25 ms:
+    its template build is counted from the tree only when every send lands
+    before t0's next whole second, the horizon and duration_ms."""
+    builds = build_counters(monkeypatch)
+    cfg = ScenarioConfig(topology=load_topology(TRIANGLE, set()), duration_ms=duration,
+                         relay_policy=RelayPolicy.FLOOD, warmup_ms=0, disconnects=disconnects,
+                         tx_plan=(TxBurst(start_ms=t0, trackers=(0,), count=1),))
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+    assert [(at, how) for at, _, how in builds] == [(t0, counter)]
+
+
+def test_tied_latency_map_build_counts_its_emission_from_the_tree(monkeypatch):
+    """On the 4-cycle with equal latencies node 2 takes two copies at 20 ms,
+    and the insertion sequence picks its parent: on the event loop as in the
+    build, which follows the same peer order. So the emission the template
+    is built at is counted from the tree. The origin keeps no template, and
+    its later emissions run on the event loop."""
+    builds = build_counters(monkeypatch)
+    events = popped_events(monkeypatch)
+    cfg = ScenarioConfig(topology=graph_from_edges([(0, 1), (1, 2), (2, 3), (0, 3)], {0}),
+                         duration_ms=2000, relay_policy=RelayPolicy.FLOOD,
+                         ledger_round_ms=1000, warmup_ms=0)
+    replayed = export_csv(run_scenario(cfg))
+    assert [(at, how) for at, _, how in builds] == [(0.0, "_tree_counts")]
+    popped = [at for at, code, _ in events if code == engine._DELIVER_APP]
+    assert popped and min(popped) >= 1000.0
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_build_template", lambda *args: None)
+        assert export_csv(run_scenario(cfg)) == replayed
+
+
+def test_pruned_builds_are_walked(monkeypatch):
+    """Rounds over a pruned adjacency, which is not symmetric, are counted
+    send by send; the rounds over the latency maps from the tree."""
+    builds = build_counters(monkeypatch)
+    assert_same_bytes_as_event_loop(monkeypatch, wave_scenario())
+    pruned = {how for _, adj, how in builds
+              if any(u not in adj[w] for u in adj for w in adj[u])}
+    assert pruned == {"_walk"}
+    assert "_tree_counts" in {how for _, _, how in builds}

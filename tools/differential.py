@@ -11,8 +11,10 @@ any scenario's bytes fails there even when it agrees with itself.
 
 With `--event-loop` the script sets `squelchsim.engine._build_template` to
 return None, which sends every emission through the event loop: squelch
-rounds whose slots are quiet, count or act included. Its output must equal
-the normal run's, so one tree checks its own replay paths:
+rounds whose slots are quiet, count or act included. With no template
+there is no closed-form count of a fresh template's first emission either,
+so that count is checked too. Its output must equal the normal run's, so
+one tree checks its own replay paths:
 
     python tools/differential.py --count 300 > replayed.txt
     python tools/differential.py --count 300 --event-loop > simulated.txt
