@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -194,12 +195,15 @@ def cmd_compare(args) -> int:
     cfg = build_scenario(doc)
     include_control = doc["metrics"]["include_control_in_total"]
 
-    logs: dict[str, MetricsLog] = {}
+    sums: dict[str, dict[int, list[int]]] = {}
     summaries = {}
     for policy in (RelayPolicy.FLOOD, RelayPolicy.SQUELCH):
         log = run_scenario(replace(cfg, relay_policy=policy))
-        logs[policy.value] = log
         summaries[policy.value] = summarize(log, include_control=include_control)
+        sums[policy.value] = _second_sums(log)
+        # Only the sums go on, so the flood arm's log is not held while the
+        # squelch arm runs.
+        del log
 
     report = savings(summaries["flood"], summaries["squelch"])
     payload = {
@@ -213,7 +217,7 @@ def cmd_compare(args) -> int:
     (out_dir / "compare.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    cumulative = _cumulative_series(logs["flood"], logs["squelch"])
+    cumulative = _cumulative_series(sums["flood"], sums["squelch"])
     (out_dir / "cumulative.csv").write_text(
         _artifact_header(cfg.config_hash, cfg.seed, "compare") + cumulative,
         encoding="utf-8",
@@ -227,22 +231,28 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _cumulative_series(flood: MetricsLog, squelch: MetricsLog) -> str:
-    """Per-second network-wide in/out totals for both arms, plus running sums."""
-    per_second: dict[int, list[int]] = {}
-    for column, log in ((0, flood), (2, squelch)):
-        for (second, _), (_, received, sent) in log.rows.items():
-            if any(received) or any(sent):
-                row = per_second.setdefault(second, [0, 0, 0, 0])
-                row[column] += sum(received)
-                row[column + 1] += sum(sent)
+def _second_sums(log: MetricsLog) -> dict[int, list[int]]:
+    """{second: [in, out]}, the network-wide totals of each second that has
+    a nonzero count."""
+    sums: dict[int, list[int]] = {}
+    for (second, _), (_, received, sent) in log.rows.items():
+        if any(received) or any(sent):
+            row = sums.setdefault(second, [0, 0])
+            row[0] += sum(received)
+            row[1] += sum(sent)
+    return sums
+
+
+def _cumulative_series(flood: dict[int, list[int]], squelch: dict[int, list[int]]) -> str:
+    """Per-second network-wide in/out totals for both arms (`_second_sums`),
+    plus running sums."""
     lines = [
         "second,flood_in,flood_out,squelch_in,squelch_out,"
         "flood_in_cum,flood_out_cum,squelch_in_cum,squelch_out_cum"
     ]
     running = [0, 0, 0, 0]
-    for second in range(max(per_second, default=-1) + 1):
-        row = per_second.get(second, [0, 0, 0, 0])
+    for second in range(max(chain(flood, squelch), default=-1) + 1):
+        row = [*flood.get(second, (0, 0)), *squelch.get(second, (0, 0))]
         running = [a + b for a, b in zip(running, row)]
         lines.append(
             f"{second},{row[0]},{row[1]},{row[2]},{row[3]},"

@@ -99,12 +99,26 @@ emission at t0 when:
 
 Then `int(t // 1000)` of every arrival is decided by offsets alone, and a
 node's count per second is a bisect of its sorted offsets at each second
-boundary; with no boundary in range, the summary's stored count. Otherwise
-the two passes of a walk run, and count each send into the vectors of its
-arrival second. Either way the counts of a second and direction are a
-vector over the log's node index, which `_add_vectors` adds to the log's
-row in one pass. An origin that emits once builds no summary, and a summary
-lives as long as its template: the origin's run or its kept result.
+boundary. Otherwise the two passes of a walk run, and count each send into
+the vectors of its arrival second. Either way the counts of a second and
+direction are a vector over the log's node index, which `_add_vectors`
+adds to the log's row in one pass. An origin that emits once builds no
+summary, and a summary lives as long as its template: the origin's run or
+its kept result.
+
+With no second boundary in range, the emission's counts are the summary's
+stored totals, and they are added to the log only at the end of the run.
+The emission is recorded against its summary's totals, per kind, in runs
+[first second, last second, copies per second] (`_defer`): emissions in one
+second add their copies, the same copies in the next second extend a run,
+and anything else starts one. When the origin's run ends its runs are
+folded into per-kind changes by second (`_fold_runs`): copies times the
+totals where a run starts, and minus that after its last second. At the
+end of the run one sweep per kind in second order keeps the running (dup,
+in, out) vector and adds it to the rows of each second it covers
+(`_add_runs`). The stored totals are never changed, and integer additions
+commute, so the log is the one that adding each emission at once gives.
+What waits grows with the runs and their seconds, not with the emissions.
 
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
@@ -539,7 +553,9 @@ _Offsets = list[tuple[int, list[float]]]
 class _OffsetSummary(NamedTuple):
     """A template's emission at t=0 (`_offset_summary`). `by_node` and
     `totals` (a count per node index) hold, in the log's row order (dup,
-    in, out), each node's duplicates, copies taken and sends, by arrival."""
+    in, out), each node's duplicates, copies taken and sends, by arrival.
+    `runs` holds, per kind, the emissions counted from `totals` and not yet
+    added to the log (`_defer`)."""
 
     depth: int  # K, the deepest first receipt's hop count
     latest: float  # M, the latest arrival offset
@@ -547,6 +563,7 @@ class _OffsetSummary(NamedTuple):
     offsets: list[float]  # every send's arrival offset, sorted
     by_node: tuple[_Offsets, _Offsets, _Offsets]
     totals: tuple[list[int], list[int], list[int]]
+    runs: defaultdict[MessageKind, list[list[int]]]
 
     def margin(self, duration: float) -> float:
         """τ: twice the most a replayed time can differ from t0 + offset."""
@@ -595,7 +612,7 @@ def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
     return _OffsetSummary(
         max(depth.values()), offsets[-1] if offsets else 0.0,
         min((ts[0] - off[w] for w, ts in dups.items()), default=inf), offsets, by_node,
-        tuple(_split(lists, len(index), [])[0] for lists in by_node))
+        tuple(_split(lists, len(index), [])[0] for lists in by_node), defaultdict(list))
 
 
 def _split(by_node: _Offsets, width: int, cuts: list[float]) -> list[list[int]]:
@@ -614,9 +631,10 @@ def _split(by_node: _Offsets, width: int, cuts: list[float]) -> list[list[int]]:
 
 def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
                    duration: float, log: MetricsLog) -> bool:
-    """Count `batch`, (kind, copies) pairs emitted at t0, into `log` from
-    `summary` when its margin decides every arrival (see the module
-    docstring). Returns False, having counted nothing, otherwise."""
+    """Count `batch`, (kind, copies) pairs emitted at t0, from `summary`
+    when its margin decides every arrival (see the module docstring): into
+    `log`, or, when the flood lands in t0's second, onto the summary's runs
+    (`_defer`). Returns False, having counted nothing, otherwise."""
     tau = summary.margin(duration)
     reach = summary.latest + tau
     if summary.slack <= 2 * tau or t0 + reach >= horizon:
@@ -628,12 +646,82 @@ def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
         if bisect_left(offsets, c - tau) != bisect_right(offsets, c + tau):
             return False
         cuts.append(c)
-    # Per second from s0, one count vector per row; in the common case the
-    # whole flood lands in t0's second, whose counts are the stored totals.
-    seconds = (zip(*(_split(by_node, len(summary.totals[0]), cuts)
-                     for by_node in summary.by_node)) if cuts else [summary.totals])
-    _add_vectors(log, enumerate(seconds, s0), batch)
+    if cuts:
+        # Per second from s0, one count vector per row.
+        seconds = zip(*(_split(by_node, len(summary.totals[0]), cuts)
+                        for by_node in summary.by_node))
+        _add_vectors(log, enumerate(seconds, s0), batch)
+    else:
+        # The whole flood lands in t0's second, whose counts are the stored
+        # totals: added by `_add_runs` at the end of the run.
+        for kind, copies in batch:
+            _defer(summary.runs[kind], s0, copies)
     return True
+
+
+def _defer(runs: list[list[int]], s: int, copies: int) -> None:
+    """Record `copies` emissions in second `s` on `runs`, [first second,
+    last second, emissions per second] in second order, `s` no earlier than
+    the last run. Emissions in the last run's last second add their copies
+    to that second, the same copies in the second after a run extend it,
+    and anything else starts a run. A second whose emissions come to those
+    of the run before it joins that run."""
+    if runs:
+        run = runs[-1]
+        first, last, n = run
+        if last == s:
+            if first < s:
+                run[1] = s - 1
+                runs.append([s, s, n + copies])
+                return
+            run[2] = n = n + copies
+            if len(runs) > 1 and (before := runs[-2])[1] == s - 1 and before[2] == n:
+                before[1] = s
+                runs.pop()
+            return
+        if last == s - 1 and n == copies:
+            run[1] = s
+            return
+    runs.append([s, s, copies])
+
+
+def _fold_runs(changes: defaultdict[MessageKind, dict], deferred: list) -> None:
+    """Fold the runs of `deferred`, (totals, {kind: runs}) pairs (`_defer`),
+    into `changes`, per kind {second: [emissions, dup, in, out]}: a run adds
+    its copies, and its copies times the totals, from its first second on,
+    and takes them away after its last. Empties `deferred`; the totals are
+    never changed."""
+    for totals, runs in deferred:
+        for kind, kind_runs in runs.items():
+            at = changes[kind]
+            for first, last, copies in kind_runs:
+                for s, n in ((first, copies), (last + 1, -copies)):
+                    scaled = [[n * c for c in counts] for counts in totals]
+                    if (change := at.get(s)) is None:
+                        at[s] = [n, *scaled]
+                    else:
+                        change[0] += n
+                        for vec, delta in zip(change[1:], scaled):
+                            vec[:] = map(add, vec, delta)
+    deferred.clear()
+
+
+def _add_runs(log: MetricsLog, changes: defaultdict[MessageKind, dict]) -> None:
+    """Add the deferred emissions folded into `changes` (`_fold_runs`) to
+    `log`: one sweep per kind in second order keeps the running (dup, in,
+    out) vector and adds it to the rows of every second that a run covers."""
+    for kind, at in changes.items():
+        seconds = sorted(at)
+        active, running = 0, log.rows.default_factory()
+        for s, end in zip(seconds, seconds[1:]):
+            n, *deltas = at[s]
+            active += n
+            for vec, delta in zip(running, deltas):
+                vec[:] = map(add, vec, delta)
+            if active:
+                for second in range(s, end):
+                    for row, vec in zip(log.rows[second, kind], running):
+                        row[:] = map(add, row, vec)
 
 
 def _add_vectors(log: MetricsLog, seconds, batch) -> None:
@@ -717,6 +805,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     seq = 0
     # Deliveries and control messages pushed and not yet popped.
     in_flight = 0
+    # Per kind, {second: [emissions, dup, in, out]}: where the per-second
+    # counts of the emissions deferred to the end of the run change.
+    changes: defaultdict[MessageKind, dict] = defaultdict(dict)
 
     # The helpers act on the current origin's `origin`, `nodes`, `heap`, `template`.
 
@@ -803,6 +894,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         summary = tmpl[2]
         if summary is None:
             summary = tmpl[2] = _offset_summary(tmpl, adjacency, origin)
+            if summary:
+                deferred.append((summary.totals, summary.runs))
         if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
             return True
         if walked := _walk(tmpl, adjacency, t0, horizon, duration, log):
@@ -1080,6 +1173,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         disconnects_left = list(disconnect_times)
         horizon = disconnects_left[-1] if disconnects_left else duration
         heap: list[tuple] = []
+        # (totals, runs) of the origin's offset summaries (`_defer`).
+        deferred: list[tuple] = []
         for at, batch in emissions[origin]:
             push(at, _EMIT, origin, None, None, batch)
         for disc in cfg.disconnects:
@@ -1154,4 +1249,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     if nb.slot is not None:
                         send_controls(nb, on_uplink_lost(nb.slot, dst, at), at)
 
+        _fold_runs(changes, deferred)
+
+    _add_runs(log, changes)
     return log

@@ -24,12 +24,22 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .messages import APPLICATION_KINDS, CONTROL_KINDS, MessageKind
+from .messages import APPLICATION_KINDS, MessageKind
 
 
 class SlotState(Enum):
     COUNTING = "counting"
     SELECTED = "selected"
+
+
+# Members bound once: the transitions below run millions of times per run,
+# and an identity test against a name is cheaper than an attribute lookup
+# or a set membership test of an Enum member.
+_COUNTING = SlotState.COUNTING
+_SELECTED = SlotState.SELECTED
+_SQUELCH = MessageKind.SQUELCH
+_UNSQUELCH = MessageKind.UNSQUELCH
+_pack_duration_key = struct.Struct("<qqq").pack
 
 
 class ContractViolationError(RuntimeError):
@@ -46,11 +56,13 @@ class ControlMessage:
     duration_ms: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in CONTROL_KINDS:
-            raise ValueError(f"{self.kind} is not a control kind")
-        if self.kind is MessageKind.SQUELCH and self.duration_ms <= 0:
-            raise ValueError("squelch duration must be positive")
-        if self.kind is MessageKind.UNSQUELCH and self.duration_ms != 0:
+        kind = self.kind
+        if kind is _SQUELCH:
+            if self.duration_ms <= 0:
+                raise ValueError("squelch duration must be positive")
+        elif kind is not _UNSQUELCH:
+            raise ValueError(f"{kind} is not a control kind")
+        elif self.duration_ms != 0:
             raise ValueError("unsquelch carries no duration")
 
 
@@ -95,8 +107,7 @@ def squelch_duration_ms(config: ProtocolConfig, owner: int, peer: int, round_ind
     """Base duration plus deterministic per-(node, peer, round) jitter."""
     if config.squelch_jitter_ms == 0:
         return config.squelch_base_ms
-    packed = struct.pack("<qqq", owner, peer, round_index)
-    digest = hashlib.blake2b(packed, digest_size=8).digest()
+    digest = hashlib.blake2b(_pack_duration_key(owner, peer, round_index), digest_size=8).digest()
     jitter = int.from_bytes(digest, "little") % config.squelch_jitter_ms
     return config.squelch_base_ms + jitter
 
@@ -120,7 +131,7 @@ def on_validator_message(
     determinism.
     """
     actions: list[tuple[int, ControlMessage]] = []
-    if slot.state is SlotState.COUNTING:
+    if slot.state is _COUNTING:
         count = slot.per_peer_count.get(from_peer, 0) + 1
         slot.per_peer_count[from_peer] = count
         if count >= config.count_threshold and from_peer not in slot.selected:
@@ -128,7 +139,7 @@ def on_validator_message(
             # A stale squelch entry may linger if the peer raced its expiry.
             slot.squelched.pop(from_peer, None)
             if len(slot.selected) >= config.max_selected:
-                slot.state = SlotState.SELECTED
+                slot.state = _SELECTED
                 for peer in sorted(slot.per_peer_count):
                     if peer in slot.selected:
                         continue
@@ -147,10 +158,7 @@ def _squelch_peer(
 ) -> tuple[int, ControlMessage]:
     duration = squelch_duration_ms(config, slot.owner, peer, slot.round_index)
     slot.squelched[peer] = now + duration
-    return (
-        peer,
-        ControlMessage(MessageKind.SQUELCH, slot.origin_validator, duration),
-    )
+    return peer, ControlMessage(_SQUELCH, slot.origin_validator, duration)
 
 
 def on_squelch_expired(slot: Slot, peer: int, now: float) -> None:
@@ -177,7 +185,7 @@ def on_squelch_received(downlink: dict[int, float], peer: int,
                         msg: ControlMessage, now: float) -> None:
     """Record that `peer` must not receive the validator's messages until
     now + duration. A repeat squelch overwrites the previous expiry."""
-    if msg.kind is not MessageKind.SQUELCH:
+    if msg.kind is not _SQUELCH:
         raise ContractViolationError("on_squelch_received requires a squelch message")
     downlink[peer] = now + msg.duration_ms
 
@@ -185,7 +193,7 @@ def on_squelch_received(downlink: dict[int, float], peer: int,
 def on_unsquelch_received(downlink: dict[int, float], peer: int,
                           msg: ControlMessage) -> None:
     """Resume relaying the validator's messages to `peer`. Idempotent."""
-    if msg.kind is not MessageKind.UNSQUELCH:
+    if msg.kind is not _UNSQUELCH:
         raise ContractViolationError("on_unsquelch_received requires an unsquelch message")
     downlink.pop(peer, None)
 
@@ -199,7 +207,7 @@ def on_uplink_lost(slot: Slot, lost_peer: int, now: float) -> list[tuple[int, Co
         slot.per_peer_count.pop(lost_peer, None)
         slot.squelched.pop(lost_peer, None)
         return []
-    unsquelch = ControlMessage(MessageKind.UNSQUELCH, slot.origin_validator, 0)
+    unsquelch = ControlMessage(_UNSQUELCH, slot.origin_validator, 0)
     actions = [(peer, unsquelch) for peer in sorted(slot.squelched)]
     slot.squelched.clear()
     _reset_to_counting(slot)
@@ -207,7 +215,7 @@ def on_uplink_lost(slot: Slot, lost_peer: int, now: float) -> list[tuple[int, Co
 
 
 def _reset_to_counting(slot: Slot) -> None:
-    slot.state = SlotState.COUNTING
+    slot.state = _COUNTING
     slot.per_peer_count.clear()
     slot.selected.clear()
     slot.round_index += 1

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from squelchsim import cli, config
 from squelchsim.cli import main
 from squelchsim.regression import ExtrapolationWarning
 
@@ -395,6 +396,71 @@ def test_node_id_beyond_int64_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
     assert (code, out) == (2, "")
     assert err.startswith("error: line 7: node ids must lie in [0, 2**63)")
+
+
+# --- runs too large for the machine -------------------------------------------------
+
+def generation_spy(monkeypatch):
+    """Spy on the topology generator the config layer calls: a list of its
+    calls, made without running it."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(config, "generate_topology", spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_run_larger_than_memory_exit_2_before_generation(command, tmp_path, small_config,
+                                                         capsys, monkeypatch):
+    # The small config holds at least 10 x 20 x 2 x 3 x 8 = 9600 bytes of
+    # log (25 edges need 4500): more than 8 KiB of memory.
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8192)
+    calls = generation_spy(monkeypatch)
+    code, out, err = run_cli(capsys, command, "--config", str(small_config),
+                             "--out", str(tmp_path / "out"))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: 10 nodes, 25 edges and 20000 ms need at least")
+    assert "physical memory" in err
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_billions_of_nodes_exit_2_before_generation(tmp_path, small_config, capsys,
+                                                    monkeypatch):
+    """10**12 nodes need petabytes for their edges alone, more than any
+    machine's physical memory; the spy keeps the generator from running if
+    the refusal fails."""
+    calls = generation_spy(monkeypatch)
+    code, out, err = run_cli(capsys, "compare", "--config", str(small_config),
+                             "--out", str(tmp_path), "--set", "topology.node_count=1000000000000")
+    assert (code, out, calls) == (2, "", [])
+    assert "physical memory" in err
+
+
+def test_long_run_on_an_edge_list_exit_2(tmp_path, capsys, monkeypatch):
+    # 10**15 simulated seconds of a K4 log are refused before the run.
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("the run started"))
+    edges = tmp_path / "k4.edges"
+    edges.write_text(K4_EDGES)
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps({
+        "topology": {"file": str(edges), "validators": [0]},
+        "scenario": {"duration_ms": 10**18, "warmup_ms": 0},
+    }))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path),
+                             "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 4 nodes, 6 edges and 1000000000000000000 ms need at least")
+
+
+def test_run_within_memory_generates(tmp_path, small_config, capsys, monkeypatch):
+    monkeypatch.setattr(config, "_physical_memory", lambda: 9600)
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(small_config),
+                         "--out", str(tmp_path))
+    assert code == 0
 
 
 # --- pinned output bytes -------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -1019,6 +1020,137 @@ def test_reference_flood_arm_counts_from_summaries(monkeypatch):
     assert (cfg.seed, cfg.relay_policy) == (1, RelayPolicy.FLOOD)
     run_scenario(cfg)
     assert sum(counted for _, counted in calls) >= 1000
+
+
+# --- repeat emissions deferred to the end of the run, as runs of seconds ---------
+
+def test_defer_keeps_runs_of_seconds():
+    """Emissions in one second add their copies, the same copies in the next
+    second extend a run, and anything else (a gap, other copies) starts one;
+    a second that comes to its run's copies joins that run."""
+    runs = []
+    for s, copies in [(3, 1), (3, 1),  # two emissions in one second
+                      (4, 2),  # the same copies in the next second
+                      (5, 1), (5, 1),  # a second that comes to 2 joins the run
+                      (6, 2), (6, 1),  # more copies in the run's last second
+                      (9, 3),  # a gap
+                      (10, 1), (10, 2),  # other copies, then the run's again
+                      (11, 4)]:  # changed copies
+        engine._defer(runs, s, copies)
+    assert runs == [[3, 5, 2], [6, 6, 3], [9, 10, 3], [11, 11, 4]]
+
+
+def test_deferred_runs_add_what_each_emission_adds():
+    """Folded and swept at the end, the runs of two templates of one kind,
+    both emitting in one second, and a run that ends at the horizon (the
+    run's last second) add to each row what adding every emission's totals
+    at once adds, and create no row past the runs."""
+    a = ([0, 1, 2], [1, 2, 3], [2, 1, 3])
+    b = ([1, 0, 0], [1, 1, 0], [1, 0, 1])
+    kind = MessageKind.VALIDATION
+    emitted = [(a, 0, 1), (a, 1, 1), (a, 1, 1), (a, 2, 2), (a, 4, 1),
+               (b, 1, 3), (b, 2, 3), (b, 3, 3), (b, 9, 1)]
+    expected = MetricsLog(nodes=[10, 11, 12], duration_ms=10_000)
+    for totals, s, copies in emitted:
+        engine._add_vectors(expected, [(s, totals)], [(kind, copies)])
+    log = MetricsLog(nodes=[10, 11, 12], duration_ms=10_000)
+    deferred = []
+    for totals in (a, b):
+        runs = {kind: []}
+        for t, s, copies in emitted:
+            if t is totals:
+                engine._defer(runs[kind], s, copies)
+        deferred.append((totals, runs))
+    changes = collections.defaultdict(dict)
+    engine._fold_runs(changes, deferred)
+    assert deferred == []
+    engine._add_runs(log, changes)
+    assert dict(log.rows) == dict(expected.rows)
+    assert max(s for s, _ in log.rows) == 9
+    assert a == ([0, 1, 2], [1, 2, 3], [2, 1, 3])  # the totals are never changed
+
+
+def draw_dense_scenario(data, st):
+    """A 4-12 s run whose origins emit many times per second: bursts of
+    50-333 transactions per second from 1-3 trackers, 200-1000 ms rounds
+    with 1-3 proposals, and 0-2 disconnects, under either policy."""
+    draw = data.draw
+    n = draw(st.integers(4, 10))
+    seed = draw(st.integers(0, 2**16))
+    g = generate_topology(n, float(draw(st.integers(2, min(5, n - 1)))), 0.3,
+                          draw(st.sampled_from([(5.0, 50.0), (10.0, 12.0), (20.0, 20.0)])),
+                          seed=seed)
+    duration = draw(st.integers(4000, 12_000))
+    bursts = tuple(
+        TxBurst(start_ms=float(draw(st.integers(0, duration // 2))),
+                trackers=tuple(draw(st.lists(st.sampled_from(g.nodes), min_size=1,
+                                             max_size=3, unique=True))),
+                count=draw(st.integers(20, 600)),
+                rate_per_s=float(draw(st.integers(50, 333))))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    disconnects = tuple(
+        Disconnect(at_ms=float(draw(st.integers(0, duration))), node=draw(st.sampled_from(g.nodes)))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    protocol = ProtocolConfig(count_threshold=draw(st.integers(1, 4)),
+                              max_selected=draw(st.integers(1, 3)),
+                              squelch_base_ms=draw(st.sampled_from([500, 3000, 300_000])),
+                              squelch_jitter_ms=draw(st.integers(0, 500)),
+                              squelch_kinds=draw(st.sampled_from([
+                                  frozenset({MessageKind.PROPOSAL, MessageKind.VALIDATION}),
+                                  frozenset(APPLICATION_KINDS)])))
+    return ScenarioConfig(
+        topology=g, duration_ms=duration,
+        relay_policy=draw(st.sampled_from([RelayPolicy.FLOOD, RelayPolicy.SQUELCH])),
+        ledger_round_ms=draw(st.integers(200, 1000)),
+        proposals_per_round=draw(st.integers(1, 3)),
+        tx_plan=bursts, protocol=protocol, seed=seed,
+        warmup_ms=draw(st.integers(0, 1000)), disconnects=disconnects,
+    )
+
+
+def test_deferred_runs_match_two_pass_and_event_loop(monkeypatch):
+    """Dense runs, whose offset-summary emissions are deferred to the end of
+    the run as runs of seconds, give the same bytes as walking every replay
+    in two passes and as the event loop."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        with monkeypatch.context() as m:
+            assert_same_bytes_on_every_path(m, draw_dense_scenario(data, st))
+
+    check()
+
+
+def test_reference_flood_arm_defers_its_repeat_emissions(monkeypatch):
+    """The reference config's flood arm (seed 1, all 120 s) defers 6930
+    (kind, copies) records of its repeat emissions, in 80 runs, so the
+    deferred path cannot go dead, nor stop joining seconds into runs,
+    without notice."""
+    records, runs = [], []
+    defer, fold = engine._defer, engine._fold_runs
+
+    def defer_spy(kind_runs, s, copies):
+        records.append((s, copies))
+        return defer(kind_runs, s, copies)
+
+    def fold_spy(changes, deferred):
+        runs.extend(run for _, by_kind in deferred for kind_runs in by_kind.values()
+                    for run in kind_runs)
+        return fold(changes, deferred)
+
+    monkeypatch.setattr(engine, "_defer", defer_spy)
+    monkeypatch.setattr(engine, "_fold_runs", fold_spy)
+    cfg = build_scenario(validate_config(json.loads(REFERENCE_CONFIG.read_text(encoding="utf-8"))))
+    run_scenario(cfg)
+    assert len(records) >= 1000
+    assert 0 < 20 * len(runs) <= len(records)
 
 
 # --- fill rounds replayed off the heap -----------------------------------------

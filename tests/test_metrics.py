@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from squelchsim.cli import _cumulative_series
+from squelchsim.cli import _cumulative_series, _second_sums
 from squelchsim.engine import RelayPolicy, ScenarioConfig, TxBurst, run_scenario
 from squelchsim.messages import APPLICATION_KINDS, MessageKind
 from squelchsim.metrics import (
@@ -291,13 +291,13 @@ def test_sparse_node_ids_summarize_matches_recount(include_control):
 
 def test_all_zero_row_adds_no_second():
     log = sparse_log()
-    before = (summarize(log), export_csv(log), _cumulative_series(log, log))
+    before = (summarize(log), export_csv(log), _cumulative_series(_second_sums(log), _second_sums(log)))
     last = max(second for second, _ in log.rows)
     # Reading a row creates it at zero; so does a count brought back to zero.
     log.rows[last + 3, MessageKind.PROPOSAL]
     log.add(1000, last + 5, MessageKind.VALIDATION, "in", 4)
     log.add(1000, last + 5, MessageKind.VALIDATION, "in", -4)
-    assert (summarize(log), export_csv(log), _cumulative_series(log, log)) == before
+    assert (summarize(log), export_csv(log), _cumulative_series(_second_sums(log), _second_sums(log))) == before
 
 
 def test_squelch_run_log_round_trips_through_pickle():
