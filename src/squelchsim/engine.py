@@ -77,11 +77,12 @@ squelches.
 A template's first use is the emission it is built at. A later replay is
 counted from the template's offset summary when rounding cannot decide
 anything. The summary is the template's emission at t=0, its offsets
-recomputed from 0 along the tree with the walk's float additions: each
-node's first receipt `off`, each send's arrival offset, the depth K of the
-tree and the latest arrival M. Its slack test below rejects a tree that is
-not the first-receipt tree at t=0, so a template built at a later `t0`
-stays exact. Let
+recomputed from 0 along the tree with the walk's float additions. It keeps
+the depth K of the tree, the latest arrival offset M, the slack below and
+each node's (dup, in, out) totals over the log's node index, and no
+per-send offset. Its slack test rejects a tree that is not the
+first-receipt tree at t=0, so a template built at a later `t0` stays
+exact. Let
 D = `duration_ms` and u = 2**-53. While every arrival lands before D, every
 partial sum lies in [0, D), so each float addition is off by at most u·D.
 A node at depth k is reached by k additions from t0 and k - 1 from 0 (the
@@ -94,31 +95,30 @@ emission at t0 when:
 - every non-tree send arrives more than 2τ after its receiver's first
   receipt, in offsets (its slack), so the strict-arrival check holds;
 - t0 + M + τ < the replay's horizon, so every arrival is counted;
-- no offset lies within τ of 1000k - t0 for any whole second 1000k in
-  (t0, t0 + M + τ], so each arrival lands in the second of t0 + its offset.
+- t0 + M + τ < t0's next whole second, so every arrival lands in t0's
+  second.
 
-Then `int(t // 1000)` of every arrival is decided by offsets alone, and a
-node's count per second is a bisect of its sorted offsets at each second
-boundary. Otherwise the two passes of a walk run, and count each send into
-the vectors of its arrival second. Either way the counts of a second and
-direction are a vector over the log's node index, which `_add_vectors`
-adds to the log's row in one pass. An origin that emits once builds no
-summary, and a summary lives as long as its template: the origin's run or
-its kept result.
+Then the emission's counts are the summary's totals, all in t0's second.
+Otherwise the two passes of a walk run, and count each send into the
+vectors of its arrival second, which `_add_vectors` adds to the log's rows
+in one pass. A flood that crosses a second walks: where only the third
+test fails, the first two still hold, so the walk cannot fail. An origin
+that emits once builds no summary, and a summary lives as long as its
+template: the origin's run or its kept result.
 
-With no second boundary in range, the emission's counts are the summary's
-stored totals, and they are added to the log only at the end of the run.
-The emission is recorded against its summary's totals, per kind, in runs
-[first second, last second, copies per second] (`_defer`): emissions in one
-second add their copies, the same copies in the next second extend a run,
-and anything else starts one. When the origin's run ends its runs are
-folded into per-kind changes by second (`_fold_runs`): copies times the
-totals where a run starts, and minus that after its last second. At the
-end of the run one sweep per kind in second order keeps the running (dup,
-in, out) vector and adds it to the rows of each second it covers
-(`_add_runs`). The stored totals are never changed, and integer additions
-commute, so the log is the one that adding each emission at once gives.
-What waits grows with the runs and their seconds, not with the emissions.
+A summary's emissions are added to the log only at the end of the run.
+Each is recorded in the summary's pending difference map for its kind,
+{second: change in copies per second}: `copies` more from t0's second on,
+and `copies` fewer from the next. An origin that emits the same copies
+every second cancels its own changes, so a steady stretch leaves two
+nonzero changes. When the origin's run ends, each nonzero change and the
+totals scaled by it are folded into per-kind changes by second
+(`_fold_runs`). At the end of the run one sweep per kind in second order
+keeps the running (dup, in, out) vector and adds it to the rows of each
+second it covers (`_add_runs`). The stored totals are never changed, and
+integer additions commute, so the log is the one that adding each emission
+at once gives. What waits grows with the seconds a summary emits in, not
+with the emissions.
 
 Messages that always flood (the kinds outside the squelchable set: all of
 them under the flood policy, transactions by default under the squelch
@@ -247,8 +247,7 @@ only randomness is the seeded topology generation upstream.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -546,24 +545,18 @@ def _walk(tmpl, adjacency: dict[int, dict[int, float]], t0: float, horizon: floa
     return first, seconds, latest
 
 
-# (node index, sorted offsets) pairs; the index is the node's in `MetricsLog`.
-_Offsets = list[tuple[int, list[float]]]
-
-
 class _OffsetSummary(NamedTuple):
-    """A template's emission at t=0 (`_offset_summary`). `by_node` and
-    `totals` (a count per node index) hold, in the log's row order (dup,
-    in, out), each node's duplicates, copies taken and sends, by arrival.
-    `runs` holds, per kind, the emissions counted from `totals` and not yet
-    added to the log (`_defer`)."""
+    """A template's emission at t=0 (`_offset_summary`). `totals` holds, in
+    the log's row order (dup, in, out), each node's duplicates, copies taken
+    and sends, a count per node index. `pending` holds, per kind, the
+    emissions counted from `totals` and not yet added to the log, as a
+    difference map {second: change in copies per second}."""
 
     depth: int  # K, the deepest first receipt's hop count
     latest: float  # M, the latest arrival offset
     slack: float  # least gap from a non-tree arrival back to its receiver's first receipt
-    offsets: list[float]  # every send's arrival offset, sorted
-    by_node: tuple[_Offsets, _Offsets, _Offsets]
     totals: tuple[list[int], list[int], list[int]]
-    runs: defaultdict[MessageKind, list[list[int]]]
+    pending: defaultdict[MessageKind, Counter]
 
     def margin(self, duration: float) -> float:
         """τ: twice the most a replayed time can differ from t0 + offset."""
@@ -571,138 +564,82 @@ class _OffsetSummary(NamedTuple):
 
 
 def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
-                    origin: int) -> _OffsetSummary:
+                    origin: int, index: dict[int, int]) -> _OffsetSummary:
     """The offset summary of template `tmpl` (order and parent first, as
-    `_build_template` returns them) over `adjacency`: the template's
-    emission at t=0, its offsets recomputed from 0 along the tree with the
-    same float additions as a walk."""
+    `_build_template` returns them) over `adjacency`, counted over `index`,
+    the log's node index: the template's emission at t=0, its offsets
+    recomputed from 0 along the tree with the same float additions as a
+    walk."""
     order, parent = tmpl[0], tmpl[1]
-    index = {n: i for i, n in enumerate(sorted(adjacency))}
     off = {origin: 0.0}
     depth = {origin: 0}
     for v in order[1:]:
         p = parent[v]
         off[v] = off[p] + adjacency[p][v]
         depth[v] = depth[p] + 1
-    dup = defaultdict(list)
-    out = []
+    width = len(index)
+    dup, into, out = [0] * width, [0] * width, [0] * width
+    latest, slack = 0.0, inf
     for u in order:
         fu = off[u]
         pu = parent[u]
-        sends = []
+        iu = index[u]
         for w, lat in adjacency[u].items():
             if w == pu:
                 continue
+            iw = index[w]
+            out[iu] += 1
+            into[iw] += 1
             if parent[w] == u:
                 t = off[w]
             else:
                 t = fu + lat
-                dup[w].append(t)
-            sends.append(t)
-        if sends:
-            sends.sort()
-            out.append((index[u], sends))
-    dups = {w: sorted(ts) for w, ts in dup.items()}
-    # Each node takes its first copy, the origin none, and its duplicates.
-    into = [(index[w], sorted([off[w], *dups.get(w, ())])) for w in order[1:]]
-    if origin in dups:
-        into.append((index[origin], dups[origin]))
-    by_node = ([(index[w], ts) for w, ts in dups.items()], into, out)
-    offsets = sorted(chain.from_iterable(ts for _, ts in out))
-    return _OffsetSummary(
-        max(depth.values()), offsets[-1] if offsets else 0.0,
-        min((ts[0] - off[w] for w, ts in dups.items()), default=inf), offsets, by_node,
-        tuple(_split(lists, len(index), [])[0] for lists in by_node), defaultdict(list))
-
-
-def _split(by_node: _Offsets, width: int, cuts: list[float]) -> list[list[int]]:
-    """Per-second counts of each node's sorted offsets, one count per node
-    index: before cuts[0], from cuts[0] to cuts[1], and so on."""
-    seconds = [[0] * width for _ in range(len(cuts) + 1)]
-    for i, offs in by_node:
-        lo = 0
-        for counts, c in zip(seconds, cuts):
-            hi = bisect_left(offs, c, lo)
-            counts[i] = hi - lo
-            lo = hi
-        seconds[-1][i] = len(offs) - lo
-    return seconds
+                dup[iw] += 1
+                if t - off[w] < slack:
+                    slack = t - off[w]
+            if t > latest:
+                latest = t
+    return _OffsetSummary(max(depth.values()), latest, slack, (dup, into, out),
+                          defaultdict(Counter))
 
 
 def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
-                   duration: float, log: MetricsLog) -> bool:
-    """Count `batch`, (kind, copies) pairs emitted at t0, from `summary`
-    when its margin decides every arrival (see the module docstring): into
-    `log`, or, when the flood lands in t0's second, onto the summary's runs
-    (`_defer`). Returns False, having counted nothing, otherwise."""
+                   duration: float) -> bool:
+    """Defer `batch`, (kind, copies) pairs emitted at t0, onto `summary`'s
+    pending changes when its margin decides every arrival and the flood
+    lands in t0's second (see the module docstring): that second's counts
+    are the stored totals, added by `_add_runs` at the end of the run.
+    Returns False, having counted nothing, otherwise."""
     tau = summary.margin(duration)
     reach = summary.latest + tau
-    if summary.slack <= 2 * tau or t0 + reach >= horizon:
-        return False
-    offsets = summary.offsets
     s0 = int(t0 // 1000)
-    cuts: list[float] = []
-    while (c := 1000.0 * (s0 + 1 + len(cuts)) - t0) <= reach:
-        if bisect_left(offsets, c - tau) != bisect_right(offsets, c + tau):
-            return False
-        cuts.append(c)
-    if cuts:
-        # Per second from s0, one count vector per row.
-        seconds = zip(*(_split(by_node, len(summary.totals[0]), cuts)
-                        for by_node in summary.by_node))
-        _add_vectors(log, enumerate(seconds, s0), batch)
-    else:
-        # The whole flood lands in t0's second, whose counts are the stored
-        # totals: added by `_add_runs` at the end of the run.
-        for kind, copies in batch:
-            _defer(summary.runs[kind], s0, copies)
+    if summary.slack <= 2 * tau or t0 + reach >= horizon or 1000.0 * (s0 + 1) - t0 <= reach:
+        return False
+    for kind, copies in batch:
+        at = summary.pending[kind]
+        at[s0] += copies
+        at[s0 + 1] -= copies
     return True
 
 
-def _defer(runs: list[list[int]], s: int, copies: int) -> None:
-    """Record `copies` emissions in second `s` on `runs`, [first second,
-    last second, emissions per second] in second order, `s` no earlier than
-    the last run. Emissions in the last run's last second add their copies
-    to that second, the same copies in the second after a run extend it,
-    and anything else starts a run. A second whose emissions come to those
-    of the run before it joins that run."""
-    if runs:
-        run = runs[-1]
-        first, last, n = run
-        if last == s:
-            if first < s:
-                run[1] = s - 1
-                runs.append([s, s, n + copies])
-                return
-            run[2] = n = n + copies
-            if len(runs) > 1 and (before := runs[-2])[1] == s - 1 and before[2] == n:
-                before[1] = s
-                runs.pop()
-            return
-        if last == s - 1 and n == copies:
-            run[1] = s
-            return
-    runs.append([s, s, copies])
-
-
 def _fold_runs(changes: defaultdict[MessageKind, dict], deferred: list) -> None:
-    """Fold the runs of `deferred`, (totals, {kind: runs}) pairs (`_defer`),
-    into `changes`, per kind {second: [emissions, dup, in, out]}: a run adds
-    its copies, and its copies times the totals, from its first second on,
-    and takes them away after its last. Empties `deferred`; the totals are
-    never changed."""
-    for totals, runs in deferred:
-        for kind, kind_runs in runs.items():
+    """Fold `deferred`, (totals, {kind: {second: change in copies}}) pairs
+    (`_offset_replay`), into `changes`, per kind {second: [emissions, dup,
+    in, out]}: each nonzero change and the totals scaled by it. Empties
+    `deferred`; the totals are never changed."""
+    for totals, pending in deferred:
+        for kind, pending_at in pending.items():
             at = changes[kind]
-            for first, last, copies in kind_runs:
-                for s, n in ((first, copies), (last + 1, -copies)):
-                    scaled = [[n * c for c in counts] for counts in totals]
-                    if (change := at.get(s)) is None:
-                        at[s] = [n, *scaled]
-                    else:
-                        change[0] += n
-                        for vec, delta in zip(change[1:], scaled):
-                            vec[:] = map(add, vec, delta)
+            for s, n in pending_at.items():
+                if not n:
+                    continue
+                scaled = [[n * c for c in counts] for counts in totals]
+                if (change := at.get(s)) is None:
+                    at[s] = [n, *scaled]
+                else:
+                    change[0] += n
+                    for vec, delta in zip(change[1:], scaled):
+                        vec[:] = map(add, vec, delta)
     deferred.clear()
 
 
@@ -893,10 +830,10 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         arrival lands in [horizon, duration)."""
         summary = tmpl[2]
         if summary is None:
-            summary = tmpl[2] = _offset_summary(tmpl, adjacency, origin)
+            summary = tmpl[2] = _offset_summary(tmpl, adjacency, origin, index)
             if summary:
-                deferred.append((summary.totals, summary.runs))
-        if summary and _offset_replay(summary, t0, batch, horizon, duration, log):
+                deferred.append((summary.totals, summary.pending))
+        if summary and _offset_replay(summary, t0, batch, horizon, duration):
             return True
         if walked := _walk(tmpl, adjacency, t0, horizon, duration, log):
             _add_vectors(log, walked[1].items(), batch)
@@ -1173,7 +1110,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         disconnects_left = list(disconnect_times)
         horizon = disconnects_left[-1] if disconnects_left else duration
         heap: list[tuple] = []
-        # (totals, runs) of the origin's offset summaries (`_defer`).
+        # (totals, pending) of the origin's offset summaries.
         deferred: list[tuple] = []
         for at, batch in emissions[origin]:
             push(at, _EMIT, origin, None, None, batch)

@@ -456,6 +456,20 @@ def test_long_run_on_an_edge_list_exit_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: 4 nodes, 6 edges and 1000000000000000000 ms need at least")
 
 
+def test_transaction_plan_larger_than_memory_exit_2_before_the_run(tmp_path, small_config,
+                                                                 capsys, monkeypatch):
+    """10**15 planned transactions need petabytes for their emission records
+    alone, more than any machine's physical memory: refused before
+    `run_scenario` starts, which would append one record per transaction."""
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("the run started"))
+    plan = json.dumps([{"start_ms": 0, "count": 10**15, "rate_per_s": 100}])
+    code, out, err = run_cli(capsys, "simulate", "--config", str(small_config),
+                             "--out", str(tmp_path), "--set", f"scenario.tx_plan={plan}")
+    assert (code, out) == (2, "")
+    assert "with 1000000000000000 planned transactions" in err
+    assert "physical memory" in err
+
+
 def test_run_within_memory_generates(tmp_path, small_config, capsys, monkeypatch):
     monkeypatch.setattr(config, "_physical_memory", lambda: 9600)
     code, _, _ = run_cli(capsys, "simulate", "--config", str(small_config),

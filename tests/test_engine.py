@@ -923,7 +923,7 @@ def test_counting_rounds_with_tied_duplicates_replay(monkeypatch):
 
 def two_pass(m):
     """Patch the engine so that every replay walks its template in two passes."""
-    m.setattr(engine, "_offset_summary", lambda tmpl, adjacency, origin: None)
+    m.setattr(engine, "_offset_summary", lambda *args: None)
 
 
 def test_offset_replay_matches_two_pass(monkeypatch):
@@ -983,7 +983,8 @@ def test_offset_replay_falls_back_on_slack(monkeypatch):
     copy at t=0, inside the margin, so no emission counts from the summary."""
     g = load_topology("0 1 0.1\n1 3 0.8\n0 2 0.3\n2 3 0.6\n", {0})
     adj = adjacency(g)
-    summary = engine._offset_summary(build_template(adj, 0), adj, 0)
+    summary = engine._offset_summary(build_template(adj, 0), adj, 0,
+                                     MetricsLog(nodes=g.nodes).index)
     assert 0 < summary.slack <= 2 * summary.margin(3000)
     cfg = ScenarioConfig(topology=g, duration_ms=3000, relay_policy=RelayPolicy.FLOOD,
                          ledger_round_ms=1000, warmup_ms=0)
@@ -1001,6 +1002,20 @@ def test_offset_replay_falls_back_on_whole_second(monkeypatch):
     assert assert_same_bytes_on_every_path(monkeypatch, cfg) == [(990.0, False),
                                                                  (1980.0, False),
                                                                  (2970.0, True)]
+
+
+def test_offset_replay_walks_a_flood_that_crosses_a_second(monkeypatch):
+    """982 ms rounds: the round at 982 ms has arrivals from 992 to 1007 ms,
+    on both sides of 1000 ms, so it walks in two passes even though no
+    arrival is near the boundary; the rounds at 1964 and 2946 ms stay
+    within their seconds and count from the summary."""
+    cfg = ScenarioConfig(topology=load_topology(TRIANGLE, {0}), duration_ms=3000,
+                         relay_policy=RelayPolicy.FLOOD, ledger_round_ms=982, warmup_ms=0)
+    assert assert_same_bytes_on_every_path(monkeypatch, cfg) == [(982.0, False),
+                                                                 (1964.0, True),
+                                                                 (2946.0, True)]
+    digest = hashlib.sha256(export_csv(run_scenario(cfg)).encode("utf-8")).hexdigest()
+    assert digest.startswith("ea0eec57ff4e")
 
 
 def test_offset_replay_falls_back_near_horizon(monkeypatch):
@@ -1022,29 +1037,35 @@ def test_reference_flood_arm_counts_from_summaries(monkeypatch):
     assert sum(counted for _, counted in calls) >= 1000
 
 
-# --- repeat emissions deferred to the end of the run, as runs of seconds ---------
+# --- repeat emissions deferred to the end of the run, as changes by second ------
 
-def test_defer_keeps_runs_of_seconds():
-    """Emissions in one second add their copies, the same copies in the next
-    second extend a run, and anything else (a gap, other copies) starts one;
-    a second that comes to its run's copies joins that run."""
-    runs = []
-    for s, copies in [(3, 1), (3, 1),  # two emissions in one second
-                      (4, 2),  # the same copies in the next second
-                      (5, 1), (5, 1),  # a second that comes to 2 joins the run
-                      (6, 2), (6, 1),  # more copies in the run's last second
-                      (9, 3),  # a gap
-                      (10, 1), (10, 2),  # other copies, then the run's again
-                      (11, 4)]:  # changed copies
-        engine._defer(runs, s, copies)
-    assert runs == [[3, 5, 2], [6, 6, 3], [9, 10, 3], [11, 11, 4]]
+def deferring_summary(totals):
+    """An offset summary with `totals` whose every emission lands in its own
+    second: depth 1, latest arrival offset 0 and no duplicate."""
+    return engine._OffsetSummary(1, 0.0, math.inf, totals,
+                                 collections.defaultdict(collections.Counter))
+
+
+def test_steady_emitter_folds_to_two_changes():
+    """A kind emitted once a second for 100 s folds to two nonzero changes:
+    its copies and totals from the first second on, and minus them from the
+    second after the last."""
+    totals = ([0, 1], [1, 2], [2, 1])
+    summary = deferring_summary(totals)
+    kind = MessageKind.TRANSACTION
+    for s in range(100):
+        assert engine._offset_replay(summary, 1000.0 * s + 5, [(kind, 1)], 100_000.0, 100_000.0)
+    changes = collections.defaultdict(dict)
+    engine._fold_runs(changes, [(summary.totals, summary.pending)])
+    assert changes == {kind: {0: [1, [0, 1], [1, 2], [2, 1]],
+                              100: [-1, [0, -1], [-1, -2], [-2, -1]]}}
 
 
 def test_deferred_runs_add_what_each_emission_adds():
-    """Folded and swept at the end, the runs of two templates of one kind,
-    both emitting in one second, and a run that ends at the horizon (the
-    run's last second) add to each row what adding every emission's totals
-    at once adds, and create no row past the runs."""
+    """Folded and swept at the end, the pending changes of two templates of
+    one kind, both emitting in one second, and emissions in the run's last
+    second add to each row what adding every emission's totals at once
+    adds, and create no row past the last emission."""
     a = ([0, 1, 2], [1, 2, 3], [2, 1, 3])
     b = ([1, 0, 0], [1, 1, 0], [1, 0, 1])
     kind = MessageKind.VALIDATION
@@ -1056,11 +1077,12 @@ def test_deferred_runs_add_what_each_emission_adds():
     log = MetricsLog(nodes=[10, 11, 12], duration_ms=10_000)
     deferred = []
     for totals in (a, b):
-        runs = {kind: []}
+        summary = deferring_summary(totals)
         for t, s, copies in emitted:
             if t is totals:
-                engine._defer(runs[kind], s, copies)
-        deferred.append((totals, runs))
+                assert engine._offset_replay(summary, 1000.0 * s, [(kind, copies)],
+                                             10_000.0, 10_000.0)
+        deferred.append((summary.totals, summary.pending))
     changes = collections.defaultdict(dict)
     engine._fold_runs(changes, deferred)
     assert deferred == []
@@ -1130,27 +1152,29 @@ def test_deferred_runs_match_two_pass_and_event_loop(monkeypatch):
 
 def test_reference_flood_arm_defers_its_repeat_emissions(monkeypatch):
     """The reference config's flood arm (seed 1, all 120 s) defers 6930
-    (kind, copies) records of its repeat emissions, in 80 runs, so the
-    deferred path cannot go dead, nor stop joining seconds into runs,
-    without notice."""
-    records, runs = [], []
-    defer, fold = engine._defer, engine._fold_runs
+    (kind, copies) records of its repeat emissions, which fold to 140 nonzero
+    changes, so the deferred path cannot go dead, nor stop cancelling the
+    changes of steady seconds, without notice."""
+    records, changes = [], []
+    replay, fold = engine._offset_replay, engine._fold_runs
 
-    def defer_spy(kind_runs, s, copies):
-        records.append((s, copies))
-        return defer(kind_runs, s, copies)
+    def replay_spy(summary, t0, batch, *args):
+        counted = replay(summary, t0, batch, *args)
+        if counted:
+            records.extend(batch)
+        return counted
 
-    def fold_spy(changes, deferred):
-        runs.extend(run for _, by_kind in deferred for kind_runs in by_kind.values()
-                    for run in kind_runs)
-        return fold(changes, deferred)
+    def fold_spy(folded, deferred):
+        changes.extend(n for _, pending in deferred for at in pending.values()
+                       for n in at.values() if n)
+        return fold(folded, deferred)
 
-    monkeypatch.setattr(engine, "_defer", defer_spy)
+    monkeypatch.setattr(engine, "_offset_replay", replay_spy)
     monkeypatch.setattr(engine, "_fold_runs", fold_spy)
     cfg = build_scenario(validate_config(json.loads(REFERENCE_CONFIG.read_text(encoding="utf-8"))))
     run_scenario(cfg)
     assert len(records) >= 1000
-    assert 0 < 20 * len(runs) <= len(records)
+    assert 0 < 20 * len(changes) <= len(records)
 
 
 # --- fill rounds replayed off the heap -----------------------------------------
