@@ -50,6 +50,12 @@ _EDGE_BYTES = 180
 # tracemalloc measured 88 at peak per transaction of a 200,000-transaction
 # burst, on a triangle and on a 30-node generated graph, under CPython 3.11.
 _TX_BYTES = 80
+# Bytes the metrics log holds per (second, kind) row besides its 8-byte
+# cells, at least: the (second, kind) key tuple and its int, the dict slot,
+# the 3-tuple of rows and three list headers. tracemalloc measured 353 per
+# row on path graphs of 3, 10 and 40 nodes (2000 s of 1000 ms flood rounds),
+# under CPython 3.11.
+_ROW_BYTES = 320
 
 
 # A converter turns a JSON value into the typed value of its field or
@@ -325,18 +331,19 @@ def _physical_memory() -> int | None:
 def _refuse_oversized(nodes: int, edges: int, scenario: dict) -> None:
     """Refuse a run that cannot fit in physical memory, before its graph is
     built. The bound is the largest of three things that one arm holds at
-    least: the graph, `_EDGE_BYTES` per edge; the dense metrics log, one
-    8-byte list slot per node, direction and round kind (a validation, and
-    the proposals when a round has any) in each second a round starts in,
-    at most one per second; and the emission plan, `_TX_BYTES` per planned
-    transaction."""
+    least: the graph, `_EDGE_BYTES` per edge; the dense metrics log, a row
+    per round kind (a validation, and the proposals when a round has any) in
+    each second a round starts in, at most one per second, each
+    `_ROW_BYTES` plus one 8-byte list slot per node and direction; and the
+    emission plan, `_TX_BYTES` per planned transaction."""
     memory = _physical_memory()
     if memory is None:
         return
     kinds = 1 + (scenario["proposals_per_round"] > 0)
     seconds = scenario["duration_ms"] // max(scenario["ledger_round_ms"], 1000)
     planned = sum(burst["count"] for burst in scenario["tx_plan"])
-    need = max(_EDGE_BYTES * edges, nodes * seconds * kinds * 3 * 8, _TX_BYTES * planned)
+    need = max(_EDGE_BYTES * edges, seconds * kinds * (_ROW_BYTES + nodes * 3 * 8),
+               _TX_BYTES * planned)
     if need > memory:
         raise ConfigError(
             f"{nodes} nodes, {edges} edges and {scenario['duration_ms']} ms need at least "

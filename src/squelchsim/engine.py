@@ -134,12 +134,18 @@ due by `t0` and mends their links. An entry is stale, and only popped,
 unless q's downlink still holds x for w. With no live link cut, the round
 runs over the latency maps and their template. A pruned template is built
 fresh at `t0`; the latency maps' template is built by its first emission
-and then walked. Either way every send is counted, by the closed form or
-the walk, with each receiver's senders whose copy arrives before
-`duration_ms`; each such copy feeds the receiver's slot. The closed form
-lists them in another order than the walk; no order is needed, since an
-acting slot sorts its copies by arrival and a counting slot's increments
-commute. Two kinds of expiry may fall inside the round's flood:
+and kept. A later round over the kept template that passes the offset
+summary's three tests is counted from the summary, deferred like a repeat
+emission; every copy then lands in t0's second and before the horizon, by
+t0 + M + τ, which stands in for the round's latest arrival. Its senders
+are each node's peers but its tree children, listed from the tree for
+that round only, and the first receipts are recomputed along the tree, as
+the walk's first pass does, only when a slot acts. Any other round is
+counted by the closed form or the walk. Either way every copy that arrives
+before `duration_ms` feeds the receiver's slot. The three list the senders
+in different orders; no order is needed, since an acting slot sorts its
+copies by arrival and a counting slot's increments commute. Two kinds of
+expiry may fall inside the round's flood:
 
 - A downlink expiry is not an event: `relay_targets` compares it at send
   time, and one that equals `now` has elapsed. So a pruned link q→w whose
@@ -172,13 +178,14 @@ Each slot that is fed or has an expiry due is then one of three cases:
   then returns nothing and changes at most an already selected peer's
   count, which nothing reads, so the slot is left as it is.
 - Counting: it is still counting (or not created yet), some sender is not
-  among its selected peers, and it cannot fill its selection: its selected
-  peers plus the fed unselected peers whose count reaches
-  `count_threshold` with the batch's copies stay below `max_selected`. It
-  returns no action, and its feeds are counter increments and set inserts,
-  which commute: applied at `t0` once the round replays, they leave the
-  slot as the event loop leaves it after its last copy, in whatever order
-  its copies arrive, ties included.
+  among its selected peers, and it cannot fill its selection: the batch's
+  k copies from each sender stay below the fewest that fill it
+  (`_fill_at`: as many of its most counted unselected senders as it has
+  seats left reach `count_threshold`; a slot with too few unselected
+  senders never fills). It returns no action, and its feeds are counter
+  increments and set inserts, which commute: applied at once, they leave
+  the slot as the event loop leaves it after its last copy, in whatever
+  order its copies arrive, ties included.
 - Acting: any other slot may act in this round, and so does every slot with
   an expiry due. A counting slot may fill its selection and squelch the
   other peers it counted (a fill round), a selected slot hears from a peer
@@ -201,6 +208,30 @@ heap. Without an acting slot no feed returns an action, so the relay
 targets stay fixed and the flood is the template's, with its conditional
 sends.
 
+A round counted from the summary whose fed slots are quiet or counting, and
+some counting, is owed to the slots: its increments are not applied, and
+the origin keeps the copies per sender owed and the budget, the fewest
+copies per sender at which one of those slots may fill. Each later round
+over the kept template passes the summary's tests again; it is owed too,
+and counts nothing but the summary's deferral, while the copies owed with
+its k stay below the budget, every copy lands before its next emission and
+no heap entry of the origin is due by t0 + M + τ. A slot's feed in such a
+run is the same every round, its tree's senders, so R rounds of k copies
+come to one increment of k × R per counting slot and unselected sender,
+and quiet slots stay quiet: no link is cut, so no slot squelch is live.
+The owed copies are applied (`settle`) by the first thing of the origin
+that reads a slot:
+
+- a squelch round that is not owed, before it classifies its slots: a
+  round that may fill or has an expiry due, one over a pruned or fresh
+  template, or one that falls back to the event loop;
+- any popped heap event but an emission: a delivery, a control message, a
+  slot expiry (live or stale) or a disconnect, whose uplink loss reads the
+  neighbours' slots and which drops the template.
+
+The end of the origin's run reads no slot, and its slots are dropped with
+the owed copies.
+
 An acting slot's squelches reach peers while the round's copies are in
 flight, yet every first receipt stays the pruned template's, for three
 reasons:
@@ -212,12 +243,15 @@ reasons:
   arrive after f_w and be a duplicate.
 
 Each acting slot, on a copy, is fed its node's (arrival, sender) copies,
-`k` copies per arrival in batch order, and its expiries due, in time order,
-through the real `on_validator_message` and `on_squelch_expired`. A send
+the `k` copies of an arrival in one `on_validator_message(..., copies=k)`
+call, which leaves the slot and returns the actions that k calls of one
+copy would, and its expiries due, in time order, through the real
+`on_validator_message` and `on_squelch_expired`. A send
 q→w, conditional or not, is dropped exactly when w's squelch reached q
-strictly before f_q; it is subtracted from the walk's counts of its arrival
-second, and it is never a tree send (w's tree parent relays before f_w, so
-before w can act). Each squelch control that arrives before `duration_ms`
+strictly before f_q; it is subtracted from the counts of its arrival
+second (a round counted from the summary subtracts it from the log's rows,
+all in t0's second), and it is never a tree send (w's tree parent relays
+before f_w, so before w can act). Each squelch control that arrives before `duration_ms`
 is counted, and applied with `on_squelch_received` at its arrival. The
 caller pushes the new squelch expiries after the round's next emission, in
 the order the slots acted: the event loop pushes them in that order, after
@@ -609,7 +643,8 @@ def _offset_replay(summary: _OffsetSummary, t0: float, batch, horizon: float,
     pending changes when its margin decides every arrival and the flood
     lands in t0's second (see the module docstring): that second's counts
     are the stored totals, added by `_add_runs` at the end of the run.
-    Returns False, having counted nothing, otherwise."""
+    Returns False, having counted nothing, otherwise; an empty batch only
+    tests."""
     tau = summary.margin(duration)
     reach = summary.latest + tau
     s0 = int(t0 // 1000)
@@ -671,6 +706,17 @@ def _add_vectors(log: MetricsLog, seconds, batch) -> None:
                 row[:] = map(add, row, vec if copies == 1 else [n * copies for n in vec])
 
 
+def _fill_at(slot: Slot, senders: list[int], protocol: ProtocolConfig) -> float:
+    """The fewest copies from each of `senders` with which counting `slot`
+    fills its selection: its most counted unselected senders, as many as it
+    has seats left, reach `count_threshold`. inf when too few of `senders`
+    are unselected."""
+    need = protocol.max_selected - len(slot.selected)
+    counts = sorted((slot.per_peer_count.get(u, 0) for u in senders if u not in slot.selected),
+                    reverse=True)
+    return protocol.count_threshold - counts[need - 1] if len(counts) >= need else inf
+
+
 def _in_order(heap: list):
     """The entries of `heap` in the order `heappop` returns them, popping
     none: a walk of the heap's tree that always takes the least entry next."""
@@ -727,6 +773,12 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
     disconnect_times = sorted((d.at_ms for d in cfg.disconnects if d.at_ms < duration),
                               reverse=True)
     always_flood = APPLICATION_KINDS - squelch_kinds
+    # Each batch's (kind, copies) pairs with copies, split once per run into
+    # the kinds that always flood and the squelchable ones.
+    round_parts, tx_parts = (
+        tuple([(kind, copies) for kind, copies in batch if copies and kind in part]
+              for part in (always_flood, squelch_kinds))
+        for batch in (round_batch, tx_batch))
 
     log = MetricsLog(
         policy=cfg.relay_policy.value,
@@ -819,6 +871,16 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             return False, None
         return tmpl, _walk(tmpl, adjacency, t0, horizon, duration, log, fed)
 
+    def summary_of(tmpl: list, adjacency: dict[int, dict[int, float]]) -> _OffsetSummary | None:
+        """The offset summary of template record `tmpl` over `adjacency`,
+        built at its first use."""
+        summary = tmpl[2]
+        if summary is None:
+            summary = tmpl[2] = _offset_summary(tmpl, adjacency, origin, index)
+            if summary:
+                deferred.append((summary.totals, summary.pending))
+        return summary
+
     def replay(t0: float, batch: list[tuple[MessageKind, int]], tmpl: list,
                adjacency: dict[int, dict[int, float]], horizon: float) -> bool:
         """Count `batch`, (kind, copies) pairs of messages that the origin
@@ -828,11 +890,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         walk. Returns False, having counted nothing, when the template tree
         is not provably the event loop's first-receipt tree at t0 or an
         arrival lands in [horizon, duration)."""
-        summary = tmpl[2]
-        if summary is None:
-            summary = tmpl[2] = _offset_summary(tmpl, adjacency, origin, index)
-            if summary:
-                deferred.append((summary.totals, summary.pending))
+        summary = summary_of(tmpl, adjacency)
         if summary and _offset_replay(summary, t0, batch, horizon, duration):
             return True
         if walked := _walk(tmpl, adjacency, t0, horizon, duration, log):
@@ -846,17 +904,51 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         return min(chain([horizon, expiring[0][0] if expiring else inf],
                          *(node.slot.squelched.values() for node in nodes.values() if node.slot)))
 
+    def count_copies(slot: Slot, senders, k: int) -> None:
+        """`slot`, counting and unable to fill, takes `k` copies from each
+        of `senders` at once: counter increments and set inserts, which
+        commute."""
+        per_peer, selected = slot.per_peer_count, slot.selected
+        for u in senders:
+            if u not in selected:
+                n = per_peer[u] = per_peer.get(u, 0) + k
+                if n >= protocol.count_threshold:
+                    selected.add(u)
+                    slot.squelched.pop(u, None)
+
+    def tree_fed() -> dict[int, list[int]]:
+        """The senders of each node in a round over the latency maps' kept
+        template, for each node that has any: its peers but its tree
+        children."""
+        order, parent = template[0], template[1]
+        return {w: senders for w in order
+                if (senders := [u for u in latency[w] if parent[u] != w])}
+
+    def settle() -> None:
+        """Apply the copies owed by the origin's counting rounds over its
+        kept latency-map template: every counting slot that the template
+        feeds takes them from each sender."""
+        nonlocal owed, budget
+        if owed:
+            for w, senders in tree_fed().items():
+                node = nodes[w]
+                slot = node.slot = node.slot or Slot(owner=w, origin_validator=origin)
+                if slot.state is SlotState.COUNTING:
+                    count_copies(slot, senders, owed)
+            owed = budget = 0
+
     def squelch_round(t0: float, batch: list[tuple[MessageKind, int]],
                       next_round: float) -> list[tuple[float, int, int]] | None:
         """Replay `batch`, (kind, copies) pairs of squelchable messages that
         the origin emits at t0, over the pruned template, and apply their
-        copies and the slot expiries due meanwhile to the slots (see the
-        module docstring). `next_round` is the round's next emission, not
-        pushed yet. Returns the round's squelch expiries before
-        `duration_ms`, (at, owner, peer) in the order the slots acted, for
-        the caller to push after that emission; or None, having changed
-        nothing, when the round must run on the event loop."""
-        nonlocal template, steady
+        copies and the slot expiries due meanwhile to the slots, or owe
+        the copies to them (see the module docstring). `next_round` is the
+        round's next emission, not pushed yet. Returns the round's squelch
+        expiries before `duration_ms`, (at, owner, peer) in the order the
+        slots acted, for the caller to push after that emission; or None,
+        having changed nothing but applying the owed copies, when the round
+        must run on the event loop."""
+        nonlocal template, steady, owed, budget
         if steady is not None and t0 < steady[2]:
             if not steady[0]:
                 return None
@@ -875,7 +967,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             heappop(expiring)
             if live:
                 mend(q, w)
+        k = sum(copies for _, copies in batch)
         fed: dict[int, list[int]] = defaultdict(list)
+        summed = False
         if cut:
             adjacency = links
             tmpl, walked = new_template(t0, links, fed)
@@ -883,9 +977,24 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             adjacency = latency
             if template is None:
                 template, walked = new_template(t0, latency, fed)
+            elif (template and (summary := summary_of(template, latency))
+                  and _offset_replay(summary, t0, (), horizon, duration)):
+                # Counted from the summary: every copy lands in t0's second,
+                # by `reach`.
+                summed = True
+                reach = t0 + (summary.latest + summary.margin(duration))
+                # Owed while no counting slot can fill, and no other event
+                # of the origin falls in its flood.
+                if owed + k < budget and reach < next_round and not (heap and heap[0][0] <= reach):
+                    owed += k
+                    _offset_replay(summary, t0, batch, horizon, duration)
+                    return []
+                fed = tree_fed()
+                walked = None, defaultdict(rows.default_factory), reach
             else:
                 walked = template and _walk(template, latency, t0, horizon, duration, log, fed)
             tmpl = template
+        settle()
         if not tmpl:
             steady = (tmpl, adjacency, kept_end())
             return None
@@ -938,43 +1047,45 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 if nodes[e[3]].live:
                     due[e[3]].append((e[0], 0, e[5]))
                     fed.setdefault(e[3], [])  # its slot acts, fed or not
-        k = sum(copies for _, copies in batch)
-        threshold = protocol.count_threshold
         # Each slot fed or with an expiry due is quiet, counts without
-        # filling, or may act; one with an expiry due acts.
+        # filling, or may act; one with an expiry due acts. `fills` is the
+        # fewest copies per sender at which a counting slot may fill.
         counting, acting = [], []
+        fills = inf
         for w, peers in fed.items():
-            slot = nodes[w].slot
-            if slot is None:
-                # A fresh slot (never one with an expiry due) counts, unless
-                # the round's copies bring every sender to the threshold and
-                # they fill its selection.
-                fresh = Slot(owner=w, origin_validator=origin)
-                if k < threshold or len(peers) < protocol.max_selected:
-                    counting.append((w, fresh, peers))
-                else:
-                    acting.append((w, fresh, peers))
-                continue
-            selected, per_peer = slot.selected, slot.per_peer_count
+            slot = nodes[w].slot or Slot(owner=w, origin_validator=origin)
+            selected = slot.selected
             if w not in due:
                 if slot.state is SlotState.SELECTED:
                     if slot.squelched.keys() >= set(peers) - selected:
                         continue
                 elif selected.issuperset(peers):
                     continue
-                elif (k + max(per_peer.values(), default=0) < threshold
-                      or len(selected) + sum(u not in selected and per_peer.get(u, 0) + k
-                                             >= threshold for u in peers)
-                      < protocol.max_selected):
-                    counting.append((w, slot, peers))
-                    continue
+                else:
+                    # No more copies than fill its selection; the bound
+                    # from its highest count is cheaper, and usually exact.
+                    fill = protocol.count_threshold - max(slot.per_peer_count.values(), default=0)
+                    if k >= fill:
+                        fill = _fill_at(slot, peers, protocol)
+                    if k < fill:
+                        fills = min(fills, fill)
+                        counting.append((w, slot, peers))
+                        continue
             # It acts on a copy, which replaces it only if the round replays.
-            acting.append((w, Slot(w, origin, dict(per_peer), set(selected),
+            acting.append((w, Slot(w, origin, dict(slot.per_peer_count), set(selected),
                                    dict(slot.squelched), slot.state, slot.round_index), peers))
         if not (counting or acting) and latest < (end := kept_end()):
             steady = (tmpl, adjacency, end)
         elif latest >= window:
             return None
+        if first is None and acting:
+            # Counted from the summary: the first receipts along the tree,
+            # with the walk's float additions.
+            order = tmpl[0]
+            first = {order[0]: t0}
+            for v in order[1:]:
+                p = parent[v]
+                first[v] = first[p] + latency[p][v]
         # An acting slot is fed its node's copies, (arrival, 1, sender), and
         # its expiries due, (at, 0, peer), in time order. An expiry goes
         # before a copy at the same time: it was pushed before the emission.
@@ -1000,34 +1111,30 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 if t == last:
                     return None
                 last = t
-                for _ in range(k):
-                    actions = on_validator_message(slot, u, t, protocol)
-                    if not actions:
-                        continue
-                    acted.append((t, w, actions))
-                    for q, ctrl in actions:
-                        # Its downlink expiry, at + duration, falls after the slot's.
-                        at = t + lat[q]
-                        if (t + ctrl.duration_ms <= window or window <= at < duration
-                                or at == first.get(q) and parent[q] != w):
-                            return None
-                        reached[q] = at
+                actions = on_validator_message(slot, u, t, protocol, copies=k)
+                if not actions:
+                    continue
+                acted.append((t, w, actions))
+                for q, ctrl in actions:
+                    # Its downlink expiry, at + duration, falls after the slot's.
+                    at = t + lat[q]
+                    if (t + ctrl.duration_ms <= window or window <= at < duration
+                            or at == first.get(q) and parent[q] != w):
+                        return None
+                    reached[q] = at
         acted.sort(key=lambda a: a[0])
         if any(a[0] == b[0] and a[1] != b[1] for a, b in zip(acted, acted[1:])):
             return None
+        if summed:
+            if counting and not acting:
+                # The counting slots take these copies at their next read.
+                owed, budget, counting = k, fills, []
+            _offset_replay(summary, t0, batch, horizon, duration)
         _add_vectors(log, seconds.items(), batch)
         for _ in range(used):
             heappop(heap)
-        # A slot that counts without filling takes the round's copies at
-        # once: counter increments and set inserts, which commute.
-        for w, slot, senders in counting:
-            per_peer, selected = slot.per_peer_count, slot.selected
-            for u in senders:
-                if u not in selected:
-                    n = per_peer[u] = per_peer.get(u, 0) + k
-                    if n >= threshold:
-                        selected.add(u)
-                        slot.squelched.pop(u, None)
+        for _, slot, senders in counting:
+            count_copies(slot, senders, k)
         for w, slot, _ in chain(acting, counting):
             nodes[w].slot = slot
         expiries = []
@@ -1055,7 +1162,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         expiries = None
         if at < horizon:
             next_round = at + cfg.ledger_round_ms if batch is round_batch else duration
-            flooded = [(kind, copies) for kind, copies in batch if copies and kind in always_flood]
+            flooded, pruned = round_parts if batch is round_batch else tx_parts
+            replayed = not flooded
             if flooded:
                 if template is None:
                     template, walked = new_template(at, latency)
@@ -1063,11 +1171,14 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                         _add_vectors(log, walked[1].items(), flooded)
                 else:
                     walked = template and replay(at, flooded, template, latency, horizon)
-                if walked:
-                    batch = [(kind, copies) for kind, copies in batch if kind not in always_flood]
-            pruned = [(kind, copies) for kind, copies in batch if copies and kind in squelch_kinds]
-            if pruned and (expiries := squelch_round(at, pruned, next_round)) is not None:
-                batch = [(kind, copies) for kind, copies in batch if kind in always_flood]
+                replayed = bool(walked)
+            expiries = squelch_round(at, pruned, next_round) if pruned else []
+            if expiries is not None:
+                if replayed:
+                    return expiries
+                batch = flooded
+            elif replayed:
+                batch = pruned
         for kind, copies in batch:
             for _ in range(copies):
                 forward(node, kind, next(msg_ids), None, at)
@@ -1105,6 +1216,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         # (template, adjacency, window end) of a quiet squelch round, kept
         # for later emissions until its window ends.
         steady = None
+        # Copies per sender that the counting slots owe to the latency-map
+        # template's rounds, and the fewest at which one of them may fill.
+        owed = budget = 0
         # The disconnects still on the heap, latest first: replayed arrivals
         # must land before the next, which changes the live sets.
         disconnects_left = list(disconnect_times)
@@ -1119,6 +1233,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
 
         while heap:
             at, _, code, dst, kind, peer, arg = heappop(heap)
+            if owed and code != _EMIT:
+                settle()
             node = nodes[dst]
             if code <= _DELIVER_CTRL:
                 in_flight -= 1

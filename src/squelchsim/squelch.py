@@ -117,8 +117,10 @@ def on_validator_message(
     from_peer: int,
     now: float,
     config: ProtocolConfig,
+    copies: int = 1,
 ) -> list[tuple[int, ControlMessage]]:
-    """Count one delivered copy and drive the selection automaton.
+    """Count `copies` copies delivered at once and drive the selection
+    automaton.
 
     While counting, a peer that reaches the copy threshold joins the selected
     set; once the set is full, every other peer that relayed this round gets
@@ -127,18 +129,24 @@ def on_validator_message(
     show up, and copies from already-squelched peers are late in-flight
     traffic and trigger nothing.
 
+    The slot state and the actions are those of `copies` calls with one copy
+    each, their actions concatenated: the copy that fills the selection is
+    the last one counted, and a straggler is squelched by the first copy
+    only, since its squelch outlasts `now`.
+
     Returns the control messages to send, ordered by peer id for
     determinism.
     """
     actions: list[tuple[int, ControlMessage]] = []
     if slot.state is _COUNTING:
-        count = slot.per_peer_count.get(from_peer, 0) + 1
+        count = slot.per_peer_count.get(from_peer, 0) + copies
         slot.per_peer_count[from_peer] = count
         if count >= config.count_threshold and from_peer not in slot.selected:
             slot.selected.add(from_peer)
             # A stale squelch entry may linger if the peer raced its expiry.
             slot.squelched.pop(from_peer, None)
             if len(slot.selected) >= config.max_selected:
+                slot.per_peer_count[from_peer] = max(count - copies + 1, config.count_threshold)
                 slot.state = _SELECTED
                 for peer in sorted(slot.per_peer_count):
                     if peer in slot.selected:

@@ -416,8 +416,8 @@ def generation_spy(monkeypatch):
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_run_larger_than_memory_exit_2_before_generation(command, tmp_path, small_config,
                                                          capsys, monkeypatch):
-    # The small config holds at least 10 x 20 x 2 x 3 x 8 = 9600 bytes of
-    # log (25 edges need 4500): more than 8 KiB of memory.
+    # The small config holds at least 20 x 2 x (320 + 10 x 3 x 8) = 22400
+    # bytes of log (25 edges need 4500): more than 8 KiB of memory.
     monkeypatch.setattr(config, "_physical_memory", lambda: 8192)
     calls = generation_spy(monkeypatch)
     code, out, err = run_cli(capsys, command, "--config", str(small_config),
@@ -470,8 +470,29 @@ def test_transaction_plan_larger_than_memory_exit_2_before_the_run(tmp_path, sma
     assert "physical memory" in err
 
 
+def test_long_small_graph_run_counts_each_log_row_exit_2(tmp_path, capsys, monkeypatch):
+    """1000 s of K4 rounds: 2000 log rows of 96 bytes of cells each, 192,000
+    bytes, fit in 400,000 bytes of memory, but with each row's fixed cost
+    (its key, dict slot, tuple and list headers) they need 832,000."""
+    monkeypatch.setattr(config, "_physical_memory", lambda: 400_000)
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: pytest.fail("the run started"))
+    edges = tmp_path / "k4.edges"
+    edges.write_text(K4_EDGES)
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps({
+        "topology": {"file": str(edges), "validators": [0]},
+        "scenario": {"duration_ms": 1_000_000, "warmup_ms": 0},
+    }))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config_path),
+                             "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 4 nodes, 6 edges and 1000000 ms need at least")
+    assert "physical memory" in err
+
+
 def test_run_within_memory_generates(tmp_path, small_config, capsys, monkeypatch):
-    monkeypatch.setattr(config, "_physical_memory", lambda: 9600)
+    # Exactly the small config's floor, 20 x 2 x (320 + 10 x 3 x 8) bytes.
+    monkeypatch.setattr(config, "_physical_memory", lambda: 22400)
     code, _, _ = run_cli(capsys, "simulate", "--config", str(small_config),
                          "--out", str(tmp_path))
     assert code == 0

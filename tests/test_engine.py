@@ -762,9 +762,9 @@ def test_settled_squelch_replay_matches_event_loop(monkeypatch, make_cfg):
     feeds = [0]
     feed = engine.on_validator_message
 
-    def counting_feed(*args):
+    def counting_feed(*args, **kwargs):
         feeds[0] += 1
-        return feed(*args)
+        return feed(*args, **kwargs)
 
     monkeypatch.setattr(engine, "on_validator_message", counting_feed)
     cfg = make_cfg()
@@ -890,9 +890,9 @@ def test_counting_rounds_never_feed_a_slot_on_the_heap(monkeypatch):
     times = []
     feed = engine.on_validator_message
 
-    def spy(slot, peer, now, protocol):
+    def spy(slot, peer, now, protocol, copies=1):
         times.append(now)
-        return feed(slot, peer, now, protocol)
+        return feed(slot, peer, now, protocol, copies)
 
     monkeypatch.setattr(engine, "on_validator_message", spy)
     g = generate_topology(30, 6.0, 0.3, (5, 50), seed=1)
@@ -1491,9 +1491,9 @@ def slot_calls(monkeypatch):
     every call to either, in call order."""
     calls = []
     for name, tag in (("on_squelch_expired", "expired"), ("on_validator_message", "fed")):
-        def spy(slot, peer, now, *args, tag=tag, real=getattr(engine, name)):
+        def spy(slot, peer, now, *args, tag=tag, real=getattr(engine, name), **kwargs):
             calls.append((tag, slot.owner, slot.origin_validator, peer, now))
-            return real(slot, peer, now, *args)
+            return real(slot, peer, now, *args, **kwargs)
 
         monkeypatch.setattr(engine, name, spy)
     return calls
@@ -1628,9 +1628,9 @@ def test_resquelched_link_sends_once_per_pending_expiry(monkeypatch):
     bytes as the event loop."""
     real = engine.on_validator_message
 
-    def twice(slot, peer, now, config):
+    def twice(slot, peer, now, config, copies=1):
         actions = []
-        for q, ctrl in real(slot, peer, now, config):
+        for q, ctrl in real(slot, peer, now, config, copies):
             actions.append((q, ctrl))
             if ctrl.kind is MessageKind.SQUELCH:
                 actions.append((q, ctrl if q % 2 == 0 else dataclasses.replace(
@@ -1826,3 +1826,159 @@ def test_pruned_builds_are_walked(monkeypatch):
               if any(u not in adj[w] for u in adj for w in adj[u])}
     assert pruned == {"_walk"}
     assert "_tree_counts" in {how for _, _, how in builds}
+
+
+# --- counting rounds counted from the summary and owed to the slots ------------
+
+def slot_reads(m):
+    """Spy on the transitions that read a slot. Returns a function that
+    gives a dict that maps (transition, owner, origin, peer, now) to the
+    slot's state at the first such call: the counts of its unselected
+    peers, selected, squelched, state and round index. Selected peers'
+    counts are left out: nothing reads them, and a counting round replayed
+    off the heap does not count them. A squelch round that falls back to the
+    event loop has fed copies of slots that it throws away; the reads of the
+    heap event whose emission then runs on the event loop are left out."""
+    calls, fell_back, event = [], set(), [0]
+    for name in ("on_validator_message", "on_squelch_expired", "on_uplink_lost"):
+        def spy(slot, peer, now, *args, name=name, real=getattr(engine, name), **kwargs):
+            calls.append((event[0], (name, slot.owner, slot.origin_validator, peer, now), (
+                {u: n for u, n in slot.per_peer_count.items() if u not in slot.selected},
+                set(slot.selected), dict(slot.squelched), slot.state, slot.round_index)))
+            return real(slot, peer, now, *args, **kwargs)
+
+        m.setattr(engine, name, spy)
+    pop, targets = engine.heappop, engine.relay_targets
+
+    def pop_spy(heap):
+        entry = pop(heap)
+        if len(entry) == 7:  # not a template run's or a pending-expiry entry
+            event[0] += 1
+        return entry
+
+    def targets_spy(node, kind, arrived_from, now, squelch_kinds):
+        if arrived_from is None and kind in squelch_kinds:
+            fell_back.add(event[0])
+        return targets(node, kind, arrived_from, now, squelch_kinds)
+
+    m.setattr(engine, "heappop", pop_spy)
+    m.setattr(engine, "relay_targets", targets_spy)
+
+    def reads():
+        first = {}
+        for e, key, state in calls:
+            if e not in fell_back:
+                first.setdefault(key, state)
+        return first
+
+    return reads
+
+
+def assert_slots_read_as_on_the_event_loop(monkeypatch, cfg):
+    """`cfg` gives the same bytes as on the forced event loop, and every slot
+    read of the replayed run sees the state that the event loop's run sees
+    at that read; returns the replayed run's reads."""
+    with monkeypatch.context() as m:
+        replayed_reads = slot_reads(m)
+        replayed = export_csv(run_scenario(cfg))
+    with monkeypatch.context() as m:
+        simulated_reads = slot_reads(m)
+        m.setattr(engine, "_build_template", lambda *args: None)
+        assert export_csv(run_scenario(cfg)) == replayed
+    reads, simulated = replayed_reads(), simulated_reads()
+    assert {key: simulated.get(key) for key in reads} == reads
+    return reads
+
+
+def owed_scenario(disconnects=()):
+    """30 nodes, 1000 ms rounds with a proposal and a validation each and a
+    threshold of 10 copies: round 0 builds the latency-map template, rounds
+    1-3 count, and round 4 fills the selections. Rounds 2 and 3 are owed to
+    the slots."""
+    g = generate_topology(30, 6.0, 0.3, (5, 50), seed=1)
+    return ScenarioConfig(topology=g, duration_ms=6000, relay_policy=RelayPolicy.SQUELCH,
+                          ledger_round_ms=1000, proposals_per_round=1,
+                          protocol=ProtocolConfig(count_threshold=10), warmup_ms=0,
+                          disconnects=disconnects)
+
+
+def walked_rounds(m):
+    """Spy on `_walk`: a list that collects the t0 of every call."""
+    walks = []
+    walk = engine._walk
+
+    def spy(tmpl, adjacency, t0, *args):
+        walks.append(t0)
+        return walk(tmpl, adjacency, t0, *args)
+
+    m.setattr(engine, "_walk", spy)
+    return walks
+
+
+def test_rounds_over_a_kept_template_walk_nothing(monkeypatch):
+    """Rounds 1-4 run over the latency maps' kept template, and each
+    validator's flood lands in its second: they are counted from the
+    template's offset summary, the fill round included, and walk nothing.
+    Only the pruned rounds from second 5 on walk. In two passes rounds 1-4
+    walk, with the same bytes."""
+    cfg = owed_scenario()
+    with monkeypatch.context() as m:
+        walks = walked_rounds(m)
+        summarized = export_csv(run_scenario(cfg))
+    assert walks and min(walks) >= 5000.0
+    with monkeypatch.context() as m:
+        walks = walked_rounds(m)
+        two_pass(m)
+        assert export_csv(run_scenario(cfg)) == summarized
+    assert {1000.0, 2000.0, 3000.0, 4000.0} <= set(walks)
+    assert_same_bytes_as_event_loop(monkeypatch, cfg)
+
+
+def test_owed_copies_are_counted_before_the_fill(monkeypatch):
+    """The fill round's slots have counted 8 copies from each sender, 2 of
+    them owed by each of rounds 2 and 3, as on the event loop."""
+    reads = assert_slots_read_as_on_the_event_loop(monkeypatch, owed_scenario())
+    fill = [counts for (name, _, _, _, now), (counts, *_) in reads.items()
+            if name == "on_validator_message" and 4000.0 <= now < 5000.0]
+    assert fill and 8 in {n for counts in fill for n in counts.values()}
+
+
+def test_owed_copies_are_counted_before_an_uplink_loss(monkeypatch):
+    """Node 3 leaves at 3500 ms, after owed rounds 2 and 3: its neighbours'
+    slots read its loss with 8 copies counted from each sender, as on the
+    event loop."""
+    reads = assert_slots_read_as_on_the_event_loop(
+        monkeypatch, owed_scenario((Disconnect(3500.0, 3),)))
+    lost = [counts for (name, _, _, peer, now), (counts, *_) in reads.items()
+            if name == "on_uplink_lost"]
+    assert lost and 8 in {n for counts in lost for n in counts.values()}
+
+
+def test_owed_copies_are_counted_before_a_fallback_emission(monkeypatch):
+    """Node 3 leaves at 3010 ms, inside round 3's flood, which therefore
+    runs on the event loop after owed round 2: its copies reach slots that
+    have counted 6 copies from each sender, as on the event loop."""
+    reads = assert_slots_read_as_on_the_event_loop(
+        monkeypatch, owed_scenario((Disconnect(3010.0, 3),)))
+    fallback = [counts for (name, _, _, _, now), (counts, *_) in reads.items()
+                if name == "on_validator_message" and 3000.0 <= now < 3010.0]
+    assert fallback and 6 in {n for counts in fallback for n in counts.values()}
+
+
+def test_slots_read_what_the_event_loop_reads_on_random_scenarios(monkeypatch):
+    """Every slot read, a copy, a slot expiry or an uplink loss, sees the
+    same slot state whether rounds are counted from summaries and owed,
+    replayed otherwise, or simulated copy by copy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw(st.sampled_from([draw_counting_scenario, draw_wave_scenario,
+                                          draw_fill_scenario]))
+        assert_slots_read_as_on_the_event_loop(monkeypatch, draw(data, st))
+
+    check()

@@ -203,6 +203,38 @@ def test_exhaustive_selection_outcomes(k, threshold, max_selected):
         assert selected | squelched == set(range(k))
 
 
+def test_copies_equal_as_many_single_copies():
+    """One call with `copies=k` leaves the slot (per-peer counts, selected,
+    squelched, state, round index) and returns the actions that k calls
+    with one copy each leave and return, their actions concatenated: from
+    counting and selected slots, with live, elapsed and stale squelches."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        threshold, max_selected = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        cfg = config(threshold, max_selected, jitter=draw(st.sampled_from([0, 700])))
+        peers = st.integers(0, 6)
+        slot = make_slot()
+        slot.selected = draw(st.sets(peers, max_size=max_selected))
+        slot.state = (SlotState.SELECTED if len(slot.selected) >= max_selected
+                      else SlotState.COUNTING)
+        slot.per_peer_count = draw(st.dictionaries(peers, st.integers(1, threshold + 2)))
+        # Before, at and after now = 1000: stale, elapsed and live.
+        slot.squelched = draw(st.dictionaries(peers, st.sampled_from([400.0, 1000.0, 1600.0])))
+        slot.round_index = draw(st.integers(0, 3))
+        peer, copies = draw(peers), draw(st.integers(1, 2 * threshold + 2))
+        bulk = copy.deepcopy(slot)
+        actions = [a for _ in range(copies) for a in on_validator_message(slot, peer, 1000.0, cfg)]
+        assert on_validator_message(bulk, peer, 1000.0, cfg, copies=copies) == actions
+        assert bulk == slot
+
+    check()
+
+
 # --- expiry -------------------------------------------------------------------
 
 def test_expiry_resets_to_counting():

@@ -21,13 +21,23 @@ one tree checks its own replay paths:
     cmp replayed.txt simulated.txt
 
 With `--two-pass` the script sets `squelchsim.engine._offset_summary` to
-return None, so every replay walks its template, one pass along the tree
-and one over the other sends, as a squelch round does, instead of counting
-repeat emissions from the template's offset summary. Its output must equal
-the normal run's too:
+return None, so no emission is counted from a template's offset summary:
+every repeat replay, and every squelch round over the latency maps' kept
+template, walks the template, one pass along the tree and one over the
+other sends. No counting round is then owed to the slots, since only a
+round counted from the summary can be. Its output must equal the normal
+run's too:
 
     python tools/differential.py --count 300 --two-pass > walked.txt
     cmp replayed.txt walked.txt
+
+With `--one-copy` the script wraps `squelchsim.engine.on_validator_message`
+so that a call with `copies=k` runs as k calls with one copy each, their
+actions concatenated, as the event loop feeds a slot. Its output must equal
+the normal run's as well:
+
+    python tools/differential.py --count 300 --one-copy > single.txt
+    cmp replayed.txt single.txt
 
 Scenario `seed` is drawn from `random.Random(seed)` alone, so both trees run
 the same scenarios. They mix what the engine's fast paths must reproduce or
@@ -39,8 +49,9 @@ settle. One in five scenarios is an 8-20 s squelch run whose squelches
 outlast it, so that selections settle, and fill again after 1-3 disconnects
 clear the slots of the nodes that leave and reset their neighbours'.
 Only the package's public API is used, plus the engine functions that
-`--event-loop` and `--two-pass` replace, and only the standard library, so
-the script runs unchanged against any tree that has them.
+`--event-loop`, `--two-pass` and `--one-copy` replace, and only the
+standard library, so the script runs unchanged against any tree that has
+them.
 """
 
 from __future__ import annotations
@@ -139,11 +150,20 @@ def main(argv: list[str] | None = None) -> None:
                         help="never replay from a template: run every copy on the event loop")
     parser.add_argument("--two-pass", action="store_true",
                         help="never count a replay from an offset summary: walk every send")
+    parser.add_argument("--one-copy", action="store_true",
+                        help="feed a slot one copy per transition call")
     args = parser.parse_args(argv)
     if args.event_loop:
         engine._build_template = lambda *args: None
     if args.two_pass:
         engine._offset_summary = lambda *args: None
+    if args.one_copy:
+        feed = engine.on_validator_message
+
+        def one_copy(slot, peer, now, config, copies=1):
+            return [action for _ in range(copies) for action in feed(slot, peer, now, config)]
+
+        engine.on_validator_message = one_copy
     for seed in range(args.start, args.start + args.count):
         try:
             text = export_csv(run_scenario(scenario(seed)))
