@@ -62,6 +62,9 @@ _USAGE_ERRORS = (
     PointsParseError,
     FileNotFoundError,
     IsADirectoryError,
+    NotADirectoryError,
+    FileExistsError,
+    UnicodeDecodeError,
 )
 
 

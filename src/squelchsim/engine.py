@@ -55,12 +55,15 @@ node's earliest copy is the tree copy, whatever the insertion sequence, and
 it checks this on every send. When that check fails (a tie, or float
 rounding that reorders near-ties at `t0`) or a counted arrival reaches the
 replay's horizon, the emission goes through the event loop unchanged, and
-the template is kept. A building run whose insertion sequence picked a
-parent (two copies reach a node first at the same time, typical of
-equal-latency graphs) keeps no template: its emission is counted from the
-closed form where that applies, and every other emission of the origin
-goes through the event loop. A round's kinds share one replay, counted
-with a per-kind multiplicity.
+the template is kept. That check is the engine's one rule for ties. A
+build whose insertion sequence picked a parent (two copies reach a node
+first at the same time, typical of equal-latency graphs) keeps its
+template like any other, and its emission is counted like any other's:
+from the closed form, where ties do not matter, or by a walk, which meets
+the tie and falls back. A later emission whose walk meets the tie falls
+back too, and one at a `t0` where rounding puts the tree copy strictly
+first replays. A round's kinds share one replay, counted with a per-kind
+multiplicity.
 
 The horizon is `duration_ms` or the next disconnect still on the heap,
 whichever comes first: a disconnect changes the live sets. Every disconnect
@@ -81,8 +84,8 @@ recomputed from 0 along the tree with the walk's float additions. It keeps
 the depth K of the tree, the latest arrival offset M, the slack below and
 each node's (dup, in, out) totals over the log's node index, and no
 per-send offset. Its slack test rejects a tree that is not the
-first-receipt tree at t=0, so a template built at a later `t0` stays
-exact. Let
+first-receipt tree at t=0, or that ties there (slack ≤ 0), so a template
+built at a later `t0` stays exact. Let
 D = `duration_ms` and u = 2**-53. While every arrival lands before D, every
 partial sum lies in [0, D), so each float addition is off by at most u·D.
 A node at depth k is reached by k additions from t0 and k - 1 from 0 (the
@@ -271,8 +274,7 @@ decide an order, or an effect would outlast the window:
 - a round that is not kept has a copy that arrives at or after its window
   end;
 - as for any walk, an arrival lands in [horizon, `duration_ms`) or a
-  duplicate does not arrive strictly after its receiver's first receipt;
-- the building run's insertion sequence picked a parent.
+  duplicate does not arrive strictly after its receiver's first receipt.
 
 Identical config and seed produce a bit-identical metrics log: the loop is
 single-threaded, all tie-breaks go through the insertion sequence, and the
@@ -441,17 +443,17 @@ def _build_template(adjacency: dict[int, dict[int, float]], origin: int, t0: flo
     """Build the template of one message flooded alone from `origin` at t0,
     each node sending to its peers in `adjacency` ({node: {peer: latency}})
     in the event loop's (time, insertion sequence) order. Returns (order,
-    parent, first, latest, tied): the first-receipt order (origin first),
-    the first sender and first receipt of every node reached, the latest
-    arrival of any send, and whether two copies reach a node first at the
-    same time, so that the insertion sequence picks its parent. Nothing is
-    counted here: `_walk`, or the closed form of a latency-map flood
-    (`_tree_counts`), counts the emission over the finished tree.
+    parent, first, latest): the first-receipt order (origin first), the
+    first sender and first receipt of every node reached, and the latest
+    arrival of any send. Nothing is counted here: `_walk`, or the closed
+    form of a latency-map flood (`_tree_counts`), counts the emission over
+    the finished tree.
 
     A send is pushed only when it may be its receiver's first copy: when it
-    arrives no later than every copy pushed to that node so far (`best`),
-    and the node has no first receipt yet. Any other send is a duplicate,
-    and leaving it out keeps the relative sequence of the rest.
+    arrives strictly earlier than every copy pushed to that node so far
+    (`best`). Any other send is a duplicate, or ties with a copy pushed
+    before it, which the insertion sequence puts first; leaving it out keeps
+    the relative sequence of the rest.
     """
     first: dict[int, float] = {}
     parent: dict[int, int | None] = {}
@@ -459,13 +461,11 @@ def _build_template(adjacency: dict[int, dict[int, float]], origin: int, t0: flo
     best = dict.fromkeys(adjacency, inf)  # each node's earliest copy pushed so far
     best[origin] = t0
     latest = -inf
-    tied = False
     heap: list[tuple[float, int, int | None, int]] = [(t0, -1, None, origin)]
     seq = 0
     while heap:
         at, _, src, dst = heappop(heap)
         if dst in first:
-            tied = tied or at == first[dst]
             continue
         first[dst] = at
         parent[dst] = src
@@ -476,15 +476,11 @@ def _build_template(adjacency: dict[int, dict[int, float]], origin: int, t0: flo
             t = at + lat
             if t > latest:
                 latest = t
-            b = best[w]
-            if t < b:
+            if t < best[w]:
                 best[w] = t
                 heappush(heap, (t, seq, dst, w))
                 seq += 1
-            elif t == b and w not in first:
-                heappush(heap, (t, seq, dst, w))
-                seq += 1
-    return order, parent, first, latest, tied
+    return order, parent, first, latest
 
 
 def _tree_counts(order: list[int], parent: dict[int, int | None],
@@ -849,26 +845,23 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                      fed: dict[int, list[int]] | None = None):
         """Build the origin's template over `adjacency` at its emission at t0
         (`_build_template`) and count that emission. Returns (record,
-        walked): the record [order, parent, offset summary], or False when
-        the insertion sequence picked a parent; and the emission's counts as
-        `_walk` returns them, or None. A flood over the latency maps whose
-        every send lands before t0's next whole second and the horizon (at
-        most `duration_ms`) is counted from the tree (`_tree_counts`), tied
-        or not; with `fed`, each node's senders are its peers but its
-        children. Any other untied build is walked. The summary is built by
-        the template's first `replay`."""
+        walked): the record [order, parent, offset summary], and the
+        emission's counts as `_walk` returns them, or None. A flood over the
+        latency maps whose every send lands before t0's next whole second
+        and the horizon (at most `duration_ms`) is counted from the tree
+        (`_tree_counts`), ties included; with `fed`, each node's senders are
+        its peers but its children. Any other build is walked. The summary
+        is built by the template's first `replay`."""
         built = _build_template(adjacency, origin, t0)
         if built is None:  # as a patched builder returns, to force the event loop
-            return False, None
-        order, parent, first, latest, tied = built
-        tmpl = False if tied else [order, parent, None]
+            return None, None
+        order, parent, first, latest = built
+        tmpl = [order, parent, None]
         s0 = int(t0 // 1000)
         if adjacency is latency and latest < min(1000.0 * (s0 + 1), horizon):
             seconds = defaultdict(rows.default_factory)
             seconds[s0] = _tree_counts(order, parent, adjacency, index, fed)
             return tmpl, (first, seconds, latest)
-        if tied:
-            return False, None
         return tmpl, _walk(tmpl, adjacency, t0, horizon, duration, log, fed)
 
     def summary_of(tmpl: list, adjacency: dict[int, dict[int, float]]) -> _OffsetSummary | None:
@@ -949,11 +942,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         having changed nothing but applying the owed copies, when the round
         must run on the event loop."""
         nonlocal template, steady, owed, budget
-        if steady is not None and t0 < steady[2]:
-            if not steady[0]:
-                return None
-            if replay(t0, batch, *steady):
-                return []
+        if steady is not None and t0 < steady[2] and replay(t0, batch, *steady):
+            return []
         steady = None
         if in_flight:
             return None
@@ -977,7 +967,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             adjacency = latency
             if template is None:
                 template, walked = new_template(t0, latency, fed)
-            elif (template and (summary := summary_of(template, latency))
+            elif ((summary := summary_of(template, latency))
                   and _offset_replay(summary, t0, (), horizon, duration)):
                 # Counted from the summary: every copy lands in t0's second,
                 # by `reach`.
@@ -992,12 +982,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 fed = tree_fed()
                 walked = None, defaultdict(rows.default_factory), reach
             else:
-                walked = template and _walk(template, latency, t0, horizon, duration, log, fed)
+                walked = _walk(template, latency, t0, horizon, duration, log, fed)
             tmpl = template
         settle()
-        if not tmpl:
-            steady = (tmpl, adjacency, kept_end())
-            return None
         if walked is None:
             return None
         first, seconds, latest = walked
@@ -1170,7 +1157,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     if walked:
                         _add_vectors(log, walked[1].items(), flooded)
                 else:
-                    walked = template and replay(at, flooded, template, latency, horizon)
+                    walked = replay(at, flooded, template, latency, horizon)
                 replayed = bool(walked)
             expiries = squelch_round(at, pruned, next_round) if pruned else []
             if expiries is not None:
@@ -1211,7 +1198,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         # once the node's downlink no longer holds that expiry for the peer.
         expiring: list[tuple[float, int, int]] = []
         # The template record over `latency` (new_template), built at the
-        # first emission that replays; False when a tie rules it out.
+        # first emission that replays.
         template = None
         # (template, adjacency, window end) of a quiet squelch round, kept
         # for later emissions until its window ends.

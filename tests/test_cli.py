@@ -133,6 +133,32 @@ def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_p
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["compare", "--config", "{latin1}", "--out", "{out}"], "'utf-8' codec can't decode"),
+    (["topo-stats", "{latin1}"], "'utf-8' codec can't decode"),
+    (["fit", "{latin1}"], "'utf-8' codec can't decode"),
+    (["fit", "{msgs}", "--gain", "200", "0.3", "--cpu-csv", "{latin1}"],
+     "'utf-8' codec can't decode"),
+    (["compare", "--config", "{config}", "--out", "{taken}"], "File exists"),
+    (["simulate", "--config", "{config}", "--out", "{taken}"], "File exists"),
+    (["compare", "--config", "{config}", "--out", "{taken}/out"], "Not a directory"),
+    (["fit", "{taken}/points.csv"], "Not a directory"),
+])
+def test_undecodable_input_or_unusable_output_path_exit_2(argv, message, tmp_path, small_config,
+                                                          msgs_csv_path, capsys):
+    # An input file that is not UTF-8, and an --out that names a file or a
+    # path under one, are usage errors, not runtime failures.
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("x,y\n1,caf\u00e9\n".encode("latin-1"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"latin1": latin1, "config": small_config, "msgs": msgs_csv_path, "taken": taken,
+             "out": tmp_path / "out"}
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_simulate_no_emitter_exit_2(tmp_path, capsys):
     edges = tmp_path / "k4.edges"
     edges.write_text(K4_EDGES)

@@ -40,6 +40,7 @@ def graph_from_edges(edge_list, validators=frozenset(), latency=10.0):
 
 K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 PATH3 = [(0, 1), (1, 2)]
+CYCLE4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
 
 def out_total(log, kind=None, application_only=False):
@@ -397,10 +398,8 @@ def adjacency(g):
 
 
 def build_template(adj, origin):
-    """(order, parent) of the template over `adj` built at t=0, or None when
-    its build pops an exact tie, after which the engine keeps no template."""
-    built = engine._build_template(adj, origin, 0.0)
-    return None if built[4] else built[:2]
+    """(order, parent) of the template over `adj` built at t=0."""
+    return engine._build_template(adj, origin, 0.0)[:2]
 
 
 def test_template_is_first_receipt_tree():
@@ -411,12 +410,47 @@ def test_template_is_first_receipt_tree():
     order, parent = build_template(adjacency(graph_from_edges(K4)), 0)
     assert order == [0, 1, 2, 3]
     assert parent == {0: None, 1: 0, 2: 0, 3: 0}
+    # Node 2 of the 4-cycle gets both copies at 20 ms: the insertion sequence
+    # picks node 1's, sent first, and the tree is kept.
+    order, parent = build_template(adjacency(graph_from_edges(CYCLE4)), 0)
+    assert order == [0, 1, 3, 2]
+    assert parent == {0: None, 1: 0, 3: 0, 2: 1}
 
 
-def test_template_declines_exact_tie():
-    # Node 2 of the 4-cycle gets both copies at 20 ms: order is up to the sequence.
-    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
-    assert build_template(adjacency(graph_from_edges(cycle)), 0) is None
+def walks(monkeypatch):
+    """Spy on `_walk`: a list that collects (t0, counted) per call."""
+    calls = []
+    walk = engine._walk
+
+    def spy(tmpl, adjacency, t0, *args):
+        walked = walk(tmpl, adjacency, t0, *args)
+        calls.append((t0, walked is not None))
+        return walked
+
+    monkeypatch.setattr(engine, "_walk", spy)
+    return calls
+
+
+def test_tie_at_build_replays_where_rounding_breaks_it(monkeypatch):
+    """Node 2 of this 4-cycle gets both copies at 0.1 + 0.3 = 0.2 + 0.2 =
+    0.4 ms, and the insertion sequence picks node 1. At 1000 ms rounding
+    puts node 1's copy (1000.1 + 0.3) strictly before node 3's (1000.2 +
+    0.2), so the walk of the kept template is exact, and that round pops no
+    application copy."""
+    g = load_topology("0 1 0.1\n1 2 0.3\n0 3 0.2\n2 3 0.2\n", {0})
+    _, parent, first = engine._build_template(adjacency(g), 0, 0.0)[:3]
+    assert parent[2] == 1 and first[2] == 0.2 + 0.2
+    assert (1000.0 + 0.1) + 0.3 < (1000.0 + 0.2) + 0.2
+    calls = walks(monkeypatch)
+    events = popped_events(monkeypatch)
+    cfg = ScenarioConfig(topology=g, duration_ms=2000, relay_policy=RelayPolicy.FLOOD,
+                         ledger_round_ms=1000, warmup_ms=0)
+    replayed = export_csv(run_scenario(cfg))
+    assert calls == [(1000.0, True)]
+    assert engine._DELIVER_APP not in {code for _, code, _ in events}
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_build_template", lambda *args: None)
+        assert export_csv(run_scenario(cfg)) == replayed
 
 
 def test_replay_falls_back_when_rounding_ties_at_emission_time(monkeypatch):
@@ -1727,15 +1761,14 @@ def test_tree_counts_equal_the_walk():
             origins.remove(gone)
         origin = draw(st.sampled_from(origins))
         t0 = draw(st.floats(0.0, 1e6))
-        built = engine._build_template(adj, origin, t0)
-        if built[4]:  # tied: the walk rejects the tree, and the event loop counts it
-            return
-        order, parent, first, latest, _ = built
+        order, parent, first, latest = engine._build_template(adj, origin, t0)
         log = MetricsLog(nodes=g.nodes)
         fed_tree, fed_walk = {}, {n: [] for n in g.nodes}
         counts = engine._tree_counts(order, parent, adj, log.index, fed_tree)
         walked = engine._walk([order, parent, None], adj, t0, math.inf, math.inf, log,
                               fed_walk)
+        if walked is None:  # tied: the walk rejects the tree, and the event loop counts it
+            return
         assert walked[0] == first and walked[2] == latest
         assert list(counts) == [[sum(col) for col in zip(*(vectors[d] for vectors in
                                                           walked[1].values()))]
@@ -1801,15 +1834,17 @@ def test_tied_latency_map_build_counts_its_emission_from_the_tree(monkeypatch):
     """On the 4-cycle with equal latencies node 2 takes two copies at 20 ms,
     and the insertion sequence picks its parent: on the event loop as in the
     build, which follows the same peer order. So the emission the template
-    is built at is counted from the tree. The origin keeps no template, and
-    its later emissions run on the event loop."""
+    is built at is counted from the tree. The template is kept: the emission
+    at 1000 ms walks it, meets the tie and runs on the event loop."""
     builds = build_counters(monkeypatch)
+    walked = walks(monkeypatch)
     events = popped_events(monkeypatch)
-    cfg = ScenarioConfig(topology=graph_from_edges([(0, 1), (1, 2), (2, 3), (0, 3)], {0}),
+    cfg = ScenarioConfig(topology=graph_from_edges(CYCLE4, {0}),
                          duration_ms=2000, relay_policy=RelayPolicy.FLOOD,
                          ledger_round_ms=1000, warmup_ms=0)
     replayed = export_csv(run_scenario(cfg))
     assert [(at, how) for at, _, how in builds] == [(0.0, "_tree_counts")]
+    assert walked == [(1000.0, False)]
     popped = [at for at, code, _ in events if code == engine._DELIVER_APP]
     assert popped and min(popped) >= 1000.0
     with monkeypatch.context() as m:
