@@ -417,6 +417,19 @@ def test_template_is_first_receipt_tree():
     assert parent == {0: None, 1: 0, 3: 0, 2: 1}
 
 
+def test_template_declines_exact_tie():
+    # The 4-cycle's tied tree is kept, and the walk's strict-arrival check
+    # declines it: node 3's copy reaches node 2 at 20 ms, not after it.
+    adj = adjacency(graph_from_edges(CYCLE4))
+    order, parent = build_template(adj, 0)
+    log = MetricsLog(nodes=[0, 1, 2, 3])
+    assert engine._walk([order, parent, None], adj, 0.0, math.inf, math.inf, log) is None
+    # K4's duplicates all land at 20 ms, after every first receipt: walked.
+    k4 = adjacency(graph_from_edges(K4))
+    walked = engine._walk([*build_template(k4, 0), None], k4, 0.0, math.inf, math.inf, log)
+    assert walked is not None and walked[0] == {0: 0.0, 1: 10.0, 2: 10.0, 3: 10.0}
+
+
 def walks(monkeypatch):
     """Spy on `_walk`: a list that collects (t0, counted) per call."""
     calls = []
