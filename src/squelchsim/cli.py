@@ -11,6 +11,7 @@ byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -82,7 +83,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every later
+    `main()` in the process.
+
+    Sharing is safe because no default is a mutable object a parse could
+    change (`--set` defaults to None, not a list). The handlers are bound
+    when the tree is built, so a `cmd_*` monkeypatched after the first
+    `main()` is not seen; call `_build_parser.cache_clear()` after patching
+    one (no test patches them).
+    """
     parser = argparse.ArgumentParser(
         prog="squelchsim",
         description="Dissemination simulator for the flood and squelch relay policies, "
@@ -133,7 +144,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--set",
         action="append",
-        default=[],
         metavar="KEY=VALUE",
         dest="overrides",
         help="override a config value, e.g. --set scenario.duration_ms=60000",
@@ -142,7 +152,7 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
 
 def _load_effective_config(args) -> dict:
     raw = decode_config_text(Path(args.config).read_text(encoding="utf-8"))
-    overrides = list(args.overrides)
+    overrides = list(args.overrides or [])
     if args.seed is not None:
         overrides.append(f"scenario.seed={args.seed}")
     return validate_config(apply_overrides(raw, overrides))

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import squelchsim
 from squelchsim import cli, config
 from squelchsim.cli import main
 from squelchsim.regression import ExtrapolationWarning
@@ -541,6 +545,10 @@ PINNED_CLI_SHA256 = {
     "cumulative.csv": "544c7fd558602fd6af82e3e35db0be6fafb530a62d5e557089e54f868d09c018",
     "topo-stats": "9db5283a726a8bf95f5d7db071b49114ba2c22cf57b61225e786799886da158d",
     "fit --gain": "d674e3f01a04e3f9b9ddb52c17ad77c01d9e708ffde51f6ddf731c3aa5d18cda",
+    # The paper's headline run: `compare` on the reference testbed as
+    # shipped (seed 1, all 120 s and five bursts).
+    "headline compare.json": "550317deeb5ac900f877010492eb81aa2f5e29048f4a12986911cb1b8aed3f41",
+    "headline cumulative.csv": "2fb1c25ff25d3a6d41d51e97ccfc4e53d447c624883f34bcc8d1cd6125e0d418",
 }
 
 
@@ -554,6 +562,17 @@ def test_compare_artifact_bytes_pinned(tmp_path, capsys):
     assert code == 0
     for name in ("compare.json", "cumulative.csv"):
         assert _sha256((tmp_path / name).read_bytes()) == PINNED_CLI_SHA256[name], name
+
+
+def test_headline_compare_artifact_bytes_pinned(tmp_path, capsys):
+    assert len(json.loads(REFERENCE_CONFIG.read_text())["scenario"]["tx_plan"]) == 5
+    code, out, _ = run_cli(capsys, "compare", "--config", str(REFERENCE_CONFIG),
+                           "--out", str(tmp_path))
+    assert code == 0
+    assert "saved 27.025%" in out
+    for name in ("compare.json", "cumulative.csv"):
+        digest = _sha256((tmp_path / name).read_bytes())
+        assert digest == PINNED_CLI_SHA256[f"headline {name}"], name
 
 
 def test_simulate_artifact_bytes_pinned(tmp_path, capsys):
@@ -581,3 +600,82 @@ def test_fit_gain_stdout_pinned(cpu_csv_path, msgs_csv_path, capsys):
                                "--cpu-csv", str(cpu_csv_path))
     assert code == 0
     assert _sha256(out.encode("utf-8")) == PINNED_CLI_SHA256["fit --gain"]
+
+
+# --- one parser per process ----------------------------------------------------------
+
+def _artifacts(capsys, out_dir, command, config_path, *options):
+    code, _, _ = run_cli(capsys, command, "--config", str(config_path), *options,
+                         "--out", str(out_dir))
+    assert code == 0
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+@pytest.fixture
+def window_config(tmp_path):
+    """The reference testbed cut to 32 s in the file itself, so a command
+    needs no `--set` to run the pinned window."""
+    doc = json.loads(REFERENCE_CONFIG.read_text())
+    doc["scenario"]["duration_ms"] = 32000
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_build_parser_returns_the_same_parser():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_carries_nothing_between_commands(tmp_path, capsys):
+    # Each `--seed` or `--set` is followed by a command without it.
+    commands = [
+        ("compare", "--seed", "3", "--set", "scenario.duration_ms=32000"),
+        ("compare",),
+        ("simulate", "--seed", "3"),
+        ("simulate",),
+    ]
+    cli._build_parser()
+    shared = [_artifacts(capsys, tmp_path / f"shared{i}", command, REFERENCE_CONFIG, *options)
+              for i, (command, *options) in enumerate(commands)]
+    fresh = []
+    for i, (command, *options) in enumerate(commands):
+        cli._build_parser.cache_clear()
+        fresh.append(_artifacts(capsys, tmp_path / f"fresh{i}", command, REFERENCE_CONFIG,
+                                *options))
+    assert shared == fresh
+    assert shared[2]["summary.json"] != shared[3]["summary.json"]
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["--version"], 0),
+    (["compare"], 2),
+    (["frobnicate"], 2),
+    (["compare", "--config", "{window}", "--set", "scenario.seed=3", "--seed", "x"], 2),
+    # Parsed, then refused by the handler after it has taken the seed.
+    (["compare", "--config", "{bad}", "--seed", "3"], 2),
+])
+def test_exit_between_commands_leaves_the_next_unchanged(argv, exit_code, tmp_path,
+                                                          window_config, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(window_config.read_text().replace('"warmup_ms": 10000', '"warmup_ms": 40000'))
+    argv = [arg.format(window=window_config, bad=bad) for arg in argv]
+    before = _artifacts(capsys, tmp_path / "before", "compare", window_config)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == exit_code
+    capsys.readouterr()
+    after = _artifacts(capsys, tmp_path / "after", "compare", window_config)
+    assert before == after
+    assert _sha256(after["compare.json"]) == PINNED_CLI_SHA256["compare.json"]
+
+
+def test_python_dash_m_squelchsim_version():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "squelchsim", "--version"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"squelchsim {squelchsim.__version__}\n"
