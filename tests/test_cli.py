@@ -622,10 +622,6 @@ def window_config(tmp_path):
     return path
 
 
-def test_build_parser_returns_the_same_parser():
-    assert cli._build_parser() is cli._build_parser()
-
-
 def test_shared_parser_carries_nothing_between_commands(tmp_path, capsys):
     # Each `--seed` or `--set` is followed by a command without it.
     commands = [
@@ -634,9 +630,10 @@ def test_shared_parser_carries_nothing_between_commands(tmp_path, capsys):
         ("simulate", "--seed", "3"),
         ("simulate",),
     ]
-    cli._build_parser()
+    parser = cli._build_parser()
     shared = [_artifacts(capsys, tmp_path / f"shared{i}", command, REFERENCE_CONFIG, *options)
               for i, (command, *options) in enumerate(commands)]
+    assert cli._build_parser() is parser
     fresh = []
     for i, (command, *options) in enumerate(commands):
         cli._build_parser.cache_clear()
