@@ -35,35 +35,37 @@ emission is counted from the finished tree, in one of two ways.
   (`out = deg - [not origin]`), takes a copy from every peer that is not
   its child (`in = deg - children`), and every copy but its first is a
   duplicate (`dup = in - [not origin]`). A squelch round's sender lists
-  are each node's peers minus its children. Ties do not matter here: the
-  run sends to the peers in the order of their latency maps, as the event
-  loop does, so where two copies reach a node first at the same time the
-  insertion sequence picks the same parent in both, and a duplicate that
-  meets its receiver's first receipt is a duplicate in both.
+  are each node's peers minus its children (`_tree_fed`). Ties do not
+  matter here: the run sends to the peers in the order of their latency
+  maps, as the event loop does, so where two copies reach a node first at
+  the same time the insertion sequence picks the same parent in both, and
+  a duplicate that meets its receiver's first receipt is a duplicate in
+  both.
 - Any other build (a pruned adjacency, which is not symmetric and whose
   peer order a mended link changes, or a flood that crosses a second or
   reaches the horizon) is counted by `_walk`, the one per-send counter.
 
-A later emission at `t0` is replayed from the template by the same walk,
-in two passes. The first recomputes each node's first receipt as its
-parent's plus the link latency, the same float additions in the same order
-as the event loop and the building run, so every per-second bucket comes
-out identical. The second walks every other send and counts it unless it
-arrives at or after `duration_ms`. The walk is exact when every non-tree
-arrival comes strictly after its receiver's first receipt: then each
-node's earliest copy is the tree copy, whatever the insertion sequence, and
-it checks this on every send. When that check fails (a tie, or float
-rounding that reorders near-ties at `t0`) or a counted arrival reaches the
-replay's horizon, the emission goes through the event loop unchanged, and
-the template is kept. That check is the engine's one rule for ties. A
-build whose insertion sequence picked a parent (two copies reach a node
-first at the same time, typical of equal-latency graphs) keeps its
-template like any other, and its emission is counted like any other's:
-from the closed form, where ties do not matter, or by a walk, which meets
-the tie and falls back. A later emission whose walk meets the tie falls
-back too, and one at a `t0` where rounding puts the tree copy strictly
-first replays. A round's kinds share one replay, counted with a per-kind
-multiplicity.
+A later emission at `t0` is replayed from the template by the same walk. It
+recomputes each node's first receipt as its parent's plus the link latency
+(`_first_receipts`, the one copy of that recurrence), the same float
+additions in the same order as the event loop and the building run, so
+every per-second bucket comes out identical. It then walks every send, node
+by node in first-receipt order, and counts it unless it arrives at or after
+`duration_ms`: a tree send is its receiver's first copy, any other a
+duplicate. The walk is exact when every duplicate arrives strictly after
+its receiver's first receipt: then each node's earliest copy is the tree
+copy, whatever the insertion sequence, and it checks this on every
+duplicate. When that check fails (a tie, or float rounding that reorders
+near-ties at `t0`) or a counted arrival reaches the replay's horizon, the
+emission goes through the event loop unchanged, and the template is kept.
+That check is the engine's one rule for ties. A build whose insertion
+sequence picked a parent (two copies reach a node first at the same time,
+typical of equal-latency graphs) keeps its template like any other, and its
+emission is counted like any other's: from the closed form, where ties do
+not matter, or by a walk, which meets the tie and falls back. A later
+emission whose walk meets the tie falls back too, and one at a `t0` where
+rounding puts the tree copy strictly first replays. A round's kinds share
+one replay, counted with a per-kind multiplicity.
 
 The horizon is `duration_ms` or the next disconnect still on the heap,
 whichever comes first: a disconnect changes the live sets. Every disconnect
@@ -102,12 +104,12 @@ emission at t0 when:
   second.
 
 Then the emission's counts are the summary's totals, all in t0's second.
-Otherwise the two passes of a walk run, and count each send into the
-vectors of its arrival second, which `_add_vectors` adds to the log's rows
-in one pass. A flood that crosses a second walks: where only the third
-test fails, the first two still hold, so the walk cannot fail. An origin
-that emits once builds no summary, and a summary lives as long as its
-template: the origin's run or its kept result.
+Otherwise the walk runs, and counts each send into the vectors of its
+arrival second, which `_add_vectors` adds to the log's rows in one pass. A
+flood that crosses a second walks: where only the third test fails, the
+first two still hold, so the walk cannot fail. An origin that emits once
+builds no summary, and a summary lives as long as its template: the
+origin's run or its kept result.
 
 A summary's emissions are added to the log only at the end of the run.
 Each is recorded in the summary's pending difference map for its kind,
@@ -142,8 +144,8 @@ summary's three tests is counted from the summary, deferred like a repeat
 emission; every copy then lands in t0's second and before the horizon, by
 t0 + M + τ, which stands in for the round's latest arrival. Its senders
 are each node's peers but its tree children, listed from the tree for
-that round only, and the first receipts are recomputed along the tree, as
-the walk's first pass does, only when a slot acts. Any other round is
+that round only (`_tree_fed`), and the first receipts are recomputed along
+the tree, as the walk does, only when a slot acts. Any other round is
 counted by the closed form or the walk. Either way every copy that arrives
 before `duration_ms` feeds the receiver's slot. The three list the senders
 in different orders; no order is needed, since an acting slot sorts its
@@ -385,6 +387,9 @@ class ScenarioConfig:
             raise ValueError("ledger_round_ms must be positive")
         if self.proposals_per_round < 0:
             raise ValueError("proposals_per_round must be non-negative")
+        if self.seed < 0:
+            # random.Random(-n) seeds the same generator as random.Random(n).
+            raise ValueError("seed must be non-negative")
         if any(size <= 0 for size in self.message_sizes.values()):
             raise ValueError("message sizes must be positive")
 
@@ -484,15 +489,13 @@ def _build_template(adjacency: dict[int, dict[int, float]], origin: int, t0: flo
 
 
 def _tree_counts(order: list[int], parent: dict[int, int | None],
-                 adjacency: dict[int, dict[int, float]], index: dict[int, int],
-                 fed: dict[int, list[int]] | None = None,
-                 ) -> tuple[list[int], list[int], list[int]]:
+                 adjacency: dict[int, dict[int, float]],
+                 index: dict[int, int]) -> tuple[list[int], list[int], list[int]]:
     """The (dup, in, out) count vectors over `index` of one flood along the
     tree (`order`, `parent`) over a symmetric `adjacency`, every send
     counted: each node reached sends to every peer but its parent, takes a
     copy from every peer that is not its child, and all but its first copy
-    (all of them at the origin) are duplicates. With `fed`, also sets
-    fed[node] to those senders, for each node that has any."""
+    (all of them at the origin) are duplicates."""
     width = len(index)
     dup, into, out = [0] * width, [0] * width, [0] * width
     children = dict.fromkeys(order, 0)
@@ -505,9 +508,27 @@ def _tree_counts(order: list[int], parent: dict[int, int | None],
         out[i] = len(peers) - relayed
         into[i] = len(peers) - children[v]
         dup[i] = into[i] - relayed
-        if fed is not None and into[i]:
-            fed[v] = [u for u in peers if parent[u] != v]
     return dup, into, out
+
+
+def _tree_fed(order: list[int], parent: dict[int, int | None],
+              adjacency: dict[int, dict[int, float]]) -> dict[int, list[int]]:
+    """The senders of each node, for each node that has any, in a flood
+    along the tree (`order`, `parent`) over a symmetric `adjacency`: its
+    peers but its tree children."""
+    return {w: senders for w in order if (senders := [u for u in adjacency[w] if parent[u] != w])}
+
+
+def _first_receipts(order: list[int], parent: dict[int, int | None],
+                    adjacency: dict[int, dict[int, float]], t0: float) -> dict[int, float]:
+    """The first receipt of every node of the tree (`order`, `parent`) of a
+    message emitted at t0 over `adjacency`: its parent's plus the link
+    latency, the event loop's float additions in the same order."""
+    first = {order[0]: t0}
+    for v in order[1:]:
+        p = parent[v]
+        first[v] = first[p] + adjacency[p][v]
+    return first
 
 
 def _walk(tmpl, adjacency: dict[int, dict[int, float]], t0: float, horizon: float,
@@ -515,16 +536,16 @@ def _walk(tmpl, adjacency: dict[int, dict[int, float]], t0: float, horizon: floa
     """Count one message that the origin of template `tmpl` emits at t0
     and every node sends to its peers in `adjacency`, send by send: the
     engine's one per-send counter. It recomputes the first receipts along
-    the tree, then walks every other send, each a duplicate that must
-    arrive strictly after its receiver's tree copy for the tree to be the
-    event loop's first-receipt tree at t0. Returns (first receipts,
+    the tree, then walks every send; each one off the tree is a duplicate
+    that must arrive strictly after its receiver's tree copy for the tree to
+    be the event loop's first-receipt tree at t0. Returns (first receipts,
     {second: (dup, in, out) count vectors over `log`'s node index}, latest
     arrival before `duration`), or None when that check fails or an arrival
     lands in [horizon, duration). With `fed`, also appends the sender of
     every send before `duration` to fed[receiver]."""
     order, parent = tmpl[0], tmpl[1]
     index = log.index
-    first = {order[0]: t0}
+    first = _first_receipts(order, parent, adjacency, t0)
     seconds = defaultdict(log.rows.default_factory)
     latest = -inf
     # Most sends land in t0's second: its vectors are bound once, so a
@@ -532,21 +553,6 @@ def _walk(tmpl, adjacency: dict[int, dict[int, float]], t0: float, horizon: floa
     s0 = int(t0 // 1000)
     next_second = 1000.0 * (s0 + 1)
     vectors_s0 = seconds[s0]
-    for v in order[1:]:
-        p = parent[v]
-        t = first[p] + adjacency[p][v]
-        first[v] = t
-        if t >= horizon:
-            if t >= duration:
-                continue
-            return None
-        if t > latest:
-            latest = t
-        _, in_s, out_s = seconds[int(t // 1000)]
-        out_s[index[p]] += 1
-        in_s[index[v]] += 1
-        if fed is not None:
-            fed[v].append(p)
     for u in order:
         fu = first[u]
         if fu >= duration:
@@ -554,21 +560,22 @@ def _walk(tmpl, adjacency: dict[int, dict[int, float]], t0: float, horizon: floa
         pu = parent[u]
         iu = index[u]
         for w, lat in adjacency[u].items():
-            if w == pu or parent[w] == u:
+            if w == pu:
                 continue
             t = fu + lat
             if t >= horizon:
                 if t >= duration:
                     continue
                 return None
-            if t <= first[w]:
-                return None
             if t > latest:
                 latest = t
             dup_s, in_s, out_s = vectors_s0 if t < next_second else seconds[int(t // 1000)]
-            out_s[iu] += 1
             iw = index[w]
-            dup_s[iw] += 1
+            if parent[w] != u:
+                if t <= first[w]:
+                    return None
+                dup_s[iw] += 1
+            out_s[iu] += 1
             in_s[iw] += 1
             if fed is not None:
                 fed[w].append(u)
@@ -601,12 +608,10 @@ def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
     recomputed from 0 along the tree with the same float additions as a
     walk."""
     order, parent = tmpl[0], tmpl[1]
-    off = {origin: 0.0}
+    off = _first_receipts(order, parent, adjacency, 0.0)
     depth = {origin: 0}
     for v in order[1:]:
-        p = parent[v]
-        off[v] = off[p] + adjacency[p][v]
-        depth[v] = depth[p] + 1
+        depth[v] = depth[parent[v]] + 1
     width = len(index)
     dup, into, out = [0] * width, [0] * width, [0] * width
     latest, slack = 0.0, inf
@@ -617,13 +622,11 @@ def _offset_summary(tmpl, adjacency: dict[int, dict[int, float]],
         for w, lat in adjacency[u].items():
             if w == pu:
                 continue
+            t = fu + lat
             iw = index[w]
             out[iu] += 1
             into[iw] += 1
-            if parent[w] == u:
-                t = off[w]
-            else:
-                t = fu + lat
+            if parent[w] != u:
                 dup[iw] += 1
                 if t - off[w] < slack:
                     slack = t - off[w]
@@ -850,8 +853,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         latency maps whose every send lands before t0's next whole second
         and the horizon (at most `duration_ms`) is counted from the tree
         (`_tree_counts`), ties included; with `fed`, each node's senders are
-        its peers but its children. Any other build is walked. The summary
-        is built by the template's first `replay`."""
+        its peers but its children (`_tree_fed`). Any other build is walked.
+        The summary is built by the template's first `replay`."""
         built = _build_template(adjacency, origin, t0)
         if built is None:  # as a patched builder returns, to force the event loop
             return None, None
@@ -860,7 +863,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         s0 = int(t0 // 1000)
         if adjacency is latency and latest < min(1000.0 * (s0 + 1), horizon):
             seconds = defaultdict(rows.default_factory)
-            seconds[s0] = _tree_counts(order, parent, adjacency, index, fed)
+            seconds[s0] = _tree_counts(order, parent, adjacency, index)
+            if fed is not None:
+                fed.update(_tree_fed(order, parent, adjacency))
             return tmpl, (first, seconds, latest)
         return tmpl, _walk(tmpl, adjacency, t0, horizon, duration, log, fed)
 
@@ -909,21 +914,13 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     selected.add(u)
                     slot.squelched.pop(u, None)
 
-    def tree_fed() -> dict[int, list[int]]:
-        """The senders of each node in a round over the latency maps' kept
-        template, for each node that has any: its peers but its tree
-        children."""
-        order, parent = template[0], template[1]
-        return {w: senders for w in order
-                if (senders := [u for u in latency[w] if parent[u] != w])}
-
     def settle() -> None:
         """Apply the copies owed by the origin's counting rounds over its
         kept latency-map template: every counting slot that the template
         feeds takes them from each sender."""
         nonlocal owed, budget
         if owed:
-            for w, senders in tree_fed().items():
+            for w, senders in _tree_fed(template[0], template[1], latency).items():
                 node = nodes[w]
                 slot = node.slot = node.slot or Slot(owner=w, origin_validator=origin)
                 if slot.state is SlotState.COUNTING:
@@ -979,7 +976,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                     owed += k
                     _offset_replay(summary, t0, batch, horizon, duration)
                     return []
-                fed = tree_fed()
+                fed = _tree_fed(template[0], template[1], latency)
                 walked = None, defaultdict(rows.default_factory), reach
             else:
                 walked = _walk(template, latency, t0, horizon, duration, log, fed)
@@ -1066,13 +1063,8 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         elif latest >= window:
             return None
         if first is None and acting:
-            # Counted from the summary: the first receipts along the tree,
-            # with the walk's float additions.
-            order = tmpl[0]
-            first = {order[0]: t0}
-            for v in order[1:]:
-                p = parent[v]
-                first[v] = first[p] + latency[p][v]
+            # Counted from the summary: the first receipts along the tree.
+            first = _first_receipts(tmpl[0], parent, latency, t0)
         # An acting slot is fed its node's copies, (arrival, 1, sender), and
         # its expiries due, (at, 0, peer), in time order. An expiry goes
         # before a copy at the same time: it was pushed before the emission.

@@ -208,6 +208,18 @@ def test_simulate_seed_and_set_override(tmp_path, small_config, capsys):
     assert "# seed=11" in (out_a / "metrics.csv").read_text()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--set", "scenario.seed=-1"]])
+def test_negative_seed_exit_2(command, override, tmp_path, small_config, capsys):
+    # random.Random(-1) is random.Random(1): a negative seed would repeat
+    # its positive twin's run under another config hash.
+    code, out, err = run_cli(capsys, command, "--config", str(small_config),
+                             "--out", str(tmp_path), *override)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be non-negative\n"
+    assert list(tmp_path.iterdir()) == [small_config]
+
+
 def test_output_dir_from_environment(tmp_path, small_config, capsys, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("SQUELCHSIM_OUT", str(env_dir))

@@ -969,7 +969,7 @@ def test_counting_rounds_with_tied_duplicates_replay(monkeypatch):
 # --- repeat replays counted from a template's offset summary -------------------
 
 def two_pass(m):
-    """Patch the engine so that every replay walks its template in two passes."""
+    """Patch the engine so that every replay walks its template: no offset summary."""
     m.setattr(engine, "_offset_summary", lambda *args: None)
 
 
@@ -1008,7 +1008,7 @@ def offset_replays(monkeypatch):
 
 
 def assert_same_bytes_on_every_path(monkeypatch, cfg):
-    """`cfg` gives the same bytes from summaries, in two passes and on the
+    """`cfg` gives the same bytes from summaries, by walks alone and on the
     event loop; returns the offset replays of the first run."""
     calls = offset_replays(monkeypatch)
     summarized = export_csv(run_scenario(cfg))
@@ -1042,7 +1042,7 @@ def test_offset_replay_falls_back_on_slack(monkeypatch):
 
 def test_offset_replay_falls_back_on_whole_second(monkeypatch):
     """990 ms rounds: the round at 990 ms has an arrival at exactly 1000 ms
-    and the one at 1980 ms at 2000 ms, so both walk in two passes; the round
+    and the one at 1980 ms at 2000 ms, so both walk; the round
     at 2970 ms stays within its second and counts from the summary."""
     cfg = ScenarioConfig(topology=load_topology(TRIANGLE, {0}), duration_ms=3000,
                          relay_policy=RelayPolicy.FLOOD, ledger_round_ms=990, warmup_ms=0)
@@ -1053,7 +1053,7 @@ def test_offset_replay_falls_back_on_whole_second(monkeypatch):
 
 def test_offset_replay_walks_a_flood_that_crosses_a_second(monkeypatch):
     """982 ms rounds: the round at 982 ms has arrivals from 992 to 1007 ms,
-    on both sides of 1000 ms, so it walks in two passes even though no
+    on both sides of 1000 ms, so it walks even though no
     arrival is near the boundary; the rounds at 1964 and 2946 ms stay
     within their seconds and count from the summary."""
     cfg = ScenarioConfig(topology=load_topology(TRIANGLE, {0}), duration_ms=3000,
@@ -1067,7 +1067,7 @@ def test_offset_replay_walks_a_flood_that_crosses_a_second(monkeypatch):
 
 def test_offset_replay_falls_back_near_horizon(monkeypatch):
     """The round at 2000 ms of a 2010 ms run has arrivals past the end, up
-    to 25 ms after its emission, so it walks in two passes."""
+    to 25 ms after its emission, so it walks."""
     cfg = ScenarioConfig(topology=load_topology(TRIANGLE, {0}), duration_ms=2010,
                          relay_policy=RelayPolicy.FLOOD, ledger_round_ms=1000, warmup_ms=0)
     assert assert_same_bytes_on_every_path(monkeypatch, cfg) == [(1000.0, True),
@@ -1182,7 +1182,7 @@ def draw_dense_scenario(data, st):
 def test_deferred_runs_match_two_pass_and_event_loop(monkeypatch):
     """Dense runs, whose offset-summary emissions are deferred to the end of
     the run as runs of seconds, give the same bytes as walking every replay
-    in two passes and as the event loop."""
+    and as the event loop."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -1776,8 +1776,9 @@ def test_tree_counts_equal_the_walk():
         t0 = draw(st.floats(0.0, 1e6))
         order, parent, first, latest = engine._build_template(adj, origin, t0)
         log = MetricsLog(nodes=g.nodes)
-        fed_tree, fed_walk = {}, {n: [] for n in g.nodes}
-        counts = engine._tree_counts(order, parent, adj, log.index, fed_tree)
+        fed_walk = {n: [] for n in g.nodes}
+        counts = engine._tree_counts(order, parent, adj, log.index)
+        fed_tree = engine._tree_fed(order, parent, adj)
         walked = engine._walk([order, parent, None], adj, t0, math.inf, math.inf, log,
                               fed_walk)
         if walked is None:  # tied: the walk rejects the tree, and the event loop counts it
@@ -1790,6 +1791,43 @@ def test_tree_counts_equal_the_walk():
                 == {v: sorted(senders) for v, senders in fed_walk.items() if senders})
         if latest < 1000.0 * (int(t0 // 1000) + 1):
             assert dict(walked[1]) == {int(t0 // 1000): counts}
+
+    check()
+
+
+def test_offset_summary_agrees_with_the_tree_and_the_walk():
+    """On random latency-map templates built at t=0, many with tied
+    latencies, the offset summary's totals equal the closed form's counts,
+    its latest arrival is the build's, and its slack is positive exactly
+    when the walk at t=0 accepts the tree."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        n = draw(st.integers(3, 25))
+        g = generate_topology(n, float(draw(st.integers(2, min(6, n - 1)))), 0.3,
+                              draw(st.sampled_from([(5.0, 50.0), (1.0, 2.0), (10.0, 12.0)])),
+                              seed=draw(st.integers(0, 2**16)))
+        latencies = draw(st.sampled_from(["generated", "equal", "integer", "tenths"]))
+        if latencies != "generated":
+            draw_latency = {"equal": st.just(10.0), "integer": st.integers(1, 4).map(float),
+                            "tenths": st.integers(1, 30).map(lambda k: k / 10)}[latencies]
+            g = load_topology("".join(f"{u} {v} {draw(draw_latency)}\n"
+                                      for u, v in sorted(g.edges)))
+        adj = adjacency(g)
+        origin = draw(st.sampled_from(g.nodes))
+        order, parent, _, latest = engine._build_template(adj, origin, 0.0)
+        log = MetricsLog(nodes=g.nodes)
+        summary = engine._offset_summary([order, parent, None], adj, origin, log.index)
+        assert list(summary.totals) == list(engine._tree_counts(order, parent, adj, log.index))
+        assert summary.latest == latest
+        walked = engine._walk([order, parent, None], adj, 0.0, math.inf, math.inf, log)
+        assert (summary.slack > 0) == (walked is not None)
 
     check()
 
@@ -1967,8 +2005,8 @@ def test_rounds_over_a_kept_template_walk_nothing(monkeypatch):
     """Rounds 1-4 run over the latency maps' kept template, and each
     validator's flood lands in its second: they are counted from the
     template's offset summary, the fill round included, and walk nothing.
-    Only the pruned rounds from second 5 on walk. In two passes rounds 1-4
-    walk, with the same bytes."""
+    Only the pruned rounds from second 5 on walk. Without summaries rounds
+    1-4 walk, with the same bytes."""
     cfg = owed_scenario()
     with monkeypatch.context() as m:
         walks = walked_rounds(m)
