@@ -142,12 +142,13 @@ fresh at `t0`; the latency maps' template is built by its first emission
 and kept. A later round over the kept template that passes the offset
 summary's three tests is counted from the summary, deferred like a repeat
 emission; every copy then lands in t0's second and before the horizon, by
-t0 + M + τ, which stands in for the round's latest arrival. Its senders
-are each node's peers but its tree children, listed from the tree for
-that round only (`_tree_fed`), and the first receipts are recomputed along
-the tree, as the walk does, only when a slot acts. Any other round is
-counted by the closed form or the walk. Either way every copy that arrives
-before `duration_ms` feeds the receiver's slot. The three list the senders
+t0 + M + τ, which stands in for the round's latest arrival. Any other
+round is counted by the closed form or the walk. A round counted from the
+summary or the closed form lists its senders, each node's peers but its
+tree children, from the tree for that round only (`_tree_fed`), and
+recomputes the first receipts along the tree, as the walk does, only when
+a slot acts. Either way every copy that arrives before `duration_ms` feeds
+the receiver's slot. The three list the senders
 in different orders; no order is needed, since an acting slot sorts its
 copies by arrival and a counting slot's increments commute. Two kinds of
 expiry may fall inside the round's flood:
@@ -224,6 +225,17 @@ no heap entry of the origin is due by t0 + M + τ. A slot's feed in such a
 run is the same every round, its tree's senders, so R rounds of k copies
 come to one increment of k × R per counting slot and unselected sender,
 and quiet slots stay quiet: no link is cut, so no slot squelch is live.
+
+A fresh origin's first round is owed the same way, when the closed form
+counts it, its k copies are below `count_threshold`, and its copies land
+before its window ends (above). Fresh means that no node but the origin
+has state yet: no slot exists, no slot expiry is on the heap and nothing
+is owed. Every count is then zero, so a slot fills only once some sender
+has sent it `count_threshold` copies: that is the budget, and while the
+copies owed stay below it every slot fed would count. The owed copies
+go to the senders of the same template's tree, the feed the round would
+have applied, so the round builds no slot and classifies none.
+
 The owed copies are applied (`settle`) by the first thing of the origin
 that reads a slot:
 
@@ -852,21 +864,20 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         emission's counts as `_walk` returns them, or None. A flood over the
         latency maps whose every send lands before t0's next whole second
         and the horizon (at most `duration_ms`) is counted from the tree
-        (`_tree_counts`), ties included; with `fed`, each node's senders are
-        its peers but its children (`_tree_fed`). Any other build is walked.
-        The summary is built by the template's first `replay`."""
+        (`_tree_counts`), ties included, with None for its first receipts
+        and nothing added to `fed`: its senders are the tree's (`_tree_fed`).
+        Any other build is walked, with `fed`. The summary is built by the
+        template's first `replay`."""
         built = _build_template(adjacency, origin, t0)
         if built is None:  # as a patched builder returns, to force the event loop
             return None, None
-        order, parent, first, latest = built
+        order, parent, _, latest = built
         tmpl = [order, parent, None]
         s0 = int(t0 // 1000)
         if adjacency is latency and latest < min(1000.0 * (s0 + 1), horizon):
             seconds = defaultdict(rows.default_factory)
             seconds[s0] = _tree_counts(order, parent, adjacency, index)
-            if fed is not None:
-                fed.update(_tree_fed(order, parent, adjacency))
-            return tmpl, (first, seconds, latest)
+            return tmpl, (None, seconds, latest)
         return tmpl, _walk(tmpl, adjacency, t0, horizon, duration, log, fed)
 
     def summary_of(tmpl: list, adjacency: dict[int, dict[int, float]]) -> _OffsetSummary | None:
@@ -962,24 +973,35 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
             tmpl, walked = new_template(t0, links, fed)
         else:
             adjacency = latency
+            # The fewest copies per sender at which a slot owed this round may fill.
+            fill_at = budget
             if template is None:
                 template, walked = new_template(t0, latency, fed)
+                if len(nodes) == 1:
+                    # A fresh origin: only it has state, so no slot exists and
+                    # every count is zero. (Nothing is owed either: a
+                    # disconnect, which drops the template, settles first.)
+                    fill_at = protocol.count_threshold
             elif ((summary := summary_of(template, latency))
                   and _offset_replay(summary, t0, (), horizon, duration)):
-                # Counted from the summary: every copy lands in t0's second,
-                # by `reach`.
                 summed = True
-                reach = t0 + (summary.latest + summary.margin(duration))
-                # Owed while no counting slot can fill, and no other event
-                # of the origin falls in its flood.
-                if owed + k < budget and reach < next_round and not (heap and heap[0][0] <= reach):
-                    owed += k
-                    _offset_replay(summary, t0, batch, horizon, duration)
-                    return []
-                fed = _tree_fed(template[0], template[1], latency)
-                walked = None, defaultdict(rows.default_factory), reach
+                walked = None, defaultdict(rows.default_factory), t0 + (
+                    summary.latest + summary.margin(duration))
             else:
                 walked = _walk(template, latency, t0, horizon, duration, log, fed)
+            if walked and walked[0] is None:
+                # Counted from the tree or the summary: every copy lands in
+                # t0's second, by `reach`. Owed while no counting slot can
+                # fill, and no other event of the origin falls in its flood.
+                reach = walked[2]
+                if owed + k < fill_at and reach < next_round and not (heap and heap[0][0] <= reach):
+                    owed, budget = owed + k, fill_at
+                    if summed:
+                        _offset_replay(summary, t0, batch, horizon, duration)
+                    else:
+                        _add_vectors(log, walked[1].items(), batch)
+                    return []
+                fed = _tree_fed(template[0], template[1], latency)
             tmpl = template
         settle()
         if walked is None:
@@ -1063,7 +1085,7 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
         elif latest >= window:
             return None
         if first is None and acting:
-            # Counted from the summary: the first receipts along the tree.
+            # Counted from the tree or the summary: the first receipts along the tree.
             first = _first_receipts(tmpl[0], parent, latency, t0)
         # An acting slot is fed its node's copies, (arrival, 1, sender), and
         # its expiries due, (at, 0, peer), in time order. An expiry goes

@@ -1979,8 +1979,8 @@ def assert_slots_read_as_on_the_event_loop(monkeypatch, cfg):
 def owed_scenario(disconnects=()):
     """30 nodes, 1000 ms rounds with a proposal and a validation each and a
     threshold of 10 copies: round 0 builds the latency-map template, rounds
-    1-3 count, and round 4 fills the selections. Rounds 2 and 3 are owed to
-    the slots."""
+    1-3 count, and round 4 fills the selections. Rounds 0-3 are owed to the
+    slots."""
     g = generate_topology(30, 6.0, 0.3, (5, 50), seed=1)
     return ScenarioConfig(topology=g, duration_ms=6000, relay_policy=RelayPolicy.SQUELCH,
                           ledger_round_ms=1000, proposals_per_round=1,
@@ -2022,7 +2022,7 @@ def test_rounds_over_a_kept_template_walk_nothing(monkeypatch):
 
 def test_owed_copies_are_counted_before_the_fill(monkeypatch):
     """The fill round's slots have counted 8 copies from each sender, 2 of
-    them owed by each of rounds 2 and 3, as on the event loop."""
+    them owed by each of rounds 0-3, as on the event loop."""
     reads = assert_slots_read_as_on_the_event_loop(monkeypatch, owed_scenario())
     fill = [counts for (name, _, _, _, now), (counts, *_) in reads.items()
             if name == "on_validator_message" and 4000.0 <= now < 5000.0]
@@ -2030,7 +2030,7 @@ def test_owed_copies_are_counted_before_the_fill(monkeypatch):
 
 
 def test_owed_copies_are_counted_before_an_uplink_loss(monkeypatch):
-    """Node 3 leaves at 3500 ms, after owed rounds 2 and 3: its neighbours'
+    """Node 3 leaves at 3500 ms, after owed rounds 0-3: its neighbours'
     slots read its loss with 8 copies counted from each sender, as on the
     event loop."""
     reads = assert_slots_read_as_on_the_event_loop(
@@ -2042,7 +2042,7 @@ def test_owed_copies_are_counted_before_an_uplink_loss(monkeypatch):
 
 def test_owed_copies_are_counted_before_a_fallback_emission(monkeypatch):
     """Node 3 leaves at 3010 ms, inside round 3's flood, which therefore
-    runs on the event loop after owed round 2: its copies reach slots that
+    runs on the event loop after owed rounds 0-2: its copies reach slots that
     have counted 6 copies from each sender, as on the event loop."""
     reads = assert_slots_read_as_on_the_event_loop(
         monkeypatch, owed_scenario((Disconnect(3010.0, 3),)))
@@ -2066,5 +2066,117 @@ def test_slots_read_what_the_event_loop_reads_on_random_scenarios(monkeypatch):
         draw = data.draw(st.sampled_from([draw_counting_scenario, draw_wave_scenario,
                                           draw_fill_scenario]))
         assert_slots_read_as_on_the_event_loop(monkeypatch, draw(data, st))
+
+    check()
+
+
+# --- a fresh origin's first round owed to its slots ----------------------------
+
+@pytest.mark.parametrize("disconnect", [(), (Disconnect(500.0, 3),)], ids=["", "disconnect"])
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("times,plus", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_fresh_origin_first_round_matches_event_loop(monkeypatch, times, plus, rounds,
+                                                     disconnect):
+    """Rounds of k = 3 squelchable copies (2 proposals and a validation)
+    against a threshold of k, k + 1, 2k or 2k + 1: a fresh origin's first
+    round, counted from the tree, is owed to its slots when k copies cannot
+    fill one, and later rounds are owed on top of it while the copies stay
+    below the threshold. Node 3 leaving at 500 ms, after round 1, reads its
+    neighbours' slots through the uplink loss, which settles them first.
+    Every slot read and the bytes are the event loop's."""
+    k = 3
+    cfg = ScenarioConfig(topology=generate_topology(30, 6.0, 0.3, (5, 50), seed=1),
+                         duration_ms=1000 * rounds, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, proposals_per_round=k - 1,
+                         protocol=ProtocolConfig(count_threshold=times * k + plus),
+                         warmup_ms=0, disconnects=disconnect)
+    reads = assert_slots_read_as_on_the_event_loop(monkeypatch, cfg)
+    if disconnect:
+        assert "on_uplink_lost" in {name for name, *_ in reads}
+
+
+def slot_builds(m):
+    """Spy on `engine.Slot`: a list that collects the owner of every slot built."""
+    built = []
+    real = engine.Slot
+
+    def spy(*args, **kwargs):
+        slot = real(*args, **kwargs)
+        built.append(slot.owner)
+        return slot
+
+    m.setattr(engine, "Slot", spy)
+    return built
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_owed_first_round_builds_no_slot(monkeypatch, rounds):
+    """Every validator emits rounds of k = 2 squelchable copies against a
+    threshold of 2k. Its first round cannot fill a slot, so it is owed and
+    builds none: a run of one round builds no `Slot`. Its second round may
+    fill, so it settles the owed copies into new slots before it classifies
+    them. Both runs give the event loop's bytes."""
+    cfg = ScenarioConfig(topology=generate_topology(30, 6.0, 0.3, (5, 50), seed=1),
+                         duration_ms=1000 * rounds, relay_policy=RelayPolicy.SQUELCH,
+                         ledger_round_ms=1000, proposals_per_round=1,
+                         protocol=ProtocolConfig(count_threshold=4), warmup_ms=0)
+    with monkeypatch.context() as m:
+        built = slot_builds(m)
+        replayed = export_csv(run_scenario(cfg))
+    assert bool(built) is (rounds == 2)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_build_template", lambda *args: None)
+        assert export_csv(run_scenario(cfg)) == replayed
+
+
+def test_squelch_arm_that_cannot_fill_equals_the_flood_arm():
+    """An oracle outside the replay paths: a peer relays each message at
+    most once, so when count_threshold exceeds every origin's squelchable
+    messages in the run no slot fills, no control message is sent, and the
+    squelch arm's log is the flood arm's in every (second, kind) row. On
+    small random graphs, with rounds shorter and longer than a flood,
+    squelchable transactions and disconnects."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None,
+                         derandomize=True,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        n = draw(st.integers(4, 14))
+        g = generate_topology(n, float(draw(st.integers(2, min(6, n - 1)))), 0.5,
+                              draw(st.sampled_from([(5.0, 50.0), (10.0, 12.0)])),
+                              seed=draw(st.integers(0, 2**16)))
+        duration = draw(st.integers(500, 5000))
+        round_ms = draw(st.sampled_from([40, 250, 1000]))
+        proposals = draw(st.integers(0, 3))
+        kinds = draw(st.sampled_from([SQUELCH_KINDS, APPLICATION_KINDS]))
+        bursts = tuple(TxBurst(float(draw(st.integers(0, duration))), (), draw(st.integers(1, 8)),
+                               draw(st.sampled_from([0.0, 20.0, 333.0])))
+                       for _ in range(draw(st.integers(0, 1))))
+        disconnects = tuple(Disconnect(float(draw(st.integers(0, duration))),
+                                       draw(st.sampled_from(g.nodes)))
+                            for _ in range(draw(st.integers(0, 2))))
+        rounds = -(-duration // round_ms)
+        most = rounds * (proposals + 1)
+        if MessageKind.TRANSACTION in kinds:
+            most += sum(burst.count for burst in bursts)
+        cfg = ScenarioConfig(
+            topology=g, duration_ms=duration, ledger_round_ms=round_ms,
+            proposals_per_round=proposals, tx_plan=bursts, warmup_ms=0,
+            disconnects=disconnects,
+            protocol=ProtocolConfig(count_threshold=most + draw(st.integers(1, 3)),
+                                    max_selected=draw(st.integers(1, 3)),
+                                    squelch_kinds=kinds))
+
+        def rows(policy):
+            log = run_scenario(dataclasses.replace(cfg, relay_policy=policy))
+            return {key: counts for key, counts in log.rows.items() if any(map(any, counts))}
+
+        squelched = rows(RelayPolicy.SQUELCH)
+        assert not {kind for _, kind in squelched} & CONTROL_KINDS
+        assert squelched == rows(RelayPolicy.FLOOD)
 
     check()

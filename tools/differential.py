@@ -23,9 +23,10 @@ one tree checks its own replay paths:
 With `--two-pass` the script sets `squelchsim.engine._offset_summary` to
 return None, so no emission is counted from a template's offset summary:
 every repeat replay, and every squelch round over the latency maps' kept
-template, walks every send of the template. No counting round is then
-owed to the slots, since only a round counted from the summary can be.
-(The flag keeps the name it had when the walk took two passes.) Its
+template, walks every send of the template. Only a fresh origin's first
+round, counted from the tree, can then be owed to the slots; every later
+round feeds them as it is walked. (The flag keeps the name it had when
+the walk took two passes.) Its
 output must equal the normal run's too:
 
     python tools/differential.py --count 300 --two-pass > walked.txt
