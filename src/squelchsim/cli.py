@@ -17,9 +17,12 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from .config import (
@@ -120,9 +123,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--predict", type=float, metavar="X", help="evaluate the model at X")
     fit.add_argument(
         "--gain",
-        nargs=2,
+        nargs="+",
         metavar=("BASELINE_PEERS", "SAVED_FRACTION"),
-        help="project gains for a node with BASELINE_PEERS peers saving SAVED_FRACTION of messages",
+        help="project gains for a node with BASELINE_PEERS peers saving SAVED_FRACTION of "
+             "messages; with --savings-from, give BASELINE_PEERS alone",
+    )
+    fit.add_argument(
+        "--savings-from",
+        metavar="COMPARE_JSON",
+        help="take --gain's saved fraction from the savings.saved_percent of a compare.json",
     )
     fit.add_argument(
         "--cpu-csv",
@@ -174,10 +183,28 @@ def _artifact_header(config_hash: str, seed: int, policy: str) -> str:
     )
 
 
-def _write_metrics_csv(path: Path, log: MetricsLog) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(_artifact_header(log.config_hash, log.seed, log.policy))
-        export_csv(log, out)
+@contextmanager
+def _artifact(path: Path) -> Iterator[TextIO]:
+    """Open an artifact to be written over its old bytes in place, and cut
+    off what is left of a longer old file after the last write.
+
+    Not O_TRUNC: on ext4 an overwrite that first truncates to zero can stall
+    for tens of milliseconds on writeback, and the final `truncate()` leaves
+    the same bytes without that stall.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as out:
+        yield out
+        out.truncate()
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with _artifact(path) as out:
+        out.write(_dumps(payload) + "\n")
+
+
+def _dumps(payload) -> str:
+    """Sorted, indented JSON; a dataclass is written as its fields."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=vars)
 
 
 def cmd_simulate(args) -> int:
@@ -187,17 +214,16 @@ def cmd_simulate(args) -> int:
     log = run_scenario(cfg)
     # Summarize first: a window with nothing to measure must leave no artifact.
     summary = summarize(log, include_control=doc["metrics"]["include_control_in_total"])
-    _write_metrics_csv(out_dir / "metrics.csv", log)
-    payload = {
+    with _artifact(out_dir / "metrics.csv") as out:
+        out.write(_artifact_header(log.config_hash, log.seed, log.policy))
+        export_csv(log, out)
+    _write_json(out_dir / "summary.json", {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
         "tool_version": __version__,
         "policy": cfg.relay_policy.value,
-        "summary": asdict(summary),
-    }
-    (out_dir / "summary.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        "summary": summary,
+    })
     print(f"wrote {out_dir / 'metrics.csv'} and {out_dir / 'summary.json'}")
     return 0
 
@@ -219,22 +245,17 @@ def cmd_compare(args) -> int:
         del log
 
     report = savings(summaries["flood"], summaries["squelch"])
-    payload = {
+    _write_json(out_dir / "compare.json", {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
         "tool_version": __version__,
-        "flood": asdict(summaries["flood"]),
-        "squelch": asdict(summaries["squelch"]),
-        "savings": asdict(report),
-    }
-    (out_dir / "compare.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    cumulative = _cumulative_series(sums["flood"], sums["squelch"])
-    (out_dir / "cumulative.csv").write_text(
-        _artifact_header(cfg.config_hash, cfg.seed, "compare") + cumulative,
-        encoding="utf-8",
-    )
+        "flood": summaries["flood"],
+        "squelch": summaries["squelch"],
+        "savings": report,
+    })
+    with _artifact(out_dir / "cumulative.csv") as out:
+        out.write(_artifact_header(cfg.config_hash, cfg.seed, "compare"))
+        out.write(_cumulative_series(sums["flood"], sums["squelch"]))
     print(
         f"flood {summaries['flood'].avg_total_msgs_per_sec:.3f} msg/s, "
         f"squelch {summaries['squelch'].avg_total_msgs_per_sec:.3f} msg/s, "
@@ -277,9 +298,9 @@ def _cumulative_series(flood: dict[int, list[int]], squelch: dict[int, list[int]
 def cmd_fit(args) -> int:
     points = read_points_csv(Path(args.points_csv).read_text(encoding="utf-8"))
     model = fit_linear(points, x_name=args.x_name, y_name=args.y_name)
-    payload: dict = {"model": asdict(model)}
+    payload: dict = {"model": model}
     if args.invert:
-        payload["inverse"] = asdict(invert(model))
+        payload["inverse"] = invert(model)
     if args.predict is not None:
         if not math.isfinite(args.predict):
             raise ConfigError(f"--predict needs a finite X, got {args.predict}")
@@ -287,28 +308,50 @@ def cmd_fit(args) -> int:
         if not math.isfinite(y):
             raise ConfigError(f"--predict {args.predict} overflows the fitted line")
         payload["prediction"] = {"x": args.predict, "y": y}
+    if args.savings_from is not None and args.gain is None:
+        raise ConfigError("--savings-from needs --gain BASELINE_PEERS")
     if args.gain is not None:
         if not args.cpu_csv:
             raise ConfigError("--gain requires --cpu-csv with CPU-vs-peers points")
+        if len(args.gain) != (1 if args.savings_from else 2):
+            raise ConfigError("--gain takes BASELINE_PEERS SAVED_FRACTION, "
+                              "or BASELINE_PEERS alone with --savings-from")
         try:
-            baseline_peers, saved_fraction = int(args.gain[0]), float(args.gain[1])
+            baseline_peers = int(args.gain[0])
+            saved_fraction = None if args.savings_from else float(args.gain[1])
         except ValueError as exc:
             raise ConfigError(f"--gain BASELINE_PEERS SAVED_FRACTION: {exc}") from None
+        if args.savings_from:
+            saved_fraction = _saved_fraction(args.savings_from)
         cpu_points = read_points_csv(Path(args.cpu_csv).read_text(encoding="utf-8"))
         cpu_model = fit_linear(cpu_points, x_name="peers", y_name="cpu_percent")
         msgs_model = fit_linear(points, x_name="peers", y_name="messages_per_s")
-        gain = compute_gain(cpu_model, msgs_model, baseline_peers, saved_fraction)
-        payload["gain"] = asdict(gain)
-        payload["cpu_model"] = asdict(cpu_model)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+        payload["gain"] = compute_gain(cpu_model, msgs_model, baseline_peers, saved_fraction)
+        payload["cpu_model"] = cpu_model
+    print(_dumps(payload))
     return 0
+
+
+def _saved_fraction(path: str) -> float:
+    """savings.saved_percent / 100 from the compare.json of a `compare`."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--savings-from {path}: not JSON: {exc}") from None
+    savings = doc.get("savings") if isinstance(doc, dict) else None
+    percent = savings.get("saved_percent") if isinstance(savings, dict) else None
+    if (type(percent) not in (int, float) or not math.isfinite(percent)
+            or not {"flood", "squelch"} <= doc.keys()):
+        raise ConfigError(f"--savings-from {path}: not the compare.json of a compare "
+                          "(needs flood, squelch and a finite savings.saved_percent)")
+    return percent / 100
 
 
 def cmd_topo_stats(args) -> int:
     text = Path(args.edge_list).read_text(encoding="utf-8")
     graph = load_topology(text)
     stats = graph_stats(graph)
-    print(json.dumps(asdict(stats), indent=2, sort_keys=True))
+    print(_dumps(stats))
     return 0
 
 

@@ -263,7 +263,9 @@ Each acting slot, on a copy, is fed its node's (arrival, sender) copies,
 the `k` copies of an arrival in one `on_validator_message(..., copies=k)`
 call, which leaves the slot and returns the actions that k calls of one
 copy would, and its expiries due, in time order, through the real
-`on_validator_message` and `on_squelch_expired`. A send
+`on_validator_message` and `on_squelch_expired`. A copy that a `SELECTED`
+slot takes from a peer it selected or still squelches skips the call: it
+would return nothing and change nothing. A send
 q→w, conditional or not, is dropped exactly when w's squelch reached q
 strictly before f_q; it is subtracted from the counts of its arrival
 second (a round counted from the summary subtracts it from the log's rows,
@@ -1112,6 +1114,9 @@ def run_scenario(cfg: ScenarioConfig) -> MetricsLog:
                 if t == last:
                     return None
                 last = t
+                if slot.state is SlotState.SELECTED and (
+                        u in slot.selected or slot.squelched.get(u, -inf) > t):
+                    continue  # a selected or still-squelched sender: the call would do nothing
                 actions = on_validator_message(slot, u, t, protocol, copies=k)
                 if not actions:
                     continue

@@ -125,6 +125,7 @@ def test_simulate_squelch_kinds_string_exit_2(tmp_path, small_config, capsys):
     (["fit", "--gain", str(10**400), "0.3"], "baseline_peers"),
     (["--set", 'scenario.disconnects=[{"at_ms":-5,"node":0}]'],
      "disconnect at_ms must be non-negative"),
+    (["fit", "--gain", "200"], "--gain takes BASELINE_PEERS SAVED_FRACTION"),
 ])
 def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_path,
                                 msgs_csv_path, capsys):
@@ -147,17 +148,23 @@ def test_malformed_value_exit_2(argv, message, tmp_path, small_config, cpu_csv_p
     (["simulate", "--config", "{config}", "--out", "{taken}"], "File exists"),
     (["compare", "--config", "{config}", "--out", "{taken}/out"], "Not a directory"),
     (["fit", "{taken}/points.csv"], "Not a directory"),
+    (["simulate", "--config", "{config}", "--out", "{blocked}"], "Is a directory"),
+    (["compare", "--config", "{config}", "--out", "{blocked}"], "Is a directory"),
 ])
 def test_undecodable_input_or_unusable_output_path_exit_2(argv, message, tmp_path, small_config,
                                                           msgs_csv_path, capsys):
-    # An input file that is not UTF-8, and an --out that names a file or a
-    # path under one, are usage errors, not runtime failures.
+    # An input file that is not UTF-8, an --out that names a file or a path
+    # under one, and an artifact path that is a directory are usage errors,
+    # not runtime failures.
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("x,y\n1,caf\u00e9\n".encode("latin-1"))
     taken = tmp_path / "taken"
     taken.write_text("")
+    blocked = tmp_path / "blocked"
+    for name in ("metrics.csv", "compare.json"):
+        (blocked / name).mkdir(parents=True)
     paths = {"latin1": latin1, "config": small_config, "msgs": msgs_csv_path, "taken": taken,
-             "out": tmp_path / "out"}
+             "out": tmp_path / "out", "blocked": blocked}
     code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith("error: ") and message in err
@@ -569,6 +576,9 @@ def _sha256(data: bytes) -> str:
 
 
 def test_compare_artifact_bytes_pinned(tmp_path, capsys):
+    # Longer files in the way must lose their tails.
+    for name in ("compare.json", "cumulative.csv"):
+        (tmp_path / name).write_text("stale\n" * 100_000)
     code, _, _ = run_cli(capsys, "compare", "--config", str(REFERENCE_CONFIG), "--seed", "1",
                          "--set", "scenario.duration_ms=32000", "--out", str(tmp_path))
     assert code == 0
@@ -588,7 +598,7 @@ def test_headline_compare_artifact_bytes_pinned(tmp_path, capsys):
 
 
 def test_simulate_artifact_bytes_pinned(tmp_path, capsys):
-    # A longer file in the way must be truncated, not overwritten in place.
+    # A longer file in the way must lose its tail.
     (tmp_path / "metrics.csv").write_text("stale\n" * 100_000)
     code, _, _ = run_cli(capsys, "simulate", "--config", str(REFERENCE_CONFIG),
                          "--out", str(tmp_path))
@@ -596,6 +606,15 @@ def test_simulate_artifact_bytes_pinned(tmp_path, capsys):
     for name in ("metrics.csv", "summary.json"):
         digest = _sha256((tmp_path / name).read_bytes())
         assert digest == PINNED_CLI_SHA256[f"simulate {name}"], name
+
+
+@pytest.mark.parametrize("command,options", [
+    ("simulate", ()),
+    ("compare", ("--seed", "1", "--set", "scenario.duration_ms=32000")),
+])
+def test_rerun_into_the_same_out_rewrites_the_same_bytes(command, options, tmp_path, capsys):
+    first = _artifacts(capsys, tmp_path, command, REFERENCE_CONFIG, *options)
+    assert _artifacts(capsys, tmp_path, command, REFERENCE_CONFIG, *options) == first
 
 
 def test_topo_stats_stdout_pinned(tmp_path, capsys):
@@ -612,6 +631,48 @@ def test_fit_gain_stdout_pinned(cpu_csv_path, msgs_csv_path, capsys):
                                "--cpu-csv", str(cpu_csv_path))
     assert code == 0
     assert _sha256(out.encode("utf-8")) == PINNED_CLI_SHA256["fit --gain"]
+
+
+def test_fit_gain_savings_from_compare_json(tmp_path, cpu_csv_path, msgs_csv_path, capsys):
+    code, _, _ = run_cli(capsys, "compare", "--config", str(REFERENCE_CONFIG), "--seed", "1",
+                         "--set", "scenario.duration_ms=32000", "--out", str(tmp_path))
+    assert code == 0
+    compare_json = tmp_path / "compare.json"
+    fraction = json.loads(compare_json.read_text())["savings"]["saved_percent"] / 100
+    outs = []
+    for gain in (["200", "--savings-from", str(compare_json)], ["200", repr(fraction)]):
+        with pytest.warns(ExtrapolationWarning):
+            code, out, _ = run_cli(capsys, "fit", str(msgs_csv_path), "--gain", *gain,
+                                   "--cpu-csv", str(cpu_csv_path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["gain"]["freed_slots"] == 95
+
+
+@pytest.mark.parametrize("gain,source,message", [
+    (["200"], "missing.json", "No such file"),
+    (["200"], "malformed.json", "not JSON"),
+    (["200"], "summary.json", "not the compare.json of a compare"),
+    (["200"], "list.json", "not the compare.json of a compare"),
+    (["200"], "nan.json", "not the compare.json of a compare"),
+    (["200", "0.3"], "compare.json", "alone with --savings-from"),
+    ([], "compare.json", "--savings-from needs --gain"),
+])
+def test_fit_savings_from_refused_exit_2(gain, source, message, tmp_path, cpu_csv_path,
+                                         msgs_csv_path, capsys):
+    compare = {"flood": {}, "squelch": {}, "savings": {"saved_percent": 30.0}}
+    (tmp_path / "compare.json").write_text(json.dumps(compare))
+    (tmp_path / "malformed.json").write_text('{"savings": ')
+    (tmp_path / "summary.json").write_text(json.dumps({"summary": {}, "policy": "flood"}))
+    (tmp_path / "list.json").write_text("[]")
+    compare["savings"]["saved_percent"] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(compare))
+    gain = ["--gain", *gain] if gain else []
+    code, out, err = run_cli(capsys, "fit", str(msgs_csv_path), *gain, "--savings-from",
+                             str(tmp_path / source), "--cpu-csv", str(cpu_csv_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 # --- one parser per process ----------------------------------------------------------
